@@ -13,6 +13,11 @@ evaluates two nonlinear derived quantities:
   prefixes.  Simultaneous maximality of these averages for every copy is the
   certification target of the broadcast scheme.
 
+Every conditional functional reads one kernel: ``conditional_kernel`` sums
+out the copies beyond ``i`` once and returns the conditional distribution of
+copy ``i`` for every prefix, and the values above, ``conditional_slice`` and
+the full-statistics certifier index into it.
+
 For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
 
@@ -33,6 +38,7 @@ import numpy as np
 from .errors import (
     EnumerationTooLarge,
     ShapeMismatch,
+    TableEntryError,
     TableFormatError,
     ZeroPrefixProbability,
 )
@@ -180,11 +186,12 @@ class CorrelationTable:
         if not np.all(np.isfinite(arr)):
             raise ValueError("probabilities contain NaN or Inf")
         if float(arr.min()) < -_ENTRY_TOL or float(arr.max()) > 1 + _ENTRY_TOL:
-            raise ValueError("probabilities outside [0, 1]")
-        norms = arr.sum(axis=(2, 3))
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > _NORMALIZATION_TOL:
-            raise ValueError(f"table not normalized per input pair (deviation {worst:.3e})")
+            bad = np.argwhere((arr < -_ENTRY_TOL) | (arr > 1 + _ENTRY_TOL))[0]
+            raise TableEntryError(tuple(int(v) for v in bad), "probability outside [0, 1]")
+        deviation = np.abs(arr.sum(axis=(2, 3)) - 1.0)
+        if float(deviation.max()) > _NORMALIZATION_TOL:
+            off = np.argwhere(deviation > _NORMALIZATION_TOL)[0]
+            raise TableEntryError(tuple(int(v) for v in off), "entries do not sum to 1")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "input_arities", ia)
@@ -269,10 +276,42 @@ def correlator(table: CorrelationTable, x: int, y: int) -> float:
     )
 
 
+def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
+    """Conditional distributions of copy ``i`` of a broadcast table for every
+    prefix at once.
+
+    Returns ``(cond, prefix_prob)``.  ``prefix_prob[x, y, prefix_a, prefix_b]``
+    is the probability of the joint outputs ``prefix_a``, ``prefix_b`` of
+    copies ``1..i-1`` at inputs ``(x, y)``, with copies beyond ``i``
+    marginalized out.  ``cond[x, y, prefix_a, prefix_b, a_i, b_i]`` is the
+    distribution of copy ``i`` conditioned on that prefix, normalized wherever
+    the prefix probability exceeds the positivity threshold and zero
+    elsewhere.  The table is reshaped and summed once for all prefixes.
+    """
+    if table.scheme is not Scheme.BROADCAST:
+        raise ShapeMismatch("conditional functionals are defined for broadcast tables")
+    if not 1 <= i <= table.n_copies:
+        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
+    oa = table.output_arities
+    low = math.prod(oa[: i - 1])
+    oi = oa[i - 1]
+    high = math.prod(oa[i:])
+    m = table.input_arities[0]
+    r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
+    # A contiguous (a_i, b_i) block per prefix makes each prefix probability
+    # the same pairwise sum that marginalizing one prefix at a time yields.
+    block = np.ascontiguousarray(r.sum(axis=(2, 5)).transpose(0, 1, 3, 5, 2, 4))
+    prefix_prob = block.sum(axis=(4, 5))
+    positive = prefix_prob > POSITIVITY_THRESHOLD
+    safe = np.where(positive, prefix_prob, 1.0)
+    cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
+    return cond, prefix_prob
+
+
 @dataclass(frozen=True)
 class ConditionalSlice:
     """Conditional distribution of copy ``i`` given a prefix of earlier
-    outputs.
+    outputs: one prefix of :func:`conditional_kernel`.
 
     ``probs[x, y, a_i, b_i]`` is normalized wherever ``prefix_prob[x, y]``
     exceeds the positivity threshold (zero elsewhere); ``prefix_prob[x, y]``
@@ -287,32 +326,22 @@ class ConditionalSlice:
     prefix_prob: np.ndarray
 
 
-def conditional_slice(table: CorrelationTable, i: int,
-                      prefix_a: int, prefix_b: int) -> ConditionalSlice:
-    """Compute the conditional distribution of copy ``i`` on a broadcast
-    table given joint prefix indices over copies ``1..i-1``."""
-    if table.scheme is not Scheme.BROADCAST:
-        raise ShapeMismatch("conditional slices are defined for broadcast tables")
+def _check_prefix(table: CorrelationTable, i: int, prefix_a: int, prefix_b: int) -> None:
     if not 2 <= i <= table.n_copies:
         raise ShapeMismatch(f"copy index {i} must satisfy 2 <= i <= {table.n_copies}")
-    oa = table.output_arities
-    low = math.prod(oa[: i - 1])
-    oi = oa[i - 1]
-    high = math.prod(oa[i:])
+    low = math.prod(table.output_arities[: i - 1])
     if not (0 <= prefix_a < low and 0 <= prefix_b < low):
         raise ShapeMismatch(f"prefix indices out of range 0..{low - 1}")
-    m = table.input_arities[0]
-    r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
-    # Marginalize copies beyond i, then select the prefix.
-    block = r.sum(axis=(2, 5))[:, :, :, prefix_a, :, prefix_b]
-    prefix_prob = block.sum(axis=(2, 3))
-    safe = np.where(prefix_prob > POSITIVITY_THRESHOLD, prefix_prob, 1.0)
-    cond = np.where(
-        (prefix_prob > POSITIVITY_THRESHOLD)[:, :, None, None],
-        block / safe[:, :, None, None],
-        0.0,
-    )
-    return ConditionalSlice(i, prefix_a, prefix_b, cond, prefix_prob)
+
+
+def conditional_slice(table: CorrelationTable, i: int,
+                      prefix_a: int, prefix_b: int) -> ConditionalSlice:
+    """Conditional distribution of copy ``i`` on a broadcast table given
+    joint prefix indices over copies ``1..i-1``."""
+    _check_prefix(table, i, prefix_a, prefix_b)
+    cond, prefix_prob = conditional_kernel(table, i)
+    return ConditionalSlice(i, prefix_a, prefix_b, cond[:, :, prefix_a, prefix_b],
+                            prefix_prob[:, :, prefix_a, prefix_b])
 
 
 def _relevant_inputs(expr: BellExpression) -> np.ndarray:
@@ -320,15 +349,36 @@ def _relevant_inputs(expr: BellExpression) -> np.ndarray:
     return np.any(expr.coeffs != 0.0, axis=(2, 3))
 
 
-def _conditional_value_from_slice(expr: BellExpression, sl: ConditionalSlice) -> float:
-    relevant = _relevant_inputs(expr)
-    bad = relevant & (sl.prefix_prob <= POSITIVITY_THRESHOLD)
-    if bad.any():
-        x, y = (int(v) for v in np.argwhere(bad)[0])
-        raise ZeroPrefixProbability(
-            sl.copy_index, sl.prefix_a, sl.prefix_b, x, y, float(sl.prefix_prob[x, y])
-        )
-    return math.fsum((expr.coeffs * sl.probs).ravel())
+def _row_fsums(products: np.ndarray, rows: int) -> np.ndarray:
+    """Exactly rounded sum of each of ``rows`` leading blocks of ``products``."""
+    return np.array([math.fsum(row) for row in products.reshape(rows, -1).tolist()])
+
+
+def _prefix_values(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
+    """Conditional values of copy ``i >= 2`` at every prefix.
+
+    Returns ``(values, undefined, prefix_prob)``: ``values[prefix_a,
+    prefix_b]`` is one ``fsum`` over the expression times the conditional
+    distribution, and ``undefined[prefix_a, prefix_b, x, y]`` marks the input
+    pairs carrying a nonzero coefficient at which the prefix probability is
+    at or below the positivity threshold; any mark leaves that prefix's value
+    undefined.
+    """
+    cond, prefix_prob = conditional_kernel(table, i)
+    low = cond.shape[2]
+    products = (expr.coeffs[:, :, None, None] * cond).transpose(2, 3, 0, 1, 4, 5)
+    values = _row_fsums(products, low * low).reshape(low, low)
+    undefined = _relevant_inputs(expr) & (
+        prefix_prob <= POSITIVITY_THRESHOLD).transpose(2, 3, 0, 1)
+    return values, undefined, prefix_prob
+
+
+def _zero_prefix(i: int, undefined: np.ndarray,
+                 prefix_prob: np.ndarray) -> ZeroPrefixProbability:
+    """Error for the first mark of ``undefined[prefix_a, prefix_b, x, y]`` in
+    row-major order."""
+    pa, pb, x, y = (int(v) for v in np.argwhere(undefined)[0])
+    return ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[x, y, pa, pb]))
 
 
 def conditional_value(table: CorrelationTable, expr: BellExpression, i: int,
@@ -338,8 +388,14 @@ def conditional_value(table: CorrelationTable, expr: BellExpression, i: int,
     probability at or below the positivity threshold at any input pair that
     carries a nonzero coefficient."""
     _check_copy_shape(table, expr, i)
-    sl = conditional_slice(table, i, prefix_a, prefix_b)
-    return _conditional_value_from_slice(expr, sl)
+    _check_prefix(table, i, prefix_a, prefix_b)
+    values, undefined, prefix_prob = _prefix_values(table, expr, i)
+    bad = np.argwhere(undefined[prefix_a, prefix_b])
+    if bad.size:
+        x, y = (int(v) for v in bad[0])
+        raise ZeroPrefixProbability(i, prefix_a, prefix_b, x, y,
+                                    float(prefix_prob[x, y, prefix_a, prefix_b]))
+    return float(values[prefix_a, prefix_b])
 
 
 def _check_copy_shape(table: CorrelationTable, expr: BellExpression, i: int) -> None:
@@ -357,61 +413,52 @@ def _check_copy_shape(table: CorrelationTable, expr: BellExpression, i: int) -> 
         )
 
 
-def _mean_conditional(table: CorrelationTable, expr: BellExpression, i: int,
-                      skip_zero_prefixes: bool) -> float:
-    """Sum of conditional values over all prefixes divided by the full prefix
-    count ``prod(o_j, j < i)**2``.
-
-    With ``skip_zero_prefixes`` the sum runs over prefixes whose conditional
-    value is defined while the divisor stays the full count; without it any
-    undefined prefix propagates :class:`ZeroPrefixProbability` (the
-    certification condition quantifies over every prefix).
-    """
+def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
+    """Sum of the defined conditional values of copy ``i`` over all prefixes,
+    divided by the full prefix count ``prod(o_j, j < i)**2``, together with
+    the :class:`ZeroPrefixProbability` of the first undefined prefix in
+    row-major ``(prefix_a, prefix_b)`` order (``None`` when every prefix is
+    defined).  For ``i = 1`` this is the expression value on the copy-1
+    marginal."""
+    _check_copy_shape(table, expr, i)
     if i == 1:
-        return evaluate(expr, copy_marginal(table, 1))
-    low = math.prod(table.output_arities[: i - 1])
-    values = []
-    for prefix_a in range(low):
-        for prefix_b in range(low):
-            sl = conditional_slice(table, i, prefix_a, prefix_b)
-            try:
-                values.append(_conditional_value_from_slice(expr, sl))
-            except ZeroPrefixProbability:
-                if not skip_zero_prefixes:
-                    raise
-    return math.fsum(values) / float(low * low)
+        return evaluate(expr, copy_marginal(table, 1)), None
+    values, undefined, prefix_prob = _prefix_values(table, expr, i)
+    defined = ~undefined.any(axis=(2, 3))
+    error = None if defined.all() else _zero_prefix(i, undefined, prefix_prob)
+    return math.fsum(values[defined].tolist()) / float(values.size), error
 
 
 def j_value(table: CorrelationTable, expr: BellExpression, i: int,
             *, skip_zero_prefixes: bool = False) -> float:
     """Uniform average of the conditional values of copy ``i`` over all
     ``o^(2(i-1))`` prefixes; for ``i = 1`` this is exactly the expression
-    value on the copy-1 marginal."""
-    _check_copy_shape(table, expr, i)
-    return _mean_conditional(table, expr, i, skip_zero_prefixes)
+    value on the copy-1 marginal.
+
+    With ``skip_zero_prefixes`` the sum runs over prefixes whose conditional
+    value is defined while the divisor stays the full count; without it any
+    undefined prefix raises :class:`ZeroPrefixProbability` (the certification
+    condition quantifies over every prefix).
+    """
+    value, error = conditional_mean(table, expr, i)
+    if error is not None and not skip_zero_prefixes:
+        raise error
+    return value
 
 
 def generalized_conditional_value(table: CorrelationTable, exprs: Sequence[BellExpression],
                                   i: int, prefix_a: int, prefix_b: int) -> float:
-    """Conditional value with a copy-specific expression ``exprs[i-1]``;
-    output arities may differ per copy, the prefix radix follows the table's
-    per-copy arities."""
-    exprs = _check_expression_list(table, exprs)
-    return conditional_value(table, exprs[i - 1], i, prefix_a, prefix_b)
+    """:func:`conditional_value` with the copy-specific expression ``exprs[i-1]``."""
+    return conditional_value(table, _check_expression_list(table, exprs)[i - 1], i,
+                             prefix_a, prefix_b)
 
 
 def generalized_j_value(table: CorrelationTable, exprs: Sequence[BellExpression], i: int,
                         *, skip_zero_prefixes: bool = False) -> float:
-    """Uniform average of :func:`generalized_conditional_value` over all
-    prefixes.
-
-    The divisor is the prefix count ``prod(o_j, j < i)**2``, i.e. the
-    per-copy output arities set the radix.  (The input arities play no role
-    here; on equal copies this reduces exactly to :func:`j_value`.)
-    """
-    exprs = _check_expression_list(table, exprs)
-    _check_copy_shape(table, exprs[i - 1], i)
-    return _mean_conditional(table, exprs[i - 1], i, skip_zero_prefixes)
+    """:func:`j_value` with the copy-specific expression ``exprs[i-1]``; the
+    prefix radix follows the table's per-copy output arities."""
+    return j_value(table, _check_expression_list(table, exprs)[i - 1], i,
+                   skip_zero_prefixes=skip_zero_prefixes)
 
 
 def _check_expression_list(table: CorrelationTable,
@@ -455,15 +502,11 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
     r = table.probs.reshape(
         high_m, mi, low_m, high_m, mi, low_m, high_o, oi, low_o, high_o, oi, low_o
     )
-    # Other copies' outputs are always summed out.
-    marg = r.sum(axis=(6, 8, 9, 11))  # -> (hx, xi, lx, hy, yi, ly, ai, bi)
-    values = []
-    for hx, lx, hy, ly in itertools.product(
-        range(high_m), range(low_m), range(high_m), range(low_m)
-    ):
-        sub = marg[hx, :, lx, hy, :, ly, :, :]
-        values.append(math.fsum((expr.coeffs * sub).ravel()))
-    return math.fsum(values) / float((low_m * high_m) ** 2)
+    # Other copies' outputs are always summed out; one row per setting
+    # (hx, lx, hy, ly) of the other copies' inputs.
+    marg = r.sum(axis=(6, 8, 9, 11)).transpose(0, 2, 3, 5, 1, 4, 6, 7)
+    settings = (low_m * high_m) ** 2
+    return math.fsum(_row_fsums(expr.coeffs * marg, settings).tolist()) / float(settings)
 
 
 @dataclass(frozen=True)
@@ -648,22 +691,10 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
         probs = np.asarray(data["probs"], dtype=float)
     except (TypeError, ValueError):
         raise TableFormatError("/probs", "probabilities must be a nested numeric array") from None
-    n_in = ia[0] if scheme is Scheme.BROADCAST else math.prod(ia)
-    n_out = math.prod(oa)
-    if probs.shape != (n_in, n_in, n_out, n_out):
-        raise TableFormatError(
-            "/probs", f"shape {probs.shape} != {(n_in, n_in, n_out, n_out)}"
-        )
-    bad = np.argwhere((probs < -_ENTRY_TOL) | (probs > 1 + _ENTRY_TOL))
-    if bad.size:
-        x, y, a, b = (int(v) for v in bad[0])
-        raise TableFormatError(f"/probs/{x}/{y}/{a}/{b}", "probability outside [0, 1]")
-    norms = probs.sum(axis=(2, 3))
-    off = np.argwhere(np.abs(norms - 1.0) > _NORMALIZATION_TOL)
-    if off.size:
-        x, y = (int(v) for v in off[0])
-        raise TableFormatError(f"/probs/{x}/{y}", "entries do not sum to 1")
     try:
         return CorrelationTable(scheme, ia, oa, probs)
+    except TableEntryError as exc:
+        pointer = "".join(f"/{v}" for v in exc.index)
+        raise TableFormatError(f"/probs{pointer}", exc.reason) from None
     except (ShapeMismatch, ValueError) as exc:
         raise TableFormatError("/probs", str(exc)) from None

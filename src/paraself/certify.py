@@ -5,6 +5,9 @@ whether the relevant conditional or averaged expression values sit at their
 targets.  Certification here is exact-statistics with a numerical tolerance
 knob: ``tol`` is numerical slack, not noise robustness, and defaults to 1e-8.
 
+The conditional certifiers (theorems 1-3) make one pass of
+:func:`~paraself.bell.conditional_kernel` per copy.
+
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
 has (numerically) zero probability is reported with the average taken over
@@ -20,7 +23,6 @@ diagnostic naming the offending prefixes; the verdict is then
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,14 +33,14 @@ from .bell import (
     CorrelationTable,
     Scheme,
     averaged_j_percopy,
-    conditional_slice,
+    conditional_kernel,
+    conditional_mean,
     copy_marginal,
     correlator,
     j_value,
-    generalized_j_value,
     POSITIVITY_THRESHOLD,
 )
-from .errors import SchemeInputMismatch, ShapeMismatch, ZeroPrefixProbability
+from .errors import SchemeInputMismatch, ShapeMismatch
 from .strategies import MAX_COPIES, SingleCopyStrategy, apply_isotropic_noise, compose
 
 DEFAULT_TOL = 1e-8
@@ -102,12 +104,9 @@ def _certify_broadcast(table: CorrelationTable, exprs: Sequence[BellExpression],
     diagnostics: list[str] = []
     for i in range(1, n + 1):
         target = betas[i - 1]
-        try:
-            value = generalized_j_value(table, exprs, i)
-            ok = True
-        except ZeroPrefixProbability as first:
-            value = generalized_j_value(table, exprs, i, skip_zero_prefixes=True)
-            ok = False
+        value, first = conditional_mean(table, exprs[i - 1], i)
+        ok = first is None
+        if not ok:
             diagnostics.append(
                 f"copy {i}: conditional values undefined on zero-probability "
                 f"prefixes (first offender: prefix (a={first.prefix_a}, "
@@ -186,45 +185,39 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                 )
 
     parity_signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    low = 1
     for i in range(2, table.n_copies + 1):
-        low *= o
-        worst = 0.0
-        worst_prefix = None
-        unreachable = []
-        corr_dev = np.zeros((m, m))
-        for prefix_a in range(low):
-            for prefix_b in range(low):
-                sl = conditional_slice(table, i, prefix_a, prefix_b)
-                if np.any(sl.prefix_prob <= POSITIVITY_THRESHOLD):
-                    unreachable.append((prefix_a, prefix_b))
-                    continue
-                dev = float(np.max(np.abs(sl.probs - reference.probs)))
-                if dev > worst:
-                    worst = dev
-                    worst_prefix = (prefix_a, prefix_b)
-                if o == 2:
-                    cond_corr = (sl.probs * parity_signs).sum(axis=(2, 3))
-                    ref_corr = (reference.probs * parity_signs).sum(axis=(2, 3))
-                    corr_dev = np.maximum(corr_dev, np.abs(cond_corr - ref_corr))
-        if o == 2 and not unreachable:
+        cond, prefix_prob = conditional_kernel(table, i)
+        unreachable = (prefix_prob <= POSITIVITY_THRESHOLD).any(axis=(0, 1))
+        # deviation[prefix_a, prefix_b]: largest entrywise deviation from the
+        # reference, 0 on unreachable prefixes.  argmax keeps the first
+        # worst prefix in row-major order.
+        deviation = np.where(
+            unreachable, 0.0,
+            np.abs(cond - reference.probs[:, :, None, None]).max(axis=(0, 1, 4, 5)))
+        worst_prefix = divmod(int(np.argmax(deviation)), deviation.shape[1])
+        worst = float(deviation[worst_prefix])
+        if o == 2 and not unreachable.any():
+            ref_corr = (reference.probs * parity_signs).sum(axis=(2, 3))
+            cond_corr = (cond * parity_signs).sum(axis=(4, 5))
+            corr_dev = np.abs(cond_corr - ref_corr[:, :, None, None]).max(axis=(2, 3))
             for x in range(m):
                 for y in range(m):
                     diagnostics.append(
                         f"conditional correlator({x},{y}) copy {i}: max deviation "
                         f"{corr_dev[x, y]:.3e} over all prefixes"
                     )
-        if unreachable:
+        if unreachable.any():
             # A strictly positive reference makes every prefix reachable in
             # the honest experiment, so unreachable prefixes are a failure in
             # their own right, not merely a precondition gap.
             worst = max(worst, 1.0)
+            first_a, first_b = (int(v) for v in np.argwhere(unreachable)[0])
             diagnostics.append(
-                f"copy {i}: {len(unreachable)} prefixes unreachable "
-                f"(first: (a={unreachable[0][0]}, b={unreachable[0][1]})) although "
+                f"copy {i}: {int(unreachable.sum())} prefixes unreachable "
+                f"(first: (a={first_a}, b={first_b})) although "
                 f"the reference is strictly positive"
             )
-        elif worst > tol and worst_prefix is not None:
+        elif worst > max(tol, 0.0):
             diagnostics.append(
                 f"copy {i}: max conditional deviation {worst:.6e} at prefix "
                 f"(a={worst_prefix[0]}, b={worst_prefix[1]})"
@@ -263,55 +256,20 @@ def certify_theorem4(table: CorrelationTable, exprs: Sequence[BellExpression],
     return _finish_report(checks, diagnostics, tol)
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Bundle of everything a certification run needs; ``run`` dispatches on
-    the protocol kind ("theorem1" .. "theorem4")."""
-
-    kind: str
-    expressions: tuple
-    targets: tuple
-    reference_table: CorrelationTable | None = None
-    tol: float = DEFAULT_TOL
-
-    def run(self, table: CorrelationTable) -> CertificationReport:
-        if self.kind == "theorem1":
-            return certify_theorem1(table, self.expressions[0], self.targets[0], self.tol)
-        if self.kind == "theorem2":
-            if self.reference_table is None:
-                raise ShapeMismatch("theorem2 certification needs a reference table")
-            return certify_theorem2(table, self.reference_table, self.tol)
-        if self.kind == "theorem3":
-            return certify_theorem3(table, self.expressions, self.targets, self.tol)
-        if self.kind == "theorem4":
-            return certify_theorem4(table, self.expressions, self.targets, self.tol)
-        raise ShapeMismatch(f"unknown protocol kind {self.kind!r}")
-
-
 def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
-                nus: Sequence[float], workers: int | None = None) -> list:
+                nus: Sequence[float]) -> list:
     """Compose ``n`` identically noisy copies for each visibility and report
     all per-copy averaged conditional values.
 
-    Rows are returned in ascending visibility.  Work items are independent;
-    ``workers`` > 1 evaluates them in a thread pool.
+    Rows are returned in ascending visibility.
     """
     if not 1 <= n <= MAX_COPIES:
         raise SchemeInputMismatch(f"copies must be in 1..{MAX_COPIES}")
     nus = [float(v) for v in nus]
     if any(not 0.0 <= v <= 1.0 for v in nus):
         raise ValueError("visibilities must lie in [0, 1]")
-
-    def row(nu: float) -> dict:
-        noisy = apply_isotropic_noise(strategy, nu)
-        table = compose([noisy] * n, Scheme.BROADCAST)
-        values = [j_value(table, expr, i) for i in range(1, n + 1)]
-        return {"nu": nu, "j_values": values}
-
-    ordered = sorted(nus)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, ordered))
-    else:
-        rows = [row(nu) for nu in ordered]
+    rows = []
+    for nu in sorted(nus):
+        table = compose([apply_isotropic_noise(strategy, nu)] * n, Scheme.BROADCAST)
+        rows.append({"nu": nu, "j_values": [j_value(table, expr, i) for i in range(1, n + 1)]})
     return rows

@@ -5,15 +5,11 @@ Exit codes: 0 success (certify: pass), 1 certify fail, 2 configuration or
 input-file error, 3 composition/enumeration error, 4 certify
 precondition-violated.  Every error path prints a single line to stderr of
 the form ``error: <category>: <message>``.
-
-The environment variable ``PARASELF_THREADS`` caps internal parallelism
-(default: hardware concurrency).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,6 +33,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_COMPOSITION = 3
 EXIT_PRECONDITION = 4
+
+# Bound on the visibilities a start:stop:step range may expand to.
+MAX_SWEEP_POINTS = 10_001
 
 _COMPOSITION_ERRORS = (
     SchemeInputMismatch,
@@ -62,19 +61,6 @@ def _emit(text: str, out: str | None):
 
 def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("PARASELF_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("PARASELF_THREADS", f"not an integer: {raw!r}") from None
-    if value < 1:
-        raise ConfigError("PARASELF_THREADS", "must be >= 1")
-    return value
 
 
 def _load_expression(spec: str) -> bell.BellExpression:
@@ -121,6 +107,8 @@ def _parse_strategy_specs(specs, copies, seed):
         if len(parsed) != 1:
             raise ConfigError("--strategy", "adversary presets cannot be combined")
         name, args = parsed[0]
+        if args and (len(args) != 1 or not args[0].is_integer()):
+            raise ConfigError("--strategy", f"{name} takes one integer copy count")
         if args and copies is not None and int(args[0]) != copies:
             raise ConfigError("--copies", "conflicts with the adversary's n parameter")
         n = int(args[0]) if args else copies
@@ -259,21 +247,25 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
                 raise ConfigError("--bell", "theorem2 compares against --reference, "
                                             "not expressions/targets")
             reference, _ = _load_table(reference_path)
-            spec = certify.ProtocolSpec("theorem2", (), (), reference, tol)
         else:
             if reference_path is not None:
                 raise ConfigError("--reference", f"not used by {protocol}")
             exprs = _resolve_expressions(bell_specs, table.n_copies)
             targets = _resolve_targets(beta_specs, exprs, provenance,
                                        table.n_copies, seed)
-            spec = certify.ProtocolSpec(protocol, tuple(exprs), tuple(targets),
-                                        None, tol)
     except TableFormatError as exc:
         _die(EXIT_CONFIG, "input", str(exc))
     except ConfigError as exc:
         _die(EXIT_CONFIG, "config", str(exc))
     try:
-        report = spec.run(table)
+        if protocol == "theorem1":
+            report = certify.certify_theorem1(table, exprs[0], targets[0], tol)
+        elif protocol == "theorem2":
+            report = certify.certify_theorem2(table, reference, tol)
+        elif protocol == "theorem3":
+            report = certify.certify_theorem3(table, exprs, targets, tol)
+        else:
+            report = certify.certify_theorem4(table, exprs, targets, tol)
     except _COMPOSITION_ERRORS as exc:
         _die(EXIT_COMPOSITION, "composition", str(exc))
     _emit(_json_text(report.to_json_dict()), out)
@@ -351,14 +343,15 @@ def _parse_nus(text: str) -> list:
             raise ConfigError("--nus", f"non-numeric range bound in {text!r}") from None
         if step <= 0:
             raise ConfigError("--nus", "range step must be positive")
+        steps = (stop + 1e-12 - start) / step
+        if not steps < MAX_SWEEP_POINTS:  # also rejects NaN and infinite bounds
+            raise ConfigError("--nus", f"range has more than {MAX_SWEEP_POINTS} points")
         values = []
-        k = 0
-        while True:
+        for k in range(max(int(steps), 0) + 2):  # one spare point for rounding
             v = start + k * step
             if v > stop + 1e-12:
                 break
             values.append(min(v, stop))
-            k += 1
         if not values:
             raise ConfigError("--nus", "empty range")
         return values
@@ -392,7 +385,6 @@ def sweep(strategy_spec, copies, bell_spec, nus, seed, out):
         if name in strategies.ADVERSARY_PRESETS:
             raise ConfigError("--strategy", "sweep needs a single-copy strategy")
         strategy = strategies.build_preset_strategy(name, args, seed=seed)
-        workers = _thread_cap()
     except (ConfigError, TableFormatError) as exc:
         _die(EXIT_CONFIG, "config", str(exc))
     except _COMPOSITION_ERRORS as exc:
@@ -400,7 +392,7 @@ def sweep(strategy_spec, copies, bell_spec, nus, seed, out):
     except (KeyError, ValueError) as exc:
         _die(EXIT_CONFIG, "config", str(exc))
     try:
-        rows = certify.sweep_noise(strategy, copies, expr, values, workers=workers)
+        rows = certify.sweep_noise(strategy, copies, expr, values)
     except _COMPOSITION_ERRORS as exc:
         _die(EXIT_COMPOSITION, "composition", str(exc))
     except ValueError as exc:

@@ -71,6 +71,16 @@ class TableFormatError(ParaselfError):
         super().__init__(f"{pointer}: {message}")
 
 
+class TableEntryError(ParaselfError, ValueError):
+    """A probability lies outside [0, 1] or the entries of an input pair do
+    not sum to 1.  ``index`` is the offending ``(x, y, a, b)`` or ``(x, y)``."""
+
+    def __init__(self, index: tuple, reason: str):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"{reason} at {''.join(f'[{v}]' for v in index)}")
+
+
 class ConfigError(ParaselfError):
     """Invalid run configuration.  ``field`` names the offending option."""
 

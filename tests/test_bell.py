@@ -476,6 +476,9 @@ def test_table_loader_never_leaks_raw_errors():
         lambda d: d.update(input_arities=5),
         lambda d: d.update(n_copies="two"),
         lambda d: d["probs"][0][0][0].__setitem__(0, "x"),
+        lambda d: d.update(input_arities=[]),
+        lambda d: d.update(output_arities=[]),
+        lambda d: d.update(output_arities=[-2, 2]),
     ):
         broken = json.loads(json.dumps(good))
         mutate(broken)

@@ -14,7 +14,6 @@ from paraself.bell import (
     tilted_chsh_expression,
 )
 from paraself.certify import (
-    ProtocolSpec,
     certify_theorem1,
     certify_theorem2,
     certify_theorem3,
@@ -313,12 +312,6 @@ def test_theorem4_requires_percopy_scheme():
         certify_theorem4(table, [chsh_expression()] * 2, [CHSH_MAX] * 2)
 
 
-def test_protocol_spec_dispatch():
-    table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
-    spec = ProtocolSpec("theorem1", (chsh_expression(),), (CHSH_MAX,))
-    assert spec.run(table).verdict == "pass"
-
-
 def test_reports_are_deterministic():
     table = adversary_shared_randomness(3)
     first = certify_theorem1(table, chsh_expression(), CHSH_MAX)
@@ -352,13 +345,6 @@ def test_sweep_noise_nondecreasing_in_visibility():
     for i in range(2):
         values = [r["j_values"][i] for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_sweep_noise_threaded_matches_serial():
-    nus = [0.0, 0.3, 0.6, 1.0]
-    serial = sweep_noise(chsh_reference(), 2, chsh_expression(), nus, workers=1)
-    threaded = sweep_noise(chsh_reference(), 2, chsh_expression(), nus, workers=4)
-    assert serial == threaded
 
 
 def test_sweep_noise_validates_arguments():

@@ -77,6 +77,14 @@ def test_simulate_rejects_conflicting_copies(runner):
     assert "--copies" in result.output
 
 
+def test_simulate_rejects_fractional_adversary_copies(runner):
+    result = runner.invoke(main, ["simulate", "--strategy", "adversary-copy(2.7)"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: config:")
+
+
 def test_simulate_rejects_oversized_composition(runner):
     result = runner.invoke(main, ["simulate", "--strategy", "chsh", "--copies", "7"])
     assert result.exit_code == 3
@@ -132,6 +140,21 @@ def test_certify_malformed_file_reports_pointer(runner, tmp_path):
     assert result.exit_code == 2
     assert result.output.startswith("error: input:")
     assert "/probs/0/0" in result.output
+
+
+def test_certify_empty_arities_is_input_error(runner, tmp_path):
+    _, data = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "1")
+    data["input_arities"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, [
+        "certify", "--table", str(bad), "--protocol", "theorem1",
+        "--bell", "chsh", "--beta", "2.8",
+    ])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: input:")
 
 
 def test_certify_theorem2_via_reference_file(runner, tmp_path):
@@ -302,21 +325,13 @@ def test_sweep_range_syntax(runner):
 
 
 def test_sweep_rejects_malformed_range(runner):
-    result = runner.invoke(main, ["sweep", "--strategy", "chsh", "--copies", "2",
-                                  "--nus", "0:1:0:5"])
-    assert result.exit_code == 2
-    assert result.output.startswith("error: config:")
-
-
-def test_sweep_respects_thread_env(runner, monkeypatch):
-    monkeypatch.setenv("PARASELF_THREADS", "2")
-    result = runner.invoke(main, ["sweep", "--strategy", "chsh", "--copies", "2",
-                                  "--nus", "0.5,1.0"])
-    assert result.exit_code == 0
-    monkeypatch.setenv("PARASELF_THREADS", "zero")
-    result = runner.invoke(main, ["sweep", "--strategy", "chsh", "--copies", "2",
-                                  "--nus", "0.5"])
-    assert result.exit_code == 2
+    # 0:1:1e-9 would expand to 10^9 visibilities; it must be refused up front.
+    for nus in ("0:1:0:5", "0:1:1e-9"):
+        result = runner.invoke(main, ["sweep", "--strategy", "chsh", "--copies", "2",
+                                      "--nus", nus])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: config:")
+        assert len(result.output.splitlines()) == 1
 
 
 def test_error_lines_are_single_machine_parseable(runner):

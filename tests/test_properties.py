@@ -12,15 +12,21 @@ import numpy as np
 import pytest
 
 from paraself.bell import (
+    POSITIVITY_THRESHOLD,
     BellExpression,
     Scheme,
+    averaged_j_percopy,
+    chsh_expression,
+    conditional_kernel,
     conditional_slice,
     conditional_value,
     copy_marginal,
     evaluate,
     j_value,
 )
-from paraself.strategies import compose, single_copy_table
+from paraself.certify import certify_theorem2
+from paraself.errors import ZeroPrefixProbability
+from paraself.strategies import adversary_copy, chsh_reference, compose, single_copy_table
 from paraself.qcore import born_probability
 
 from conftest import random_general_povm, random_projective_povm, random_state, random_strategy
@@ -185,6 +191,126 @@ def test_averaged_percopy_matches_bruteforce_on_mixed_inputs():
         assert averaged_j_percopy(table, exprs, i) == pytest.approx(
             total / count, abs=1e-10
         )
+
+
+# Oracle for the conditional kernel: the per-prefix loop it replaced.  Each
+# prefix gets its own marginalization and normalization, and one fsum.  The
+# marginal sums use the same numpy reductions as the library, so the kernel
+# must agree exactly, not merely to a tolerance.
+
+def _oracle_slice(table, i, pa, pb):
+    oa = table.output_arities
+    low, oi, high = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
+    m = table.input_arities[0]
+    r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
+    block = r.sum(axis=(2, 5))[:, :, :, pa, :, pb]
+    prefix_prob = block.sum(axis=(2, 3))
+    positive = prefix_prob > POSITIVITY_THRESHOLD
+    safe = np.where(positive, prefix_prob, 1.0)
+    return np.where(positive[:, :, None, None], block / safe[:, :, None, None], 0.0), prefix_prob
+
+
+def _oracle_j_value(table, expr, i):
+    """(mean over the defined prefixes with the full divisor, first undefined
+    (prefix_a, prefix_b, x, y) or None)."""
+    if i == 1:
+        return evaluate(expr, copy_marginal(table, 1)), None
+    low = math.prod(table.output_arities[: i - 1])
+    relevant = np.any(expr.coeffs != 0.0, axis=(2, 3))
+    values, first = [], None
+    for pa, pb in itertools.product(range(low), repeat=2):
+        cond, prefix_prob = _oracle_slice(table, i, pa, pb)
+        bad = np.argwhere(relevant & (prefix_prob <= POSITIVITY_THRESHOLD))
+        if bad.size:
+            first = first or (pa, pb, *(int(v) for v in bad[0]))
+            continue
+        values.append(math.fsum((expr.coeffs * cond).ravel()))
+    return math.fsum(values) / float(low * low), first
+
+
+def _oracle_theorem2_values(table, reference):
+    values = [float(np.max(np.abs(copy_marginal(table, 1).probs - reference.probs)))]
+    for i in range(2, table.n_copies + 1):
+        low = math.prod(table.output_arities[: i - 1])
+        worst, unreachable = 0.0, False
+        for pa, pb in itertools.product(range(low), repeat=2):
+            cond, prefix_prob = _oracle_slice(table, i, pa, pb)
+            if np.any(prefix_prob <= POSITIVITY_THRESHOLD):
+                unreachable = True
+                continue
+            worst = max(worst, float(np.max(np.abs(cond - reference.probs))))
+        values.append(max(worst, 1.0) if unreachable else worst)
+    return values
+
+
+def _oracle_averaged(table, expr, i):
+    ma, oa = table.input_arities, table.output_arities
+    low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
+    low_o, oi, high_o = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
+    r = table.probs.reshape(
+        high_m, mi, low_m, high_m, mi, low_m, high_o, oi, low_o, high_o, oi, low_o)
+    marg = r.sum(axis=(6, 8, 9, 11))
+    values = [
+        math.fsum((expr.coeffs * marg[hx, :, lx, hy, :, ly]).ravel())
+        for hx, lx, hy, ly in itertools.product(
+            range(high_m), range(low_m), range(high_m), range(low_m))
+    ]
+    return math.fsum(values) / float((low_m * high_m) ** 2)
+
+
+def _random_expressions(rng, ma, oa):
+    return [BellExpression(m, o, rng.normal(size=(m, m, o, o)), label="probe")
+            for m, o in zip(ma, oa)]
+
+
+@pytest.mark.parametrize("oa", [(3, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+def test_kernel_matches_oracle_on_random_tables(oa):
+    rng = np.random.default_rng(7100 + sum(oa))
+    ma = (2,) * len(oa)
+    table = _random_table(rng, Scheme.BROADCAST, ma, oa)
+    exprs = _random_expressions(rng, ma, oa)
+    for i in range(1, len(oa) + 1):
+        value, first = _oracle_j_value(table, exprs[i - 1], i)
+        assert first is None
+        assert j_value(table, exprs[i - 1], i) == value
+        cond, prefix_prob = conditional_kernel(table, i)
+        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
+            want_cond, want_prob = _oracle_slice(table, i, pa, pb)
+            assert np.array_equal(cond[:, :, pa, pb], want_cond)
+            assert np.array_equal(prefix_prob[:, :, pa, pb], want_prob)
+    reference = _random_table(rng, Scheme.BROADCAST, (2,), (2,))
+    product = compose([random_strategy(rng, m=2, o=2)] * 4, Scheme.BROADCAST)
+    for t in (table, product):
+        if set(t.output_arities) == {2}:
+            report = certify_theorem2(t, reference)
+            assert [c.value for c in report.per_copy] == _oracle_theorem2_values(t, reference)
+
+
+def test_kernel_matches_oracle_on_zero_prefixes():
+    table = adversary_copy(4)
+    expr = chsh_expression()
+    for i in range(1, 5):
+        value, first = _oracle_j_value(table, expr, i)
+        assert j_value(table, expr, i, skip_zero_prefixes=True) == value
+        if first is None:
+            assert j_value(table, expr, i) == value
+        else:
+            with pytest.raises(ZeroPrefixProbability) as err:
+                j_value(table, expr, i)
+            got = err.value
+            assert (got.prefix_a, got.prefix_b, got.x, got.y) == first
+    reference = single_copy_table(chsh_reference())
+    report = certify_theorem2(table, reference)
+    assert [c.value for c in report.per_copy] == _oracle_theorem2_values(table, reference)
+
+
+@pytest.mark.parametrize("ma, oa", [((2, 3), (2, 2)), ((3, 2, 2), (2, 3, 2))])
+def test_averaged_percopy_matches_oracle(ma, oa):
+    rng = np.random.default_rng(7200 + len(ma))
+    table = _random_table(rng, Scheme.PER_COPY, ma, oa)
+    exprs = _random_expressions(rng, ma, oa)
+    for i in range(1, len(ma) + 1):
+        assert averaged_j_percopy(table, exprs, i) == _oracle_averaged(table, exprs[i - 1], i)
 
 
 @pytest.mark.parametrize("seed", range(6))
