@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import (
+    ArityError,
     EnumerationTooLarge,
     ShapeMismatch,
     TableEntryError,
@@ -171,11 +172,13 @@ class CorrelationTable:
         ia = tuple(int(v) for v in self.input_arities)
         oa = tuple(int(v) for v in self.output_arities)
         if len(ia) != len(oa) or not ia:
-            raise ShapeMismatch("input and output arities must be nonempty and equal length")
+            raise ArityError("output_arities" if not oa else "input_arities",
+                             "input and output arities must be nonempty and equal length")
         if any(v < 1 for v in ia + oa):
-            raise ShapeMismatch("arities must be positive")
+            raise ArityError("input_arities" if min(ia) < 1 else "output_arities",
+                             "arities must be positive")
         if self.scheme is Scheme.BROADCAST and len(set(ia)) != 1:
-            raise ShapeMismatch("broadcast tables require a single shared input arity")
+            raise ArityError("input_arities", "broadcast tables require a single shared input arity")
         n_in = ia[0] if self.scheme is Scheme.BROADCAST else math.prod(ia)
         n_out = math.prod(oa)
         arr = np.asarray(self.probs, dtype=float)
@@ -446,31 +449,6 @@ def j_value(table: CorrelationTable, expr: BellExpression, i: int,
     return value
 
 
-def generalized_conditional_value(table: CorrelationTable, exprs: Sequence[BellExpression],
-                                  i: int, prefix_a: int, prefix_b: int) -> float:
-    """:func:`conditional_value` with the copy-specific expression ``exprs[i-1]``."""
-    return conditional_value(table, _check_expression_list(table, exprs)[i - 1], i,
-                             prefix_a, prefix_b)
-
-
-def generalized_j_value(table: CorrelationTable, exprs: Sequence[BellExpression], i: int,
-                        *, skip_zero_prefixes: bool = False) -> float:
-    """:func:`j_value` with the copy-specific expression ``exprs[i-1]``; the
-    prefix radix follows the table's per-copy output arities."""
-    return j_value(table, _check_expression_list(table, exprs)[i - 1], i,
-                   skip_zero_prefixes=skip_zero_prefixes)
-
-
-def _check_expression_list(table: CorrelationTable,
-                           exprs: Sequence[BellExpression]) -> tuple:
-    exprs = tuple(exprs)
-    if len(exprs) != table.n_copies:
-        raise ShapeMismatch(
-            f"{len(exprs)} expressions given for {table.n_copies} copies"
-        )
-    return exprs
-
-
 def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
                        i: int) -> float:
     """Expression value of copy ``i`` of a per-copy-input table, averaged
@@ -482,7 +460,8 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
     """
     if table.scheme is not Scheme.PER_COPY:
         raise ShapeMismatch("averaged functionals are defined for per-copy tables")
-    exprs = _check_expression_list(table, exprs)
+    if len(exprs) != table.n_copies:
+        raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
     if not 1 <= i <= table.n_copies:
         raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
     expr = exprs[i - 1]
@@ -620,11 +599,13 @@ def expression_from_json_dict(data: dict) -> BellExpression:
     unknown = set(data) - {"m", "o", "coeffs", "label"}
     if unknown:
         raise TableFormatError(f"/{sorted(unknown)[0]}", "unknown key")
-    try:
-        m = int(data["m"])
-        o = int(data["o"])
-    except (TypeError, ValueError):
-        raise TableFormatError("/m", "arities must be integers") from None
+    arities = []
+    for key in ("m", "o"):
+        try:
+            arities.append(int(data[key]))
+        except (TypeError, ValueError, OverflowError):
+            raise TableFormatError(f"/{key}", "arities must be integers") from None
+    m, o = arities
     try:
         coeffs = np.asarray(data["coeffs"], dtype=float)
     except (TypeError, ValueError):
@@ -676,25 +657,29 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
         scheme = Scheme(data["scheme"])
     except ValueError:
         raise TableFormatError("/scheme", f"unknown scheme {data['scheme']!r}") from None
-    try:
-        ia = tuple(int(v) for v in data["input_arities"])
-        oa = tuple(int(v) for v in data["output_arities"])
-    except (TypeError, ValueError):
-        raise TableFormatError("/input_arities", "arities must be integer lists") from None
+    arities = []
+    for key in ("input_arities", "output_arities"):
+        try:
+            arities.append(tuple(int(v) for v in data[key]))
+        except (TypeError, ValueError, OverflowError):
+            raise TableFormatError(f"/{key}", "arities must be integer lists") from None
     try:
         n_copies = int(data["n_copies"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise TableFormatError("/n_copies", "must be an integer") from None
-    if n_copies != len(oa):
-        raise TableFormatError("/n_copies", f"does not match {len(oa)} output arities")
     try:
         probs = np.asarray(data["probs"], dtype=float)
     except (TypeError, ValueError):
         raise TableFormatError("/probs", "probabilities must be a nested numeric array") from None
     try:
-        return CorrelationTable(scheme, ia, oa, probs)
+        table = CorrelationTable(scheme, *arities, probs)
+    except ArityError as exc:
+        raise TableFormatError(f"/{exc.field}", str(exc)) from None
     except TableEntryError as exc:
         pointer = "".join(f"/{v}" for v in exc.index)
         raise TableFormatError(f"/probs{pointer}", exc.reason) from None
     except (ShapeMismatch, ValueError) as exc:
         raise TableFormatError("/probs", str(exc)) from None
+    if n_copies != table.n_copies:
+        raise TableFormatError("/n_copies", f"does not match {table.n_copies} output arities")
+    return table

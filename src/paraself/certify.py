@@ -4,6 +4,8 @@ A certifier takes an observed correlation table and checks, copy by copy,
 whether the relevant conditional or averaged expression values sit at their
 targets.  Certification here is exact-statistics with a numerical tolerance
 knob: ``tol`` is numerical slack, not noise robustness, and defaults to 1e-8.
+Every certifier raises ``ValueError`` for a ``tol`` that is negative or not
+finite, and for a target that is not finite.
 
 The conditional certifiers (theorems 1-3) make one pass of
 :func:`~paraself.bell.conditional_kernel` per copy.
@@ -23,6 +25,7 @@ diagnostic naming the offending prefixes; the verdict is then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,15 +94,33 @@ def _finish_report(checks: list, diagnostics: list, tol: float) -> Certification
     return CertificationReport(verdict, tuple(checks), tuple(diagnostics))
 
 
-def _certify_broadcast(table: CorrelationTable, exprs: Sequence[BellExpression],
-                       betas: Sequence[float], tol: float) -> CertificationReport:
-    if table.scheme is not Scheme.BROADCAST:
-        raise SchemeInputMismatch("conditional certification requires a broadcast table")
+def _check_tol(tol: float) -> None:
+    # A NaN tol would pass every table: ``margin > nan`` is always false.
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
+def _check_targets(table: CorrelationTable, exprs: Sequence[BellExpression],
+                   betas: Sequence[float], tol: float) -> tuple:
+    """``(exprs, betas)`` as tuples, after checking ``tol`` and that there is
+    one expression and one finite target per copy."""
+    _check_tol(tol)
     n = table.n_copies
     exprs = tuple(exprs)
     betas = tuple(float(b) for b in betas)
     if len(exprs) != n or len(betas) != n:
         raise ShapeMismatch(f"need {n} expressions and targets, got {len(exprs)}/{len(betas)}")
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError(f"targets must be finite, got {list(betas)!r}")
+    return exprs, betas
+
+
+def _certify_broadcast(table: CorrelationTable, exprs: Sequence[BellExpression],
+                       betas: Sequence[float], tol: float) -> CertificationReport:
+    if table.scheme is not Scheme.BROADCAST:
+        raise SchemeInputMismatch("conditional certification requires a broadcast table")
+    exprs, betas = _check_targets(table, exprs, betas, tol)
+    n = table.n_copies
     checks: list[CopyCheck] = []
     diagnostics: list[str] = []
     for i in range(1, n + 1):
@@ -153,6 +174,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     For binary-outcome scenarios, the four reference correlators and their
     observed copy-1 counterparts are reported as named diagnostics.
     """
+    _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
         raise SchemeInputMismatch("full-statistics certification requires a broadcast table")
     if reference.n_copies != 1:
@@ -217,7 +239,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                 f"(first: (a={first_a}, b={first_b})) although "
                 f"the reference is strictly positive"
             )
-        elif worst > max(tol, 0.0):
+        elif worst > tol:
             diagnostics.append(
                 f"copy {i}: max conditional deviation {worst:.6e} at prefix "
                 f"(a={worst_prefix[0]}, b={worst_prefix[1]})"
@@ -236,11 +258,8 @@ def certify_theorem4(table: CorrelationTable, exprs: Sequence[BellExpression],
     every copy must equal its target."""
     if table.scheme is not Scheme.PER_COPY:
         raise SchemeInputMismatch("averaged certification requires a per-copy table")
+    exprs, betas = _check_targets(table, exprs, betas, tol)
     n = table.n_copies
-    exprs = tuple(exprs)
-    betas = tuple(float(b) for b in betas)
-    if len(exprs) != n or len(betas) != n:
-        raise ShapeMismatch(f"need {n} expressions and targets, got {len(exprs)}/{len(betas)}")
     checks: list[CopyCheck] = []
     diagnostics: list[str] = []
     for i in range(1, n + 1):

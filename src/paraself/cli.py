@@ -1,15 +1,27 @@
 """Command-line front end: build strategies, compose tables, run certifiers,
 dump reports and sweeps.
 
-Exit codes: 0 success (certify: pass), 1 certify fail, 2 configuration or
-input-file error, 3 composition/enumeration error, 4 certify
-precondition-violated.  Every error path prints a single line to stderr of
-the form ``error: <category>: <message>``.
+``certify`` exits with its verdict: 0 pass, 1 fail, 4 precondition-violated;
+the other commands exit 0 on success.  Errors become exit codes in one place,
+``_ErrorBoundary``, which prints the single line ``error: <category>:
+<message>`` to stderr for the first matching row of ``ERROR_EXITS``:
+
+    exception                                      exit  category
+    ConfigError (an option value)                  2     config
+    TableFormatError (a table or expression file)  2     input
+    OSError, UnicodeDecodeError                    2     io
+    EnumerationTooLarge                            3     enumeration
+    SchemeInputMismatch, UnsupportedDimension,     3     composition
+      InvalidAngles, SeeSawDidNotConverge,
+      ShapeMismatch, ZeroPrefixProbability
+
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,27 +41,45 @@ from .errors import (
     ZeroPrefixProbability,
 )
 
-EXIT_FAIL = 1
-EXIT_CONFIG = 2
-EXIT_COMPOSITION = 3
-EXIT_PRECONDITION = 4
-
 # Bound on the visibilities a start:stop:step range may expand to.
 MAX_SWEEP_POINTS = 10_001
 
-_COMPOSITION_ERRORS = (
-    SchemeInputMismatch,
-    UnsupportedDimension,
-    InvalidAngles,
-    SeeSawDidNotConverge,
-    ShapeMismatch,
-    ZeroPrefixProbability,
+VERDICT_EXITS = {certify.VERDICT_PASS: 0, certify.VERDICT_FAIL: 1,
+                 certify.VERDICT_PRECONDITION: 4}
+
+# (exception types, exit code, category); the first matching row wins.
+ERROR_EXITS = (
+    (ConfigError, 2, "config"),
+    (TableFormatError, 2, "input"),
+    ((OSError, UnicodeDecodeError), 2, "io"),
+    (EnumerationTooLarge, 3, "enumeration"),
+    ((SchemeInputMismatch, UnsupportedDimension, InvalidAngles, SeeSawDidNotConverge,
+      ShapeMismatch, ZeroPrefixProbability), 3, "composition"),
 )
 
 
-def _die(code: int, category: str, message: str):
-    click.echo(f"error: {category}: {message}", err=True)
-    sys.exit(code)
+class _ErrorBoundary(click.Group):
+    """Group that reports an ``ERROR_EXITS`` exception raised by a subcommand
+    as one ``error:`` line and exits with the row's code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:
+            for kinds, code, category in ERROR_EXITS:
+                if isinstance(exc, kinds):
+                    click.echo(f"error: {category}: {exc}", err=True)
+                    sys.exit(code)
+            raise
+
+
+def _parse(option: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on a user-supplied value of ``option``; its
+    ``KeyError`` or ``ValueError`` becomes a ``ConfigError`` naming the option."""
+    try:
+        return fn(*args, **kwargs)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(option, str(exc.args[0] if exc.args else exc)) from None
 
 
 def _emit(text: str, out: str | None):
@@ -63,30 +93,30 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+        raise TableFormatError("", f"invalid JSON in {path}: {exc}") from None
+
+
 def _load_expression(spec: str) -> bell.BellExpression:
     """Resolve --bell: a built-in name or a path to an expression JSON."""
     try:
         return bell.builtin_expression(spec)
     except KeyError:
         pass
-    path = Path(spec)
-    if not path.exists():
+    except ValueError as exc:
+        raise ConfigError("--bell", str(exc)) from None
+    if not Path(spec).exists():
         raise ConfigError("--bell", f"{spec!r} is neither a built-in nor a file")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TableFormatError("", f"invalid JSON in {spec}: {exc}") from None
-    return bell.expression_from_json_dict(data)
+    return bell.expression_from_json_dict(_read_json(Path(spec)))
 
 
-def _load_table(path: str) -> tuple:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("--table", f"file not found: {path}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise TableFormatError("", f"invalid JSON: {exc}") from None
+def _load_table(path: str, option: str) -> tuple:
+    if not Path(path).exists():
+        raise ConfigError(option, f"file not found: {path}")
+    data = _read_json(Path(path))
     table = bell.table_from_json_dict(data)
     provenance = data.get("provenance", {}) if isinstance(data, dict) else {}
     return table, provenance
@@ -96,12 +126,7 @@ def _parse_strategy_specs(specs, copies, seed):
     """Turn --strategy/--copies into either a list of single-copy strategies
     or an adversary table spec.  Returns (strategies, adversary, entries)
     where ``entries`` lists the effective per-copy presets for provenance."""
-    parsed = []
-    for spec in specs:
-        try:
-            parsed.append(strategies.parse_strategy_spec(spec))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("--strategy", str(exc)) from None
+    parsed = [_parse("--strategy", strategies.parse_strategy_spec, spec) for spec in specs]
     adversaries = [name for name, _ in parsed if name in strategies.ADVERSARY_PRESETS]
     if adversaries:
         if len(parsed) != 1:
@@ -115,14 +140,8 @@ def _parse_strategy_specs(specs, copies, seed):
         if n is None:
             raise ConfigError("--copies", f"{name} needs a copy count")
         return None, (name, n), [{"name": name, "params": [n]}]
-    built = []
-    for name, args in parsed:
-        try:
-            built.append(strategies.build_preset_strategy(name, args, seed=seed))
-        except KeyError as exc:
-            raise ConfigError("--strategy", str(exc.args[0])) from None
-        except ValueError as exc:
-            raise ConfigError("--strategy", str(exc)) from None
+    built = [_parse("--strategy", strategies.build_preset_strategy, name, args, seed=seed)
+             for name, args in parsed]
     if len(built) == 1 and copies is not None:
         if copies < 1:
             raise ConfigError("--copies", "must be >= 1")
@@ -134,7 +153,15 @@ def _parse_strategy_specs(specs, copies, seed):
     return built, None, entries
 
 
-@click.group()
+def _single_copy_strategy(option: str, spec: str, seed: int):
+    """Build the single-copy preset ``spec`` given through ``option``."""
+    name, args = _parse(option, strategies.parse_strategy_spec, spec)
+    if name in strategies.ADVERSARY_PRESETS:
+        raise ConfigError(option, f"{name} is a whole table, not a single-copy strategy")
+    return _parse(option, strategies.build_preset_strategy, name, args, seed=seed)
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Simulate parallel Bell experiments and certify correlation tables."""
 
@@ -152,28 +179,19 @@ def main():
 @click.option("--out", default=None, help="Output path (default: stdout).")
 def simulate(strategy_specs, copies, scheme, noise, seed, out):
     """Compose copies into a joint correlation table and write it as JSON."""
-    try:
-        built, adversary, entries = _parse_strategy_specs(strategy_specs, copies, seed)
-        if noise is not None and not 0.0 <= noise <= 1.0:
-            raise ConfigError("--noise", f"visibility {noise} outside [0, 1]")
-    except ConfigError as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
-    except _COMPOSITION_ERRORS as exc:
-        _die(EXIT_COMPOSITION, "composition", str(exc))
-    try:
-        if adversary is not None:
-            if noise is not None:
-                _die(EXIT_CONFIG, "config", "--noise: not applicable to adversary tables")
-            if scheme != "broadcast":
-                _die(EXIT_CONFIG, "config", "--scheme: adversary tables are broadcast-shaped")
-            name, n = adversary
-            table = strategies.build_preset_table(name, n)
-        else:
-            if noise is not None:
-                built = [strategies.apply_isotropic_noise(s, noise) for s in built]
-            table = strategies.compose(built, Scheme(scheme))
-    except _COMPOSITION_ERRORS as exc:
-        _die(EXIT_COMPOSITION, "composition", str(exc))
+    built, adversary, entries = _parse_strategy_specs(strategy_specs, copies, seed)
+    if noise is not None and not 0.0 <= noise <= 1.0:
+        raise ConfigError("--noise", f"visibility {noise} outside [0, 1]")
+    if adversary is not None:
+        if noise is not None:
+            raise ConfigError("--noise", "not applicable to adversary tables")
+        if scheme != "broadcast":
+            raise ConfigError("--scheme", "adversary tables are broadcast-shaped")
+        table = strategies.build_preset_table(*adversary)
+    else:
+        if noise is not None:
+            built = [strategies.apply_isotropic_noise(s, noise) for s in built]
+        table = strategies.compose(built, Scheme(scheme))
     prov = {"strategies": entries, "noise": noise, "seed": seed}
     _emit(_json_text(bell.table_to_json_dict(table, prov)), out)
 
@@ -213,6 +231,8 @@ def _resolve_targets(beta_specs, exprs, provenance, n: int, seed: int):
         targets = [float(b) for b in beta_specs]
     except ValueError:
         raise ConfigError("--beta", "values must be numbers or the token 'oracle'") from None
+    if not all(math.isfinite(t) for t in targets):
+        raise ConfigError("--beta", "values must be finite")
     if len(targets) == 1 and n > 1:
         targets = targets * n
     if len(targets) != n:
@@ -238,42 +258,30 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
                 tol, seed, out):
     """Certify a table file; the exit code reflects the verdict (0 pass,
     1 fail, 4 precondition-violated)."""
-    try:
-        table, provenance = _load_table(table_path)
-        if protocol == "theorem2":
-            if reference_path is None:
-                raise ConfigError("--reference", "required for theorem2")
-            if bell_specs or beta_specs:
-                raise ConfigError("--bell", "theorem2 compares against --reference, "
-                                            "not expressions/targets")
-            reference, _ = _load_table(reference_path)
-        else:
-            if reference_path is not None:
-                raise ConfigError("--reference", f"not used by {protocol}")
-            exprs = _resolve_expressions(bell_specs, table.n_copies)
-            targets = _resolve_targets(beta_specs, exprs, provenance,
-                                       table.n_copies, seed)
-    except TableFormatError as exc:
-        _die(EXIT_CONFIG, "input", str(exc))
-    except ConfigError as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
-    try:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError("--tol", f"must be finite and non-negative, got {tol}")
+    table, provenance = _load_table(table_path, "--table")
+    if protocol == "theorem2":
+        if reference_path is None:
+            raise ConfigError("--reference", "required for theorem2")
+        if bell_specs or beta_specs:
+            raise ConfigError("--bell", "theorem2 compares against --reference, "
+                                        "not expressions/targets")
+        reference, _ = _load_table(reference_path, "--reference")
+        report = certify.certify_theorem2(table, reference, tol)
+    else:
+        if reference_path is not None:
+            raise ConfigError("--reference", f"not used by {protocol}")
+        exprs = _resolve_expressions(bell_specs, table.n_copies)
+        targets = _resolve_targets(beta_specs, exprs, provenance, table.n_copies, seed)
         if protocol == "theorem1":
             report = certify.certify_theorem1(table, exprs[0], targets[0], tol)
-        elif protocol == "theorem2":
-            report = certify.certify_theorem2(table, reference, tol)
         elif protocol == "theorem3":
             report = certify.certify_theorem3(table, exprs, targets, tol)
         else:
             report = certify.certify_theorem4(table, exprs, targets, tol)
-    except _COMPOSITION_ERRORS as exc:
-        _die(EXIT_COMPOSITION, "composition", str(exc))
     _emit(_json_text(report.to_json_dict()), out)
-    if report.verdict == certify.VERDICT_PASS:
-        sys.exit(0)
-    if report.verdict == certify.VERDICT_FAIL:
-        sys.exit(EXIT_FAIL)
-    sys.exit(EXIT_PRECONDITION)
+    sys.exit(VERDICT_EXITS[report.verdict])
 
 
 @main.command()
@@ -289,32 +297,16 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
 def bounds(bell_spec, strategy_spec, witness, seed, out):
     """Print the classical bound and, when measurements are available, the
     fixed-measurement quantum value (both at 10 significant digits)."""
-    try:
-        expr = _load_expression(bell_spec)
-    except (ConfigError, TableFormatError) as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
-    try:
-        classical = bell.classical_bound(expr)
-    except EnumerationTooLarge as exc:
-        _die(EXIT_COMPOSITION, "enumeration", str(exc))
+    expr = _load_expression(bell_spec)
+    classical = bell.classical_bound(expr)
     strategy = None
-    try:
-        if strategy_spec is not None:
-            name, args = strategies.parse_strategy_spec(strategy_spec)
-            strategy = strategies.build_preset_strategy(name, args, seed=seed)
-        elif bell_spec in ("chsh", "chsh-game"):
-            strategy = strategies.chsh_reference()
-        elif bell_spec.startswith("tilted-chsh("):
-            alpha = float(bell_spec[len("tilted-chsh("):-1])
-            strategy = strategies.tilted_chsh_reference(alpha, expr, seed=seed)
-    except (KeyError, ValueError) as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
-    except _COMPOSITION_ERRORS as exc:
-        _die(EXIT_COMPOSITION, "composition", str(exc))
-    quantum = None
-    if strategy is not None:
-        quantum = bell.quantum_value_fixed_measurements(expr, strategy)
-
+    if strategy_spec is not None:
+        strategy = _single_copy_strategy("--strategy", strategy_spec, seed)
+    elif bell_spec in ("chsh", "chsh-game"):
+        strategy = strategies.chsh_reference()
+    elif bell_spec.startswith("tilted-chsh("):
+        strategy = _single_copy_strategy("--bell", bell_spec, seed)
+    quantum = None if strategy is None else bell.quantum_value_fixed_measurements(expr, strategy)
     click.echo(f"classical {classical.value:.10g}")
     if quantum is not None:
         click.echo(f"quantum {quantum.value:.10g}")
@@ -331,7 +323,8 @@ def bounds(bell_spec, strategy_spec, witness, seed, out):
 
 
 def _parse_nus(text: str) -> list:
-    """Comma list ('0,0.5,1') or range syntax 'start:stop:step'."""
+    """Comma list ('0,0.5,1') or range syntax 'start:stop:step' of
+    visibilities in [0, 1]."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -354,13 +347,15 @@ def _parse_nus(text: str) -> list:
             values.append(min(v, stop))
         if not values:
             raise ConfigError("--nus", "empty range")
-        return values
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError("--nus", f"non-numeric entry in {text!r}") from None
-    if not values:
-        raise ConfigError("--nus", "no visibilities given")
+    else:
+        try:
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise ConfigError("--nus", f"non-numeric entry in {text!r}") from None
+        if not values:
+            raise ConfigError("--nus", "no visibilities given")
+    if any(not 0.0 <= v <= 1.0 for v in values):
+        raise ConfigError("--nus", "visibilities must lie in [0, 1]")
     return values
 
 
@@ -376,27 +371,10 @@ def _parse_nus(text: str) -> list:
 def sweep(strategy_spec, copies, bell_spec, nus, seed, out):
     """Sweep the white-noise visibility and tabulate all per-copy values as
     CSV (12 significant digits)."""
-    try:
-        values = _parse_nus(nus)
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ConfigError("--nus", "visibilities must lie in [0, 1]")
-        expr = _load_expression(bell_spec)
-        name, args = strategies.parse_strategy_spec(strategy_spec)
-        if name in strategies.ADVERSARY_PRESETS:
-            raise ConfigError("--strategy", "sweep needs a single-copy strategy")
-        strategy = strategies.build_preset_strategy(name, args, seed=seed)
-    except (ConfigError, TableFormatError) as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
-    except _COMPOSITION_ERRORS as exc:
-        _die(EXIT_COMPOSITION, "composition", str(exc))
-    except (KeyError, ValueError) as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
-    try:
-        rows = certify.sweep_noise(strategy, copies, expr, values)
-    except _COMPOSITION_ERRORS as exc:
-        _die(EXIT_COMPOSITION, "composition", str(exc))
-    except ValueError as exc:
-        _die(EXIT_CONFIG, "config", str(exc))
+    values = _parse_nus(nus)
+    expr = _load_expression(bell_spec)
+    strategy = _single_copy_strategy("--strategy", strategy_spec, seed)
+    rows = certify.sweep_noise(strategy, copies, expr, values)
     lines = ["nu," + ",".join(f"J{i}" for i in range(1, copies + 1))]
     for r in rows:
         lines.append(",".join([f"{r['nu']:.12g}"] +

@@ -81,6 +81,16 @@ class TableEntryError(ParaselfError, ValueError):
         super().__init__(f"{reason} at {''.join(f'[{v}]' for v in index)}")
 
 
+class ArityError(ShapeMismatch):
+    """A table's arity lists are empty, of unequal length, non-positive or
+    (broadcast) not shared.  ``field`` names the offending list,
+    ``input_arities`` or ``output_arities``."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 class ConfigError(ParaselfError):
     """Invalid run configuration.  ``field`` names the offending option."""
 

@@ -6,9 +6,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from paraself.qcore import DensityMatrix, Povm
 from paraself.strategies import SingleCopyStrategy
+
+# Property tests draw the same examples on every run and write no example
+# database into the working directory.
+settings.register_profile("paraself", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+settings.load_profile("paraself")
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,8 +25,6 @@ from paraself.bell import (
     evaluate,
     expression_from_json_dict,
     expression_to_json_dict,
-    generalized_conditional_value,
-    generalized_j_value,
     j_value,
     quantum_value_fixed_measurements,
     table_from_json_dict,
@@ -214,15 +212,6 @@ def test_j_value_bounded_by_conditional_extremes():
     assert min(values) - 1e-12 <= j <= max(values) + 1e-12
 
 
-def test_generalized_equal_copies_matches_plain_conditional():
-    table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
-    exprs = [chsh_expression()] * 2
-    for pa, pb in itertools.product(range(2), repeat=2):
-        assert generalized_conditional_value(table, exprs, 2, pa, pb) == \
-            conditional_value(table, exprs[1], 2, pa, pb)
-    assert generalized_j_value(table, exprs, 2) == j_value(table, exprs[1], 2)
-
-
 def test_generalized_conditional_mixed_copies_hits_oracle_target():
     tilted = tilted_chsh_expression(0.5)
     s = tilted_chsh_reference(0.5, tilted)
@@ -230,7 +219,7 @@ def test_generalized_conditional_mixed_copies_hits_oracle_target():
     table = compose([chsh_reference(), s], Scheme.BROADCAST)
     exprs = [chsh_expression(), tilted]
     for pa, pb in itertools.product(range(2), repeat=2):
-        value = generalized_conditional_value(table, exprs, 2, pa, pb)
+        value = conditional_value(table, exprs[1], 2, pa, pb)
         assert value == pytest.approx(beta2, abs=1e-6)
 
 
@@ -241,7 +230,7 @@ def test_generalized_three_copy_product_is_inert():
     s_b = tilted_chsh_reference(0.7, tilted_b)
     table = compose([s_a, s_b, chsh_reference()], Scheme.BROADCAST)
     exprs = [tilted_a, tilted_b, chsh_expression()]
-    assert generalized_j_value(table, exprs, 3) == pytest.approx(CHSH_MAX, abs=1e-9)
+    assert j_value(table, exprs[2], 3) == pytest.approx(CHSH_MAX, abs=1e-9)
 
 
 def _qutrit_strategy(seed: int) -> SingleCopyStrategy:
@@ -263,7 +252,8 @@ def test_generalized_prefix_radix_uses_output_arities():
     rng = np.random.default_rng(8)
     expr3 = BellExpression(2, 3, rng.normal(size=(2, 2, 3, 3)), label="rand3")
     table = compose([s3, chsh_reference()], Scheme.BROADCAST)
-    value = generalized_j_value(table, [expr3, chsh_expression()], 2)
+    exprs = [expr3, chsh_expression()]
+    value = j_value(table, exprs[1], 2)
     assert value == pytest.approx(CHSH_MAX, abs=1e-9)
     assert value * 9.0 / 4.0 != pytest.approx(CHSH_MAX, abs=0.1)
 
@@ -476,13 +466,21 @@ def test_table_loader_never_leaks_raw_errors():
         lambda d: d.update(input_arities=5),
         lambda d: d.update(n_copies="two"),
         lambda d: d["probs"][0][0][0].__setitem__(0, "x"),
-        lambda d: d.update(input_arities=[]),
-        lambda d: d.update(output_arities=[]),
-        lambda d: d.update(output_arities=[-2, 2]),
     ):
         broken = json.loads(json.dumps(good))
         mutate(broken)
         cases.append(broken)
+    # Arity faults are reported at the arity list at fault, not at /probs.
+    for key, value, pointer in (
+        ("input_arities", [], "/input_arities"),
+        ("output_arities", [], "/output_arities"),
+        ("output_arities", [-2, 2], "/output_arities"),
+    ):
+        broken = json.loads(json.dumps(good))
+        broken[key] = value
+        with pytest.raises(TableFormatError) as info:
+            table_from_json_dict(broken)
+        assert info.value.pointer == pointer, (key, value, str(info.value))
     cases.extend([[1, 2, 3], "nope"])
     for broken in cases:
         if broken == json.loads(json.dumps(good)):

@@ -364,3 +364,36 @@ def test_certify_file_roundtrip_identical_report():
     direct = certify_theorem1(table, chsh_expression(), CHSH_MAX)
     loaded = certify_theorem1(reread, chsh_expression(), CHSH_MAX)
     assert json.dumps(direct.to_json_dict()) == json.dumps(loaded.to_json_dict())
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_certifiers_reject_unusable_tol(tol):
+    # A NaN tol would pass every table, since no margin compares above NaN.
+    broadcast = compose([chsh_reference()] * 2, Scheme.BROADCAST)
+    percopy = compose([chsh_reference()] * 2, Scheme.PER_COPY)
+    reference = single_copy_table(chsh_reference())
+    ce = chsh_expression()
+    calls = (
+        lambda: certify_theorem1(broadcast, ce, CHSH_MAX, tol),
+        lambda: certify_theorem2(broadcast, reference, tol),
+        lambda: certify_theorem3(broadcast, [ce] * 2, [CHSH_MAX] * 2, tol),
+        lambda: certify_theorem4(percopy, [ce] * 2, [CHSH_MAX] * 2, tol),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="tol"):
+            call()
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+def test_certifiers_reject_non_finite_targets(beta):
+    broadcast = compose([apply_isotropic_noise(chsh_reference(), 0.5)] * 3, Scheme.BROADCAST)
+    percopy = compose([chsh_reference()] * 2, Scheme.PER_COPY)
+    ce = chsh_expression()
+    calls = (
+        lambda: certify_theorem1(broadcast, ce, beta),
+        lambda: certify_theorem3(broadcast, [ce] * 3, [CHSH_MAX, beta, CHSH_MAX]),
+        lambda: certify_theorem4(percopy, [ce] * 2, [beta, CHSH_MAX]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="targets"):
+            call()

@@ -340,3 +340,22 @@ def test_error_lines_are_single_machine_parseable(runner):
     lines = [l for l in result.output.splitlines() if l]
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+    ("--beta", "nan"), ("--beta", "inf"),
+])
+def test_certify_rejects_non_finite_tol_and_beta(runner, tmp_path, option, value):
+    # The table fails at the default tol, so only a NaN could make it pass.
+    table, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3",
+                         "--noise", "0.5")
+    args = {"--tol": "1e-8", "--beta": "2.8284271247461903", option: value}
+    result = runner.invoke(main, [
+        "certify", "--table", str(table), "--protocol", "theorem1", "--bell", "chsh",
+        "--beta", args["--beta"], "--tol", args["--tol"],
+    ])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: config: {option}: ")
+    assert len(result.stderr.splitlines()) == 1
