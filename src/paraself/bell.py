@@ -28,6 +28,7 @@ mixed-radix with copy 1 least significant.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -581,6 +582,11 @@ def quantum_value_fixed_measurements(expr: BellExpression,
 # JSON serialization.  Floats are written with Python's shortest round-trip
 # representation, so re-reading a file reproduces every double bit-exactly.
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def expression_to_json_dict(expr: BellExpression) -> dict:
     return {
         "m": expr.m,
@@ -599,16 +605,13 @@ def expression_from_json_dict(data: dict) -> BellExpression:
     unknown = set(data) - {"m", "o", "coeffs", "label"}
     if unknown:
         raise TableFormatError(f"/{sorted(unknown)[0]}", "unknown key")
-    arities = []
     for key in ("m", "o"):
-        try:
-            arities.append(int(data[key]))
-        except (TypeError, ValueError, OverflowError):
-            raise TableFormatError(f"/{key}", "arities must be integers") from None
-    m, o = arities
+        if not _is_json_int(data[key]):
+            raise TableFormatError(f"/{key}", "arities must be integers")
+    m, o = data["m"], data["o"]
     try:
         coeffs = np.asarray(data["coeffs"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer beyond float range
         raise TableFormatError("/coeffs", "coefficients must be a nested numeric array") from None
     if coeffs.shape != (m, m, o, o):
         raise TableFormatError("/coeffs", f"shape {coeffs.shape} != {(m, m, o, o)}")
@@ -625,7 +628,7 @@ TABLE_FORMAT = "paraself-table"
 JOINT_ENCODING = "mixed-radix-copy1-lsd"
 
 
-def table_to_json_dict(table: CorrelationTable, provenance: dict | None = None) -> dict:
+def _table_fields(table: CorrelationTable, probs, provenance: dict | None) -> dict:
     return {
         "format": TABLE_FORMAT,
         "encoding": JOINT_ENCODING,
@@ -633,9 +636,42 @@ def table_to_json_dict(table: CorrelationTable, provenance: dict | None = None) 
         "scheme": table.scheme.value,
         "input_arities": list(table.input_arities),
         "output_arities": list(table.output_arities),
-        "probs": table.probs.tolist(),
+        "probs": probs,
         "provenance": provenance or {},
     }
+
+
+def table_to_json_dict(table: CorrelationTable, provenance: dict | None = None) -> dict:
+    return _table_fields(table, table.probs.tolist(), provenance)
+
+
+def _probs_json_text(probs: np.ndarray) -> str:
+    """The nested ``probs`` list as ``json.dumps(..., indent=2)`` lays it out
+    under a top-level key.  Each distinct value is formatted once: a composed
+    table holds few distinct floats among up to millions of entries."""
+    # Distinct bit patterns, so that -0.0 keeps its sign.
+    bits = probs.view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    reprs = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()],
+                     dtype=object)
+    text = reprs[inverse.reshape(probs.shape)]
+    for axis in range(probs.ndim - 1, -1, -1):
+        item = "\n" + " " * (2 * axis + 4)
+        close = "\n" + " " * (2 * axis + 2) + "]"
+        rows = text.reshape(-1, text.shape[-1]).tolist()
+        text = np.array(["[" + item + ("," + item).join(row) + close for row in rows],
+                        dtype=object).reshape(text.shape[:-1])
+    return text.item()
+
+
+def table_to_json_text(table: CorrelationTable, provenance: dict | None = None) -> str:
+    """``json.dumps(table_to_json_dict(table, provenance), indent=2) + "\\n"``,
+    byte for byte, without building the nested list of floats."""
+    text = json.dumps(_table_fields(table, 0, provenance), indent=2)
+    # Only fixed keys and integers precede "probs", so its placeholder is the
+    # first match even when the provenance holds the same text.
+    head, _, tail = text.partition('"probs": 0')
+    return "".join((head, '"probs": ', _probs_json_text(table.probs), tail, "\n"))
 
 
 def table_from_json_dict(data: dict) -> CorrelationTable:
@@ -657,22 +693,17 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
         scheme = Scheme(data["scheme"])
     except ValueError:
         raise TableFormatError("/scheme", f"unknown scheme {data['scheme']!r}") from None
-    arities = []
     for key in ("input_arities", "output_arities"):
-        try:
-            arities.append(tuple(int(v) for v in data[key]))
-        except (TypeError, ValueError, OverflowError):
-            raise TableFormatError(f"/{key}", "arities must be integer lists") from None
-    try:
-        n_copies = int(data["n_copies"])
-    except (TypeError, ValueError, OverflowError):
-        raise TableFormatError("/n_copies", "must be an integer") from None
+        if not (isinstance(data[key], list) and all(map(_is_json_int, data[key]))):
+            raise TableFormatError(f"/{key}", "arities must be integer lists")
+    if not _is_json_int(data["n_copies"]):
+        raise TableFormatError("/n_copies", "must be an integer")
     try:
         probs = np.asarray(data["probs"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer beyond float range
         raise TableFormatError("/probs", "probabilities must be a nested numeric array") from None
     try:
-        table = CorrelationTable(scheme, *arities, probs)
+        table = CorrelationTable(scheme, data["input_arities"], data["output_arities"], probs)
     except ArityError as exc:
         raise TableFormatError(f"/{exc.field}", str(exc)) from None
     except TableEntryError as exc:
@@ -680,6 +711,6 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
         raise TableFormatError(f"/probs{pointer}", exc.reason) from None
     except (ShapeMismatch, ValueError) as exc:
         raise TableFormatError("/probs", str(exc)) from None
-    if n_copies != table.n_copies:
+    if data["n_copies"] != table.n_copies:
         raise TableFormatError("/n_copies", f"does not match {table.n_copies} output arities")
     return table

@@ -8,6 +8,8 @@ the other commands exit 0 on success.  Errors become exit codes in one place,
 
     exception                                      exit  category
     ConfigError (an option value)                  2     config
+    click.UsageError (a missing option, an option  2     config
+      value of the wrong type, an unknown command)
     TableFormatError (a table or expression file)  2     input
     OSError, UnicodeDecodeError                    2     io
     EnumerationTooLarge                            3     enumeration
@@ -49,7 +51,7 @@ VERDICT_EXITS = {certify.VERDICT_PASS: 0, certify.VERDICT_FAIL: 1,
 
 # (exception types, exit code, category); the first matching row wins.
 ERROR_EXITS = (
-    (ConfigError, 2, "config"),
+    ((ConfigError, click.UsageError), 2, "config"),
     (TableFormatError, 2, "input"),
     ((OSError, UnicodeDecodeError), 2, "io"),
     (EnumerationTooLarge, 3, "enumeration"),
@@ -68,7 +70,10 @@ class _ErrorBoundary(click.Group):
         except Exception as exc:
             for kinds, code, category in ERROR_EXITS:
                 if isinstance(exc, kinds):
-                    click.echo(f"error: {category}: {exc}", err=True)
+                    # click's str() of an error omits the option it names
+                    message = (exc.format_message() if isinstance(exc, click.ClickException)
+                               else exc)
+                    click.echo(f"error: {category}: {message}", err=True)
                     sys.exit(code)
             raise
 
@@ -193,7 +198,7 @@ def simulate(strategy_specs, copies, scheme, noise, seed, out):
             built = [strategies.apply_isotropic_noise(s, noise) for s in built]
         table = strategies.compose(built, Scheme(scheme))
     prov = {"strategies": entries, "noise": noise, "seed": seed}
-    _emit(_json_text(bell.table_to_json_dict(table, prov)), out)
+    _emit(bell.table_to_json_text(table, prov), out)
 
 
 def _resolve_expressions(bell_specs, n: int):
@@ -314,7 +319,7 @@ def bounds(bell_spec, strategy_spec, witness, seed, out):
         payload = {"classical": classical.witness}
         if quantum is not None:
             payload["quantum"] = quantum.witness
-        click.echo(json.dumps(payload, indent=2))
+        _emit(_json_text(payload), None)
     if out is not None:
         payload = {"classical": {"value": classical.value, "witness": classical.witness}}
         if quantum is not None:

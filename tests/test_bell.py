@@ -413,6 +413,15 @@ def test_expression_json_rejects_unknown_keys():
         expression_from_json_dict(data)
 
 
+@pytest.mark.parametrize("key,value", [("m", 2.7), ("m", "2"), ("o", True), ("o", 2.0)])
+def test_expression_json_accepts_only_integer_arities(key, value):
+    data = expression_to_json_dict(chsh_expression())
+    data[key] = value
+    with pytest.raises(TableFormatError) as info:
+        expression_from_json_dict(data)
+    assert info.value.pointer == f"/{key}"
+
+
 def test_table_json_roundtrip_is_exact():
     table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
     data = json.loads(json.dumps(table_to_json_dict(table, {"note": "x"})))
@@ -470,11 +479,18 @@ def test_table_loader_never_leaks_raw_errors():
         broken = json.loads(json.dumps(good))
         mutate(broken)
         cases.append(broken)
-    # Arity faults are reported at the arity list at fault, not at /probs.
+    # Arity and copy-count faults are reported at the field at fault, not at
+    # /probs; only JSON integers are accepted there.
     for key, value, pointer in (
         ("input_arities", [], "/input_arities"),
         ("output_arities", [], "/output_arities"),
         ("output_arities", [-2, 2], "/output_arities"),
+        ("input_arities", [2.0], "/input_arities"),
+        ("output_arities", [True, 2], "/output_arities"),
+        ("input_arities", "2", "/input_arities"),
+        ("n_copies", "2", "/n_copies"),
+        ("n_copies", 2.0, "/n_copies"),
+        ("n_copies", True, "/n_copies"),
     ):
         broken = json.loads(json.dumps(good))
         broken[key] = value

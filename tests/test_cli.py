@@ -250,6 +250,16 @@ def test_simulate_output_is_deterministic(runner, tmp_path):
     assert second.read_text() == text_first
 
 
+def test_simulate_percopy_file_matches_stdlib_encoder(runner, tmp_path):
+    from paraself.bell import table_from_json_dict
+
+    out, data = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3",
+                          "--scheme", "percopy")
+    table = table_from_json_dict(data)
+    expected = json.dumps(table_to_json_dict(table, data["provenance"]), indent=2) + "\n"
+    assert out.read_bytes() == expected.encode()
+
+
 def test_bounds_chsh(runner):
     result = runner.invoke(main, ["bounds", "--bell", "chsh"])
     assert result.exit_code == 0

@@ -5,9 +5,11 @@ Exit 0, 1 or 4 comes with output on stdout (for ``certify``, a JSON report
 whose verdict matches the code).  Every other exit is 2 or 3, with nothing on
 stdout, exactly one ``error:`` line on stderr and no traceback.
 
-Option values are drawn from what click's declared option types accept
-(integers for ``--copies``, floats for ``--tol``): a value click cannot
-convert is reported by click's own usage message, before any command runs.
+Option values are drawn mostly from what click's declared option types
+accept (integers for ``--copies``, floats for ``--tol``); a value click cannot
+convert is a usage error, which keeps the same contract.  Only an unknown
+option given to ``paraself`` itself, before any subcommand, still prints
+click's own usage block.
 """
 
 import json
@@ -75,14 +77,27 @@ def files(tmp_path_factory):
     for key, m, o in (("m2o3", 2, 3), ("m3", 3, 2)):
         expr = BellExpression(m, o, np.ones((m, m, o, o)), label=key)
         paths[key].write_text(json.dumps(expression_to_json_dict(expr)))
+    # One-copy chsh tables edited by hand.
+    for key, edit in (("float_arities", {"input_arities": [2.9], "output_arities": [2.5]}),
+                      ("string_n_copies", {"n_copies": "1"}),
+                      ("bool_arity", {"input_arities": [True]}),
+                      ("huge_entry", {"probs": [[[[10 ** 400, 0], [0, 0]]] * 2] * 2})):
+        paths[key] = root / f"{key}.json"
+        paths[key].write_text(json.dumps({**_table_doc([chsh_reference()]), **edit}))
     return paths
 
 
-CERTIFY_CHSH2 = ["certify", "--table", "{chsh2}", "--protocol", "theorem1",
-                 "--bell", "chsh", "--beta", BETA]
+def _certify_theorem1(table):
+    return ["certify", "--table", table, "--protocol", "theorem1", "--bell", "chsh",
+            "--beta", BETA]
 
-# Inputs that once escaped as a traceback with exit 1, or (the tenth)
-# printed its message inside quotes.
+
+CERTIFY_CHSH2 = _certify_theorem1("{chsh2}")
+
+
+# Inputs that once escaped as a traceback with exit 1, printed their message
+# inside quotes, were accepted although malformed, blamed the wrong JSON
+# pointer or printed click's multi-line usage block.
 ESCAPED_INPUTS = [
     pytest.param(["simulate", "--strategy", "chsh", "--out", "{dir}/missing/x.json"],
                  2, "io", id="simulate-out-in-missing-dir"),
@@ -106,6 +121,17 @@ ESCAPED_INPUTS = [
                  2, "config", id="bounds-strategy-unbalanced"),
     pytest.param(["certify", "--table", "{deep}", "--protocol", "theorem1", "--bell", "chsh",
                   "--beta", BETA], 2, "input", id="certify-table-nested-too-deep"),
+    pytest.param(_certify_theorem1("{float_arities}"), 2, "input: /input_arities",
+                 id="certify-float-arities"),
+    pytest.param(_certify_theorem1("{string_n_copies}"), 2, "input: /n_copies",
+                 id="certify-string-n-copies"),
+    pytest.param(_certify_theorem1("{bool_arity}"), 2, "input: /input_arities",
+                 id="certify-bool-arity"),
+    pytest.param(_certify_theorem1("{huge_entry}"), 2, "input: /probs", id="certify-huge-entry"),
+    pytest.param(["bounds"], 2, "config", id="bounds-without-bell"),
+    pytest.param(["simulate", "--strategy", "chsh", "--copies", "x"], 2, "config",
+                 id="simulate-non-integer-copies"),
+    pytest.param(["frobnicate"], 2, "config", id="unknown-subcommand"),
 ]
 
 
@@ -184,7 +210,7 @@ PROTOCOL_TABLES = {"theorem1": "chsh2", "theorem2": "fullstats2", "theorem3": "c
 EXPRESSION = expression_to_json_dict(chsh_expression())
 
 FLOAT_TEXT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
-TOLS = _or_valid("1e-8", st.sampled_from(["0", "nan", "-1", "inf", "-0.0"]) | FLOAT_TEXT)
+TOLS = _or_valid("1e-8", st.sampled_from(["0", "nan", "-1", "inf", "-0.0", "abc"]) | FLOAT_TEXT)
 BETAS = st.lists(_or_valid(BETA, st.sampled_from(["oracle", "nan", "-inf", "x", "", "2"])
                            | FLOAT_TEXT | st.text(max_size=4)), min_size=0, max_size=3)
 # Cheap presets only: the see-saw behind tilted-chsh takes seconds near alpha = 2.
@@ -195,7 +221,7 @@ STRATEGIES = _or_valid("chsh", st.sampled_from([
     "bogus", "", "(", ")",
 ]) | st.text(alphabet="chs()-,.0123456789", max_size=6))
 # Three copies at most: a per-copy table of six is 134 MB of floats.
-COPIES = _or_valid(2, st.sampled_from([None, -1, 0, 1, 3, 7]))
+COPIES = _or_valid(2, st.sampled_from([None, -1, 0, 1, 3, 7, "x"]))
 NUS = _or_valid("0,0.5,1", st.sampled_from([
     "0:1:0.25", "nan", "inf", "0:1:0", "1:0:0.1", "0:1:1e-9", "a", "", ":", "0:nan:0.1",
     "-1,2", "0:1", "0.5,,"]) | st.text(alphabet="0123456789.:,-nai", max_size=6))

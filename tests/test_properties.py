@@ -6,6 +6,7 @@ test_acceptance.py.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from paraself.bell import (
     POSITIVITY_THRESHOLD,
     BellExpression,
+    CorrelationTable,
     Scheme,
     averaged_j_percopy,
     chsh_expression,
@@ -23,6 +25,8 @@ from paraself.bell import (
     copy_marginal,
     evaluate,
     j_value,
+    table_to_json_dict,
+    table_to_json_text,
 )
 from paraself.certify import certify_theorem2
 from paraself.errors import ZeroPrefixProbability
@@ -333,3 +337,34 @@ def test_born_probabilities_complete_over_random_povms(seed):
         for ea in pa.effects for eb in pb.effects
     )
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def _writer_cases():
+    rng = np.random.default_rng(7100)
+    prov = {"strategies": [{"name": "chsh", "params": []}], "noise": None, "seed": 0}
+    for scheme, ma, oa in ((Scheme.BROADCAST, (2, 2), (3, 2)), (Scheme.PER_COPY, (2, 3), (2, 2)),
+                           (Scheme.PER_COPY, (3,), (1,))):
+        yield pytest.param(_random_table(rng, scheme, ma, oa), prov,
+                           id=f"random-{scheme.value}-{len(ma)}-copies")
+    probs = np.zeros((2, 2, 2, 2))
+    probs[..., 0, 0] = probs[..., 1, 1] = 0.5
+    probs[0, 0, 0, 1] = probs[1, 1, 1, 0] = -0.0
+    signed = CorrelationTable(Scheme.BROADCAST, (2,), (2,), probs)
+    assert np.count_nonzero(np.signbit(signed.probs)) == 2
+    yield pytest.param(signed, prov, id="signed-zeros")
+    probs = rng.uniform(0.01, 1.0, size=(4, 4, 4, 4))
+    probs /= probs.sum(axis=(2, 3), keepdims=True)
+    assert np.unique(probs).size == probs.size
+    yield pytest.param(CorrelationTable(Scheme.PER_COPY, (2, 2), (2, 2), probs), prov,
+                       id="all-distinct")
+    yield pytest.param(CorrelationTable(Scheme.BROADCAST, (1,), (1,), np.ones((1, 1, 1, 1))),
+                       {}, id="one-entry")
+    prov = {"note": 'ψ – "probs": 0, [1]', "nested": [[1, [2.5, None]], {"probs": [0]}]}
+    yield pytest.param(compose([chsh_reference()] * 2, Scheme.BROADCAST), prov,
+                       id="provenance-text")
+
+
+@pytest.mark.parametrize("table,prov", list(_writer_cases()))
+def test_table_writer_matches_stdlib_encoder(table, prov):
+    assert table_to_json_text(table, prov) == \
+        json.dumps(table_to_json_dict(table, prov), indent=2) + "\n"
