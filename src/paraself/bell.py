@@ -3,20 +3,19 @@ for parallel certification.
 
 A linear Bell expression is a coefficient tensor ``coeffs[x, y, a, b]`` over a
 single-copy scenario with ``m`` inputs and ``o`` outputs per party; its value
-on a table is ``sum coeffs * p(a,b|x,y)``.  For multi-copy tables the package
-evaluates two nonlinear derived quantities:
+on a table is ``sum coeffs * p(a,b|x,y)``.  For a broadcast multi-copy table
+the *conditional value* of copy ``i`` at a prefix is the expression evaluated
+on the distribution of copy ``i`` conditioned on the joint outputs of copies
+``1..i-1`` (outputs of copies beyond ``i`` are marginalized first).  Two
+functions give all of them:
 
-* ``conditional_value``: the expression evaluated on the distribution of
-  copy ``i`` conditioned on the joint outputs of copies ``1..i-1`` (outputs of
-  copies beyond ``i`` are marginalized first);
-* ``j_value``: the uniform average of the conditional values over all
-  prefixes.  Simultaneous maximality of these averages for every copy is the
-  certification target of the broadcast scheme.
-
-Every conditional functional reads one kernel: ``conditional_kernel`` sums
-out the copies beyond ``i`` once and returns the conditional distribution of
-copy ``i`` for every prefix, and the values above, ``conditional_slice`` and
-the full-statistics certifier index into it.
+* ``conditional_kernel`` sums out the copies beyond ``i`` once and returns
+  the conditional distribution of copy ``i`` and the prefix probability for
+  every prefix at once; the full-statistics certifier reads it directly;
+* ``conditional_mean`` averages the conditional values over all prefixes and
+  names the first prefix where one is undefined.  Simultaneous maximality of
+  these averages for every copy is the certification target of the broadcast
+  scheme; ``j_value`` is the same average, raising on an undefined prefix.
 
 For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
@@ -312,94 +311,9 @@ def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
     return cond, prefix_prob
 
 
-@dataclass(frozen=True)
-class ConditionalSlice:
-    """Conditional distribution of copy ``i`` given a prefix of earlier
-    outputs: one prefix of :func:`conditional_kernel`.
-
-    ``probs[x, y, a_i, b_i]`` is normalized wherever ``prefix_prob[x, y]``
-    exceeds the positivity threshold (zero elsewhere); ``prefix_prob[x, y]``
-    is the probability of the prefix at that input pair, with copies beyond
-    ``i`` marginalized out.
-    """
-
-    copy_index: int
-    prefix_a: int
-    prefix_b: int
-    probs: np.ndarray
-    prefix_prob: np.ndarray
-
-
-def _check_prefix(table: CorrelationTable, i: int, prefix_a: int, prefix_b: int) -> None:
-    if not 2 <= i <= table.n_copies:
-        raise ShapeMismatch(f"copy index {i} must satisfy 2 <= i <= {table.n_copies}")
-    low = math.prod(table.output_arities[: i - 1])
-    if not (0 <= prefix_a < low and 0 <= prefix_b < low):
-        raise ShapeMismatch(f"prefix indices out of range 0..{low - 1}")
-
-
-def conditional_slice(table: CorrelationTable, i: int,
-                      prefix_a: int, prefix_b: int) -> ConditionalSlice:
-    """Conditional distribution of copy ``i`` on a broadcast table given
-    joint prefix indices over copies ``1..i-1``."""
-    _check_prefix(table, i, prefix_a, prefix_b)
-    cond, prefix_prob = conditional_kernel(table, i)
-    return ConditionalSlice(i, prefix_a, prefix_b, cond[:, :, prefix_a, prefix_b],
-                            prefix_prob[:, :, prefix_a, prefix_b])
-
-
-def _relevant_inputs(expr: BellExpression) -> np.ndarray:
-    """Input pairs (x, y) carrying at least one nonzero coefficient."""
-    return np.any(expr.coeffs != 0.0, axis=(2, 3))
-
-
 def _row_fsums(products: np.ndarray, rows: int) -> np.ndarray:
     """Exactly rounded sum of each of ``rows`` leading blocks of ``products``."""
     return np.array([math.fsum(row) for row in products.reshape(rows, -1).tolist()])
-
-
-def _prefix_values(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
-    """Conditional values of copy ``i >= 2`` at every prefix.
-
-    Returns ``(values, undefined, prefix_prob)``: ``values[prefix_a,
-    prefix_b]`` is one ``fsum`` over the expression times the conditional
-    distribution, and ``undefined[prefix_a, prefix_b, x, y]`` marks the input
-    pairs carrying a nonzero coefficient at which the prefix probability is
-    at or below the positivity threshold; any mark leaves that prefix's value
-    undefined.
-    """
-    cond, prefix_prob = conditional_kernel(table, i)
-    low = cond.shape[2]
-    products = (expr.coeffs[:, :, None, None] * cond).transpose(2, 3, 0, 1, 4, 5)
-    values = _row_fsums(products, low * low).reshape(low, low)
-    undefined = _relevant_inputs(expr) & (
-        prefix_prob <= POSITIVITY_THRESHOLD).transpose(2, 3, 0, 1)
-    return values, undefined, prefix_prob
-
-
-def _zero_prefix(i: int, undefined: np.ndarray,
-                 prefix_prob: np.ndarray) -> ZeroPrefixProbability:
-    """Error for the first mark of ``undefined[prefix_a, prefix_b, x, y]`` in
-    row-major order."""
-    pa, pb, x, y = (int(v) for v in np.argwhere(undefined)[0])
-    return ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[x, y, pa, pb]))
-
-
-def conditional_value(table: CorrelationTable, expr: BellExpression, i: int,
-                      prefix_a: int, prefix_b: int) -> float:
-    """Expression value on the distribution of copy ``i`` conditioned on the
-    prefix; raises :class:`ZeroPrefixProbability` when the prefix has
-    probability at or below the positivity threshold at any input pair that
-    carries a nonzero coefficient."""
-    _check_copy_shape(table, expr, i)
-    _check_prefix(table, i, prefix_a, prefix_b)
-    values, undefined, prefix_prob = _prefix_values(table, expr, i)
-    bad = np.argwhere(undefined[prefix_a, prefix_b])
-    if bad.size:
-        x, y = (int(v) for v in bad[0])
-        raise ZeroPrefixProbability(i, prefix_a, prefix_b, x, y,
-                                    float(prefix_prob[x, y, prefix_a, prefix_b]))
-    return float(values[prefix_a, prefix_b])
 
 
 def _check_copy_shape(table: CorrelationTable, expr: BellExpression, i: int) -> None:
@@ -423,29 +337,39 @@ def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> t
     the :class:`ZeroPrefixProbability` of the first undefined prefix in
     row-major ``(prefix_a, prefix_b)`` order (``None`` when every prefix is
     defined).  For ``i = 1`` this is the expression value on the copy-1
-    marginal."""
+    marginal.
+
+    A prefix's conditional value is one ``fsum`` over the expression times its
+    conditional distribution; it is undefined when the prefix probability is
+    at or below the positivity threshold at an input pair that carries a
+    nonzero coefficient.
+    """
     _check_copy_shape(table, expr, i)
     if i == 1:
         return evaluate(expr, copy_marginal(table, 1)), None
-    values, undefined, prefix_prob = _prefix_values(table, expr, i)
+    cond, prefix_prob = conditional_kernel(table, i)
+    low = cond.shape[2]
+    products = (expr.coeffs[:, :, None, None] * cond).transpose(2, 3, 0, 1, 4, 5)
+    values = _row_fsums(products, low * low).reshape(low, low)
+    # undefined[prefix_a, prefix_b, x, y]
+    undefined = np.any(expr.coeffs != 0.0, axis=(2, 3)) & (
+        prefix_prob <= POSITIVITY_THRESHOLD).transpose(2, 3, 0, 1)
     defined = ~undefined.any(axis=(2, 3))
-    error = None if defined.all() else _zero_prefix(i, undefined, prefix_prob)
+    error = None
+    if not defined.all():
+        pa, pb, x, y = (int(v) for v in np.argwhere(undefined)[0])
+        error = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[x, y, pa, pb]))
     return math.fsum(values[defined].tolist()) / float(values.size), error
 
 
-def j_value(table: CorrelationTable, expr: BellExpression, i: int,
-            *, skip_zero_prefixes: bool = False) -> float:
+def j_value(table: CorrelationTable, expr: BellExpression, i: int) -> float:
     """Uniform average of the conditional values of copy ``i`` over all
     ``o^(2(i-1))`` prefixes; for ``i = 1`` this is exactly the expression
-    value on the copy-1 marginal.
-
-    With ``skip_zero_prefixes`` the sum runs over prefixes whose conditional
-    value is defined while the divisor stays the full count; without it any
-    undefined prefix raises :class:`ZeroPrefixProbability` (the certification
-    condition quantifies over every prefix).
-    """
+    value on the copy-1 marginal.  Any undefined prefix raises
+    :class:`ZeroPrefixProbability` (the certification condition quantifies
+    over every prefix)."""
     value, error = conditional_mean(table, expr, i)
-    if error is not None and not skip_zero_prefixes:
+    if error is not None:
         raise error
     return value
 

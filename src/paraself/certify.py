@@ -8,7 +8,8 @@ Every certifier raises ``ValueError`` for a ``tol`` that is negative or not
 finite, and for a target that is not finite.
 
 The conditional certifiers (theorems 1-3) make one pass of
-:func:`~paraself.bell.conditional_kernel` per copy.
+:func:`~paraself.bell.conditional_kernel` per copy.  Theorem 1 is theorem 3
+with the same expression and target for every copy.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
@@ -115,8 +116,19 @@ def _check_targets(table: CorrelationTable, exprs: Sequence[BellExpression],
     return exprs, betas
 
 
-def _certify_broadcast(table: CorrelationTable, exprs: Sequence[BellExpression],
-                       betas: Sequence[float], tol: float) -> CertificationReport:
+def certify_theorem1(table: CorrelationTable, expr: BellExpression, beta: float,
+                     tol: float = DEFAULT_TOL) -> CertificationReport:
+    """Broadcast certification with one expression and one target: theorem 3
+    with ``expr`` and ``beta`` for every copy."""
+    return certify_theorem3(table, (expr,) * table.n_copies, (beta,) * table.n_copies, tol)
+
+
+def certify_theorem3(table: CorrelationTable, exprs: Sequence[BellExpression],
+                     betas: Sequence[float], tol: float = DEFAULT_TOL) -> CertificationReport:
+    """Broadcast certification with copy-specific expressions and targets:
+    every copy's prefix-averaged conditional value must equal its target and
+    every prefix must have strictly positive probability.  All expressions
+    must share the table's input arity; output arities may differ per copy."""
     if table.scheme is not Scheme.BROADCAST:
         raise SchemeInputMismatch("conditional certification requires a broadcast table")
     exprs, betas = _check_targets(table, exprs, betas, tol)
@@ -142,25 +154,6 @@ def _certify_broadcast(table: CorrelationTable, exprs: Sequence[BellExpression],
             )
         checks.append(CopyCheck(i, value, target, margin, precondition_ok=ok))
     return _finish_report(checks, diagnostics, tol)
-
-
-def certify_theorem1(table: CorrelationTable, expr: BellExpression, beta: float,
-                     tol: float = DEFAULT_TOL) -> CertificationReport:
-    """Broadcast certification with one expression and one target: every
-    copy's prefix-averaged conditional value must equal ``beta`` and every
-    prefix must have strictly positive probability."""
-    if len(set(table.output_arities)) != 1:
-        raise ShapeMismatch("equal per-copy output arities required")
-    n = table.n_copies
-    return _certify_broadcast(table, (expr,) * n, (beta,) * n, tol)
-
-
-def certify_theorem3(table: CorrelationTable, exprs: Sequence[BellExpression],
-                     betas: Sequence[float], tol: float = DEFAULT_TOL) -> CertificationReport:
-    """Broadcast certification with copy-specific expressions and targets;
-    all expressions must share the table's input arity, output arities may
-    differ per copy."""
-    return _certify_broadcast(table, exprs, betas, tol)
 
 
 def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,

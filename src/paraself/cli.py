@@ -9,7 +9,8 @@ the other commands exit 0 on success.  Errors become exit codes in one place,
     exception                                      exit  category
     ConfigError (an option value)                  2     config
     click.UsageError (a missing option, an option  2     config
-      value of the wrong type, an unknown command)
+      value of the wrong type, an unknown command
+      or option)
     TableFormatError (a table or expression file)  2     input
     OSError, UnicodeDecodeError                    2     io
     EnumerationTooLarge                            3     enumeration
@@ -61,12 +62,22 @@ ERROR_EXITS = (
 
 
 class _ErrorBoundary(click.Group):
-    """Group that reports an ``ERROR_EXITS`` exception raised by a subcommand
-    as one ``error:`` line and exits with the row's code."""
+    """Group that reports an ``ERROR_EXITS`` exception, raised while parsing
+    its own options or running a subcommand, as one ``error:`` line and exits
+    with the row's code."""
+
+    def parse_args(self, ctx, args):
+        if not args:  # bare ``paraself`` prints click's help text
+            return super().parse_args(ctx, args)
+        return self._report_errors(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
+        return self._report_errors(super().invoke, ctx)
+
+    @staticmethod
+    def _report_errors(call, *args):
         try:
-            return super().invoke(ctx)
+            return call(*args)
         except Exception as exc:
             for kinds, code, category in ERROR_EXITS:
                 if isinstance(exc, kinds):
@@ -150,6 +161,9 @@ def _parse_strategy_specs(specs, copies, seed):
     if len(built) == 1 and copies is not None:
         if copies < 1:
             raise ConfigError("--copies", "must be >= 1")
+        if copies > strategies.MAX_COPIES:  # before the per-copy lists are built
+            raise SchemeInputMismatch(
+                f"{copies} copies exceed the cap of {strategies.MAX_COPIES}")
         built = built * copies
         parsed = parsed * copies
     elif copies is not None and copies != len(built):
@@ -277,6 +291,10 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
     else:
         if reference_path is not None:
             raise ConfigError("--reference", f"not used by {protocol}")
+        if protocol == "theorem1":
+            for option, specs in (("--bell", bell_specs), ("--beta", beta_specs)):
+                if len(specs) > 1:
+                    raise ConfigError(option, f"theorem1 takes one value, got {len(specs)}")
         exprs = _resolve_expressions(bell_specs, table.n_copies)
         targets = _resolve_targets(beta_specs, exprs, provenance, table.n_copies, seed)
         if protocol == "theorem1":

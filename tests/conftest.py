@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from paraself.bell import conditional_kernel
 from paraself.qcore import DensityMatrix, Povm
 from paraself.strategies import SingleCopyStrategy
 
@@ -75,6 +77,16 @@ def deterministic_table_probs(m: int, o: int, alice, bob) -> np.ndarray:
     for x, y in itertools.product(range(m), range(m)):
         probs[x, y, alice[x], bob[y]] = 1.0
     return probs
+
+
+def conditional_values(table, expr, i: int) -> np.ndarray:
+    """``values[prefix_a, prefix_b]``: one ``fsum`` of the expression times
+    each conditional distribution of copy ``i`` from the kernel (zero on a
+    prefix at or below the positivity threshold)."""
+    cond, _ = conditional_kernel(table, i)
+    low = cond.shape[2]
+    return np.array([[math.fsum((expr.coeffs * cond[:, :, pa, pb]).ravel())
+                      for pb in range(low)] for pa in range(low)])
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ from paraself.bell import (
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    conditional_value,
+    conditional_kernel,
+    conditional_mean,
     copy_marginal,
     correlator,
     decode_joint,
@@ -51,7 +52,12 @@ from paraself.strategies import (
 )
 from paraself.qcore import SIGMA_Z, povm_from_observable
 
-from conftest import deterministic_table_probs, random_projective_povm, random_state
+from conftest import (
+    conditional_values,
+    deterministic_table_probs,
+    random_projective_povm,
+    random_state,
+)
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 
@@ -109,53 +115,56 @@ def test_correlator_maximally_mixed_vanishes():
 
 def test_conditional_value_honest_two_copies_any_prefix():
     table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
-    expr = chsh_expression()
+    values = conditional_values(table, chsh_expression(), 2)
     for pa, pb in itertools.product(range(2), repeat=2):
-        assert conditional_value(table, expr, 2, pa, pb) == pytest.approx(
-            CHSH_MAX, abs=1e-9
-        )
+        assert values[pa, pb] == pytest.approx(CHSH_MAX, abs=1e-9)
 
 
 def test_conditional_value_adversary_copy_is_deterministic_point():
     table = adversary_copy(2)
-    expr = chsh_expression()
+    values = conditional_values(table, chsh_expression(), 2)
     expected = {(0, 0): 2.0, (0, 1): -2.0, (1, 0): -2.0, (1, 1): 2.0}
     for (pa, pb), target in expected.items():
-        assert conditional_value(table, expr, 2, pa, pb) == pytest.approx(
-            target, abs=1e-9
-        )
+        assert values[pa, pb] == pytest.approx(target, abs=1e-9)
 
 
 def test_conditional_value_shared_randomness_parity_class():
     table = adversary_shared_randomness(2)
-    expr = chsh_expression()
-    assert conditional_value(table, expr, 2, 1, 1) == pytest.approx(2.0, abs=1e-9)
-    assert conditional_value(table, expr, 2, 0, 1) == pytest.approx(-2.0, abs=1e-9)
+    values = conditional_values(table, chsh_expression(), 2)
+    assert values[1, 1] == pytest.approx(2.0, abs=1e-9)
+    assert values[0, 1] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_conditional_value_zero_prefix_raises_with_location():
-    # Deterministic copy 1 makes three of the four prefixes unreachable.
+    # Deterministic copy 1 makes three of the four prefixes unreachable; the
+    # first in row-major order is (0, 1).
     det = local_deterministic([0, 0], [0, 0], o=2)
     table = compose([det, chsh_reference()], Scheme.BROADCAST)
+    _, prefix_prob = conditional_kernel(table, 2)
+    assert np.all(prefix_prob[:, :, 1, 1] == 0.0)
     with pytest.raises(ZeroPrefixProbability) as err:
-        conditional_value(table, chsh_expression(), 2, 1, 1)
+        j_value(table, chsh_expression(), 2)
     assert err.value.copy_index == 2
-    assert (err.value.prefix_a, err.value.prefix_b) == (1, 1)
+    assert (err.value.prefix_a, err.value.prefix_b, err.value.x, err.value.y) == (0, 1, 0, 0)
 
 
 def test_conditional_value_ignores_inputs_without_coefficients():
-    # Expression supported on (x, y) = (0, 0) only; a prefix unreachable at
+    # Expression supported on (x, y) = (1, 1) only; a prefix unreachable at
     # other inputs is irrelevant.  Copy 1 answers deterministically with the
-    # input, so prefix (1, 1) is reachable only at (x, y) = (1, 1).
+    # input, so prefix (1, 1) is reachable only at (x, y) = (1, 1) and is the
+    # only defined prefix.
     det = local_deterministic([0, 1], [0, 1], o=2)
     table = compose([det, chsh_reference()], Scheme.BROADCAST)
     coeffs = np.zeros((2, 2, 2, 2))
     coeffs[1, 1] = chsh_expression().coeffs[1, 1]
     expr = BellExpression(2, 2, coeffs, label="corner")
-    value = conditional_value(table, expr, 2, 1, 1)
+    value = conditional_values(table, expr, 2)[1, 1]
     single = single_copy_table(chsh_reference())
     expected = math.fsum((expr.coeffs * single.probs).ravel())
     assert value == pytest.approx(expected, abs=1e-12)
+    mean, first = conditional_mean(table, expr, 2)
+    assert mean == value / 4.0
+    assert (first.prefix_a, first.prefix_b, first.x, first.y) == (0, 0, 1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -196,20 +205,15 @@ def test_j_value_strict_propagates_zero_prefix_and_skip_mode_averages():
     assert err.value.copy_index == 3
     # Averaging the well-defined prefixes (divisor stays the full count)
     # gives 0: the four reachable prefixes contribute (2, -2, -2, 2).
-    assert j_value(table, expr, 3, skip_zero_prefixes=True) == pytest.approx(
-        0.0, abs=1e-9
-    )
+    assert conditional_mean(table, expr, 3)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_j_value_bounded_by_conditional_extremes():
     table = adversary_shared_randomness(2)
     expr = chsh_expression()
-    values = [
-        conditional_value(table, expr, 2, pa, pb)
-        for pa, pb in itertools.product(range(2), repeat=2)
-    ]
+    values = conditional_values(table, expr, 2)
     j = j_value(table, expr, 2)
-    assert min(values) - 1e-12 <= j <= max(values) + 1e-12
+    assert values.min() - 1e-12 <= j <= values.max() + 1e-12
 
 
 def test_generalized_conditional_mixed_copies_hits_oracle_target():
@@ -218,8 +222,7 @@ def test_generalized_conditional_mixed_copies_hits_oracle_target():
     beta2 = quantum_value_fixed_measurements(tilted, s).value
     table = compose([chsh_reference(), s], Scheme.BROADCAST)
     exprs = [chsh_expression(), tilted]
-    for pa, pb in itertools.product(range(2), repeat=2):
-        value = conditional_value(table, exprs[1], 2, pa, pb)
+    for value in conditional_values(table, exprs[1], 2).ravel():
         assert value == pytest.approx(beta2, abs=1e-6)
 
 

@@ -369,3 +369,22 @@ def test_certify_rejects_non_finite_tol_and_beta(runner, tmp_path, option, value
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: config: {option}: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("option,extra", [
+    ("--bell", ["--bell", "chsh-game", "--beta", "0.1"]),
+    ("--beta", ["--beta", "0.1"]),
+])
+def test_certify_theorem1_takes_one_expression_and_target(runner, tmp_path, option, extra):
+    # Theorem 1 has one expression and one target for every copy; a second
+    # --bell or --beta used to be ignored, so this pair printed pass.
+    table, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "2")
+    base = ["certify", "--table", str(table), "--protocol", "theorem1", "--bell", "chsh",
+            "--beta", "2.8284271247461903"]
+    result = runner.invoke(main, base + extra)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: config: {option}: theorem1 takes one value")
+    assert len(result.stderr.splitlines()) == 1
+    oracle = runner.invoke(main, base[:-1] + ["oracle"])
+    assert oracle.exit_code == 0, oracle.output

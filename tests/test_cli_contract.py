@@ -7,9 +7,7 @@ stdout, exactly one ``error:`` line on stderr and no traceback.
 
 Option values are drawn mostly from what click's declared option types
 accept (integers for ``--copies``, floats for ``--tol``); a value click cannot
-convert is a usage error, which keeps the same contract.  Only an unknown
-option given to ``paraself`` itself, before any subcommand, still prints
-click's own usage block.
+convert is a usage error, which keeps the same contract.
 """
 
 import json
@@ -132,6 +130,9 @@ ESCAPED_INPUTS = [
     pytest.param(["simulate", "--strategy", "chsh", "--copies", "x"], 2, "config",
                  id="simulate-non-integer-copies"),
     pytest.param(["frobnicate"], 2, "config", id="unknown-subcommand"),
+    pytest.param(["--bogus"], 2, "config", id="group-unknown-option"),
+    pytest.param(["simulate", "--strategy", "chsh", "--copies", str(2 ** 62)],
+                 3, "composition", id="simulate-copies-beyond-cap"),
 ]
 
 

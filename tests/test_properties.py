@@ -20,8 +20,7 @@ from paraself.bell import (
     averaged_j_percopy,
     chsh_expression,
     conditional_kernel,
-    conditional_slice,
-    conditional_value,
+    conditional_mean,
     copy_marginal,
     evaluate,
     j_value,
@@ -33,7 +32,13 @@ from paraself.errors import ZeroPrefixProbability
 from paraself.strategies import adversary_copy, chsh_reference, compose, single_copy_table
 from paraself.qcore import born_probability
 
-from conftest import random_general_povm, random_projective_povm, random_state, random_strategy
+from conftest import (
+    conditional_values,
+    random_general_povm,
+    random_projective_povm,
+    random_state,
+    random_strategy,
+)
 
 
 def _table_checks(table, tol=1e-10):
@@ -80,8 +85,9 @@ def test_conditioning_is_inert_on_product_tables(seed):
         low = 1
         for j in range(i - 1):
             low *= copies[j].o
-        for pa, pb in itertools.product(range(low), repeat=2):
-            value = conditional_value(table, expr, i, pa, pb)
+        values = conditional_values(table, expr, i)
+        assert values.shape == (low, low)
+        for value in values.ravel():
             assert value == pytest.approx(single_value, abs=1e-9)
 
 
@@ -90,10 +96,10 @@ def test_conditional_slices_are_normalized(seed):
     rng = np.random.default_rng(2000 + seed)
     copies = [random_strategy(rng, m=2, projective=True) for _ in range(2)]
     table = compose(copies, Scheme.BROADCAST)
+    cond, prefix_prob = conditional_kernel(table, 2)
     for pa, pb in itertools.product(range(copies[0].o), repeat=2):
-        sl = conditional_slice(table, 2, pa, pb)
-        sums = sl.probs.sum(axis=(2, 3))
-        defined = sl.prefix_prob > 1e-12
+        sums = cond[:, :, pa, pb].sum(axis=(2, 3))
+        defined = prefix_prob[:, :, pa, pb] > 1e-12
         assert np.max(np.abs(sums[defined] - 1.0)) <= 1e-9
 
 
@@ -126,12 +132,9 @@ def test_j_value_between_conditional_extremes(seed):
         lam * t1.probs + (1 - lam) * t2.probs,
     )
     expr = BellExpression(2, 2, rng.normal(size=(2, 2, 2, 2)), label="probe")
-    values = [
-        conditional_value(table, expr, 2, pa, pb)
-        for pa, pb in itertools.product(range(2), repeat=2)
-    ]
+    values = conditional_values(table, expr, 2)
     j = j_value(table, expr, 2)
-    assert min(values) - 1e-12 <= j <= max(values) + 1e-12
+    assert values.min() - 1e-12 <= j <= values.max() + 1e-12
 
 
 def _random_table(rng, scheme, ma, oa):
@@ -150,16 +153,16 @@ def test_conditional_slice_matches_bruteforce_on_mixed_arities():
     rng = np.random.default_rng(7000)
     table = _random_table(rng, Scheme.BROADCAST, (2, 2), (3, 2))
     oa = table.output_arities
+    cond, prefix_prob = conditional_kernel(table, 2)
     for pa, pb in itertools.product(range(3), repeat=2):
-        sl = conditional_slice(table, 2, pa, pb)
         for x, y in itertools.product(range(2), repeat=2):
             block = np.zeros((2, 2))
             for a, b in itertools.product(range(6), repeat=2):
                 da, db = decode_joint(a, oa), decode_joint(b, oa)
                 if da[0] == pa and db[0] == pb:
                     block[da[1], db[1]] += table.probs[x, y, a, b]
-            assert sl.prefix_prob[x, y] == pytest.approx(block.sum(), abs=1e-12)
-            assert np.max(np.abs(sl.probs[x, y] - block / block.sum())) <= 1e-12
+            assert prefix_prob[x, y, pa, pb] == pytest.approx(block.sum(), abs=1e-12)
+            assert np.max(np.abs(cond[x, y, pa, pb] - block / block.sum())) <= 1e-12
 
 
 def test_averaged_percopy_matches_bruteforce_on_mixed_inputs():
@@ -295,7 +298,7 @@ def test_kernel_matches_oracle_on_zero_prefixes():
     expr = chsh_expression()
     for i in range(1, 5):
         value, first = _oracle_j_value(table, expr, i)
-        assert j_value(table, expr, i, skip_zero_prefixes=True) == value
+        assert conditional_mean(table, expr, i)[0] == value
         if first is None:
             assert j_value(table, expr, i) == value
         else:
