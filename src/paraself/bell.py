@@ -43,7 +43,7 @@ from .errors import (
     TableFormatError,
     ZeroPrefixProbability,
 )
-from .qcore import kron
+from .qcore import effect_products, stack_effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from .strategies import SingleCopyStrategy
@@ -465,17 +465,15 @@ def classical_bound(expr: BellExpression) -> BoundResult:
 
 
 def bell_operator(expr: BellExpression, alice, bob) -> np.ndarray:
-    """Operator sum coeffs[x,y,a,b] M_{a|x} (x) N_{b|y} for POVM lists
-    ``alice``/``bob`` (one POVM per input)."""
-    if len(alice) != expr.m or len(bob) != expr.m:
-        raise ShapeMismatch("number of POVMs does not match expression inputs")
-    d = alice[0].effects[0].shape[0] * bob[0].effects[0].shape[0]
-    op = np.zeros((d, d), dtype=complex)
-    for x, y, a, b in itertools.product(range(expr.m), range(expr.m),
-                                        range(expr.o), range(expr.o)):
-        coeff = expr.coeffs[x, y, a, b]
-        if coeff != 0.0:
-            op += coeff * kron(alice[x].effects[a], bob[y].effects[b])
+    """Operator sum coeffs[x,y,a,b] M_{a|x} (x) N_{b|y} for effects stacked
+    as ``alice[x, a]``/``bob[y, b]`` (see :func:`~paraself.qcore.stack_effects`).
+    Terms with a nonzero coefficient are added in (x, y, a, b) order."""
+    if alice.shape[:2] != (expr.m, expr.o) or bob.shape[:2] != (expr.m, expr.o):
+        raise ShapeMismatch("effect stacks do not match expression arities")
+    terms = expr.coeffs[..., None, None] * effect_products(alice, bob)
+    op = np.zeros(terms.shape[-2:], dtype=complex)
+    for index in zip(*np.nonzero(expr.coeffs)):
+        op += terms[index]
     return op
 
 
@@ -489,7 +487,7 @@ def quantum_value_fixed_measurements(expr: BellExpression,
             f"expression arities ({expr.m}, {expr.o}) do not match strategy "
             f"({s.m}, {s.o})"
         )
-    op = bell_operator(expr, s.alice, s.bob)
+    op = bell_operator(expr, stack_effects(s.alice), stack_effects(s.bob))
     eigenvalues, eigenvectors = np.linalg.eigh(op)
     top = eigenvectors[:, -1]
     return BoundResult(

@@ -3,7 +3,8 @@
 States, measurement effects and observables are plain ``numpy`` arrays of
 ``complex128``; the light dataclasses below (:class:`Ket`,
 :class:`DensityMatrix`, :class:`Povm`) add construction-time validation and
-freeze their arrays so every value is immutable after construction.  All
+freeze their arrays so every value is immutable after construction.  Past
+that boundary, effects are stacked as ``[input, outcome, i, j]`` arrays.  All
 functions are pure.
 """
 
@@ -18,8 +19,6 @@ from .errors import DimensionMismatch, NonrealResult, NotHermitian
 # Centralized tolerances.  Dimensions in play are at most a few thousand, so
 # double precision leaves ample headroom.
 STRUCTURAL_TOL = 1e-10   # POVM positivity/completeness, density-matrix PSD floor
-VALUE_TOL = 1e-9         # equality of scalar values
-ENTRYWISE_TOL = 1e-12    # entrywise matrix equality
 HERMITIAN_TOL = 1e-12    # max |M - M^dagger| for Hermitian-flagged matrices
 NORM_TOL = 1e-12         # ket norm / density trace deviation
 IMAG_TOL = 1e-8          # largest tolerated imaginary residue of a probability
@@ -64,15 +63,24 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np
     return arr
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with standard block layout (left factor is the
-    most-significant index)."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+def stack_effects(povms) -> np.ndarray:
+    """Effects of a POVM list as one array indexed ``[input, outcome, i, j]``."""
+    return np.array([p.effects for p in povms])
+
+
+def effect_products(alice, bob) -> np.ndarray:
+    """Stacked effect products ``K[x, y, a, b] = alice[x, a] (x) bob[y, b]``
+    with the left factor most significant.  This broadcast multiply matches
+    ``np.kron`` bit for bit; ``einsum`` does not on complex effects."""
+    (m_a, o_a, d_a, _), (m_b, o_b, d_b, _) = alice.shape, bob.shape
+    products = alice[:, None, :, None, :, None, :, None] * bob[None, :, None, :, None, :, None, :]
+    return products.reshape(m_a, m_b, o_a, o_b, d_a * d_b, d_a * d_b)
 
 
 def born_probability(state, effect_a, effect_b) -> float:
     """Probability tr[(effect_a (x) effect_b) rho] of a joint measurement
-    outcome.
+    outcome: the single-entry reference that the batched
+    :func:`~paraself.strategies.single_copy_table` must match bit for bit.
 
     ``state`` may be a :class:`DensityMatrix` or a raw matrix whose dimension
     equals dim(effect_a) * dim(effect_b).  An imaginary residue above
@@ -86,7 +94,7 @@ def born_probability(state, effect_a, effect_b) -> float:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} != {ea.shape[0]} * {eb.shape[0]}"
         )
-    value = complex(np.trace(kron(ea, eb) @ rho))
+    value = complex(np.trace(np.kron(ea, eb) @ rho))
     if abs(value.imag) > IMAG_TOL:
         raise NonrealResult(f"probability has imaginary part {value.imag:.3e}")
     return float(value.real)

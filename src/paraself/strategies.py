@@ -28,21 +28,24 @@ from .bell import (
 )
 from .errors import (
     InvalidAngles,
+    NonrealResult,
     SchemeInputMismatch,
     SeeSawDidNotConverge,
     UnsupportedDimension,
 )
 from .qcore import (
+    IMAG_TOL,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
     Povm,
-    born_probability,
+    effect_products,
     max_eigenvalue,
     maximally_entangled_ket,
     povm_from_observable,
+    stack_effects,
 )
 
 # Joint tables grow as o^(2n) m^2; six copies per party is the desk-scale cap.
@@ -70,6 +73,8 @@ class SingleCopyStrategy:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.state, DensityMatrix):
+            raise TypeError("state is not a DensityMatrix")
         alice = tuple(self.alice)
         bob = tuple(self.bob)
         if len(alice) != self.m or len(bob) != self.m:
@@ -94,10 +99,6 @@ class SingleCopyStrategy:
             )
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
-
-    @property
-    def dims(self) -> tuple:
-        return (self.alice[0].dim, self.bob[0].dim)
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,14 @@ def apply_isotropic_noise(s: SingleCopyStrategy, noise) -> SingleCopyStrategy:
 
 
 def single_copy_table(s: SingleCopyStrategy) -> CorrelationTable:
-    """Born-rule table p(a, b | x, y) of one strategy."""
-    probs = np.zeros((s.m, s.m, s.o, s.o))
-    for x, y, a, b in itertools.product(range(s.m), range(s.m), range(s.o), range(s.o)):
-        probs[x, y, a, b] = born_probability(
-            s.state, s.alice[x].effects[a], s.bob[y].effects[b]
-        )
+    """Born-rule table p(a, b | x, y) of one strategy, every entry at once."""
+    krons = effect_products(stack_effects(s.alice), stack_effects(s.bob))
+    values = np.trace(krons @ s.state.matrix, axis1=-2, axis2=-1)
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > IMAG_TOL:
+        raise NonrealResult(f"probability has imaginary part {residue:.3e}")
     # Clip losses from trace round-off; values are within 1e-15 of [0, 1].
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = np.clip(values.real, 0.0, 1.0)
     return CorrelationTable(Scheme.BROADCAST, (s.m,), (s.o,), probs)
 
 
@@ -293,18 +294,9 @@ def adversary_shared_randomness(n: int) -> CorrelationTable:
 # ---------------------------------------------------------------------------
 # See-saw optimization for two-qubit strategies with binary outcomes.
 
-def _partial_trace_alice(rho4: np.ndarray, op_b: np.ndarray) -> np.ndarray:
-    # tr_B[(I (x) T) rho]: rho4[i, j, k, l] = rho[(i, j), (k, l)]
-    return np.einsum("ijkl,lj->ik", rho4, op_b)
-
-
-def _partial_trace_bob(rho4: np.ndarray, op_a: np.ndarray) -> np.ndarray:
-    return np.einsum("ijkl,ki->jl", rho4, op_a)
-
-
-def _best_binary_povm(score_gap: np.ndarray) -> Povm:
-    """POVM maximizing tr[M_0 D] over binary POVMs: projector onto the
-    nonnegative eigenspace of D."""
+def _best_binary_povm(score_gap: np.ndarray) -> np.ndarray:
+    """Effects [M_0, M_1] of the binary POVM maximizing tr[M_0 D]: M_0
+    projects onto the nonnegative eigenspace of D."""
     eigenvalues, eigenvectors = np.linalg.eigh((score_gap + score_gap.conj().T) / 2)
     dim = score_gap.shape[0]
     p0 = np.zeros((dim, dim), dtype=complex)
@@ -312,15 +304,16 @@ def _best_binary_povm(score_gap: np.ndarray) -> Povm:
         if eigenvalues[k] > 0:
             v = eigenvectors[:, k]
             p0 += np.outer(v, v.conj())
-    return Povm((p0, np.eye(dim) - p0))
+    return np.array([p0, np.eye(dim) - p0])
 
 
 def _seesaw_binary_qubits(expr: BellExpression, alice, bob):
     """Alternate state / Alice / Bob optimization until the value improvement
-    drops below the threshold.  Returns (state ket, alice POVMs, bob POVMs,
-    achieved value)."""
+    drops below the threshold.  Returns (state ket, alice effects, bob
+    effects, achieved value), effects stacked as ``[input, outcome, i, j]``."""
     if expr.o != 2:
         raise SeeSawDidNotConverge("see-saw implemented for binary outcomes")
+    alice, bob = stack_effects(alice), stack_effects(bob)
     previous = -math.inf
     for _ in range(SEESAW_MAX_ITERATIONS):
         op = bell_operator(expr, alice, bob)
@@ -338,23 +331,24 @@ def _seesaw_binary_qubits(expr: BellExpression, alice, bob):
             gaps = []
             for a in range(2):
                 t = sum(
-                    expr.coeffs[x, y, a, b] * bob[y].effects[b]
+                    expr.coeffs[x, y, a, b] * bob[y, b]
                     for y in range(expr.m) for b in range(2)
                 )
-                gaps.append(_partial_trace_alice(rho4, t))
+                # tr_B[(I (x) T) rho]: rho4[i, j, k, l] = rho[(i, j), (k, l)]
+                gaps.append(np.einsum("ijkl,lj->ik", rho4, t))
             new_alice.append(_best_binary_povm(gaps[0] - gaps[1]))
-        alice = tuple(new_alice)
+        alice = np.array(new_alice)
         new_bob = []
         for y in range(expr.m):
             gaps = []
             for b in range(2):
                 t = sum(
-                    expr.coeffs[x, y, a, b] * alice[x].effects[a]
+                    expr.coeffs[x, y, a, b] * alice[x, a]
                     for x in range(expr.m) for a in range(2)
                 )
-                gaps.append(_partial_trace_bob(rho4, t))
+                gaps.append(np.einsum("ijkl,ki->jl", rho4, t))
             new_bob.append(_best_binary_povm(gaps[0] - gaps[1]))
-        bob = tuple(new_bob)
+        bob = np.array(new_bob)
     raise SeeSawDidNotConverge(
         f"no convergence after {SEESAW_MAX_ITERATIONS} iterations"
     )
@@ -419,8 +413,8 @@ def tilted_chsh_reference(alpha: float, coefficients: BellExpression,
             continue
         strategy = SingleCopyStrategy(
             state=DensityMatrix(np.outer(psi, psi.conj())),
-            alice=alice,
-            bob=bob,
+            alice=tuple(Povm(tuple(effects)) for effects in alice),
+            bob=tuple(Povm(tuple(effects)) for effects in bob),
             m=coefficients.m,
             o=2,
             label=f"tilted-chsh({alpha:g})",

@@ -50,7 +50,7 @@ from paraself.strategies import (
     single_copy_table,
     tilted_chsh_reference,
 )
-from paraself.qcore import SIGMA_Z, povm_from_observable
+from paraself.qcore import SIGMA_Z, povm_from_observable, stack_effects
 
 from conftest import (
     conditional_values,
@@ -385,9 +385,18 @@ def test_quantum_value_witness_reproduces_value():
     s = chsh_reference()
     result = quantum_value_fixed_measurements(expr, s)
     amplitudes = np.array([complex(re, im) for re, im in result.witness["amplitudes"]])
-    op = bell_operator(expr, s.alice, s.bob)
+    op = bell_operator(expr, stack_effects(s.alice), stack_effects(s.bob))
     value = float((amplitudes.conj() @ op @ amplitudes).real)
     assert value == pytest.approx(result.value, abs=1e-9)
+
+
+def test_bell_operator_rejects_stacks_of_other_arities():
+    s = chsh_reference()
+    alice, bob = stack_effects(s.alice), stack_effects(s.bob)
+    with pytest.raises(ShapeMismatch, match="arities"):
+        bell_operator(tilted_chsh_expression(0.5), alice[:1], bob)
+    with pytest.raises(ShapeMismatch, match="arities"):
+        bell_operator(BellExpression(2, 3, np.ones((2, 2, 3, 3))), alice, bob)
 
 
 def test_classical_below_quantum_for_reference_families():

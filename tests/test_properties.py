@@ -18,6 +18,7 @@ from paraself.bell import (
     CorrelationTable,
     Scheme,
     averaged_j_percopy,
+    bell_operator,
     chsh_expression,
     conditional_kernel,
     conditional_mean,
@@ -30,7 +31,7 @@ from paraself.bell import (
 from paraself.certify import certify_theorem2
 from paraself.errors import ZeroPrefixProbability
 from paraself.strategies import adversary_copy, chsh_reference, compose, single_copy_table
-from paraself.qcore import born_probability
+from paraself.qcore import born_probability, stack_effects
 
 from conftest import (
     conditional_values,
@@ -340,6 +341,44 @@ def test_born_probabilities_complete_over_random_povms(seed):
         for ea in pa.effects for eb in pb.effects
     )
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+# The batched Born rule and Bell operator must reproduce the single-entry
+# np.kron path bit for bit on complex POVMs, general and projective.
+BATCHED_CASES = [(m, o, projective) for m in (1, 2, 3) for o in (1, 2, 3)
+                 for projective in (False, True)]
+
+
+@pytest.mark.parametrize("m, o, projective", BATCHED_CASES)
+def test_single_copy_table_equals_born_probability(m, o, projective):
+    rng = np.random.default_rng(7000 + 10 * m + o + 100 * projective)
+    s = random_strategy(rng, m=m, o=o, projective=projective)
+    probs = single_copy_table(s).probs
+    for x, y, a, b in itertools.product(range(m), range(m), range(o), range(o)):
+        direct = born_probability(s.state, s.alice[x].effects[a], s.bob[y].effects[b])
+        # The table clips trace round-off into [0, 1]; the reference does not.
+        assert probs[x, y, a, b] == min(max(direct, 0.0), 1.0)
+
+
+def _bell_operator_oracle(coeffs, alice, bob):
+    """Per-term np.kron sum in (x, y, a, b) order over nonzero coefficients."""
+    d = alice[0].dim * bob[0].dim
+    op = np.zeros((d, d), dtype=complex)
+    for x, y, a, b in itertools.product(*(range(k) for k in coeffs.shape)):
+        if coeffs[x, y, a, b] != 0.0:
+            op += coeffs[x, y, a, b] * np.kron(alice[x].effects[a], bob[y].effects[b])
+    return op
+
+
+@pytest.mark.parametrize("m, o, projective", BATCHED_CASES)
+def test_bell_operator_equals_per_term_kron_oracle(m, o, projective):
+    rng = np.random.default_rng(8000 + 10 * m + o + 100 * projective)
+    s = random_strategy(rng, m=m, o=o, projective=projective)
+    coeffs = rng.normal(size=(m, m, o, o))
+    coeffs[rng.random(size=coeffs.shape) < 0.3] = 0.0
+    expr = BellExpression(m, o, coeffs, label="random")
+    op = bell_operator(expr, stack_effects(s.alice), stack_effects(s.bob))
+    assert np.array_equal(op, _bell_operator_oracle(expr.coeffs, s.alice, s.bob))
 
 
 def _writer_cases():

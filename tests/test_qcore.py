@@ -1,5 +1,5 @@
-"""Linear-algebra backbone: Kronecker products, Born rule, eigen oracle,
-POVM validation."""
+"""Linear-algebra backbone: stacked effect products, Born rule, eigen
+oracle, POVM validation."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from paraself.qcore import (
     Ket,
     Povm,
     born_probability,
-    kron,
+    effect_products,
     max_eigenvalue,
     maximally_entangled_ket,
     povm_from_observable,
@@ -25,28 +25,29 @@ from paraself.qcore import (
 PHI_PLUS = maximally_entangled_ket(2).density()
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
+def _product(a, b):
+    """The one block of effect_products on 1x1 stacks of a and b."""
+    k = effect_products(a[None, None], b[None, None])
+    assert k.shape == (1, 1, 1, 1, a.shape[0] * b.shape[0], a.shape[0] * b.shape[0])
+    return k[0, 0, 0, 0]
 
 
-def test_kron_diagonal_product():
-    assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
+def test_effect_products_identity():
+    assert np.array_equal(_product(IDENTITY_2, IDENTITY_2), np.eye(4))
 
 
-def test_kron_block_layout():
-    # Hand-expanded 4x4 block formula for sigma_x (x) sigma_z.
-    k = kron(SIGMA_X, SIGMA_Z)
+def test_effect_products_diagonal_product():
+    assert np.array_equal(_product(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
+
+
+def test_effect_products_block_layout():
+    # Hand-expanded 4x4 block formula for sigma_x (x) sigma_z: the left
+    # factor is the most significant index.
+    k = _product(SIGMA_X, SIGMA_Z)
     assert k[0, 2] == 1.0
     assert k[1, 3] == -1.0
     assert k[2, 0] == 1.0
     assert np.count_nonzero(k) == 4
-
-
-def test_kron_associative(rng):
-    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 3, 2)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    right = kron(mats[0], kron(mats[1], mats[2]))
-    assert np.max(np.abs(left - right)) <= 1e-14
 
 
 def test_born_maximally_entangled_symmetry():
@@ -108,10 +109,10 @@ def test_max_eigenvalue_zero_matrix():
 
 def test_max_eigenvalue_chsh_operator():
     op = (
-        kron(SIGMA_Z, SIGMA_PLUS)
-        + kron(SIGMA_Z, SIGMA_MINUS)
-        + kron(SIGMA_X, SIGMA_PLUS)
-        - kron(SIGMA_X, SIGMA_MINUS)
+        np.kron(SIGMA_Z, SIGMA_PLUS)
+        + np.kron(SIGMA_Z, SIGMA_MINUS)
+        + np.kron(SIGMA_X, SIGMA_PLUS)
+        - np.kron(SIGMA_X, SIGMA_MINUS)
     )
     assert max_eigenvalue(op) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 

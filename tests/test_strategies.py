@@ -26,6 +26,7 @@ from paraself.qcore import born_probability
 from paraself.strategies import (
     MAX_COPIES,
     NoiseSpec,
+    SingleCopyStrategy,
     adversary_copy,
     adversary_shared_randomness,
     apply_isotropic_noise,
@@ -39,6 +40,14 @@ from paraself.strategies import (
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 GAME_MAX = (2.0 + np.sqrt(2.0)) / 4.0
+
+
+def test_strategy_rejects_state_that_is_not_a_density_matrix():
+    s = chsh_reference()
+    with pytest.raises(TypeError, match="state is not a DensityMatrix"):
+        SingleCopyStrategy(np.eye(4) / 4, s.alice, s.bob, m=2, o=2)
+    with pytest.raises(TypeError, match=r"alice\[0\] is not a Povm"):
+        SingleCopyStrategy(s.state, (s.alice[0].effects, s.alice[1]), s.bob, m=2, o=2)
 
 
 def test_chsh_reference_attains_quantum_maximum():
