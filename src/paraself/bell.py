@@ -20,6 +20,13 @@ functions give all of them:
 For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
 
+``copy_marginal`` and ``averaged_j_percopy`` sum out the other copies' outputs
+in chunks, adding in exactly the order of numpy's one-shot reduction of the
+view ``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)`` over its high and low
+axes: each ``low_b`` run first, then the run sums one at a time in row-major
+``(high_a, low_a, high_b)`` order.  Tests assert ``==`` against that reduction,
+so a numpy release that changes its order turns them red instead of drifting.
+
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
 """
@@ -58,6 +65,7 @@ ENUMERATION_CAP = 10**8
 
 _NORMALIZATION_TOL = 1e-10
 _ENTRY_TOL = 1e-12
+_MARGINAL_CHUNK = 1 << 16  # table entries summed at a time by a copy marginal
 
 
 class Scheme(Enum):
@@ -231,21 +239,35 @@ def decode_joint(index: int, arities: Sequence[int]) -> tuple:
     return tuple(digits)
 
 
+def _copy_outputs(probs: np.ndarray, oa: Sequence[int], i: int) -> np.ndarray:
+    """``p(a_i, b_i | x, y)`` for every input pair of ``probs``, summed in numpy's
+    one-shot order (see the module docstring) ``_MARGINAL_CHUNK`` entries at a time."""
+    low, oi, high = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
+    if oi == 1:  # nothing is kept, so numpy sums each row as one run
+        return probs.sum(axis=(2, 3), keepdims=True)
+    rows = probs.reshape(-1, high, oi, low, high, oi, low)
+    out = np.empty((oi, oi, len(rows)))
+    step = max(1, _MARGINAL_CHUNK // rows[0].size)
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        # numpy's pairwise sum adds runs shorter than 8 in sequence.
+        runs = chunk.sum(axis=-1) if low >= 8 else sum(chunk[..., k] for k in range(low))
+        # Row index last: a long-run copy, then whole rows added in sequence.
+        out[..., start:start + step] = runs.transpose(1, 3, 4, 2, 5, 0).reshape(
+            high * low * high, oi, oi, -1).sum(axis=0)
+    return out.transpose(2, 0, 1).reshape(probs.shape[:2] + (oi, oi))
+
+
 def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
     """Single-copy marginal of copy ``i`` of a broadcast table (other copies'
-    outputs summed out)."""
+    outputs summed out in numpy's one-shot order; see the module docstring)."""
     if table.scheme is not Scheme.BROADCAST:
         raise ShapeMismatch("copy marginals are defined for broadcast tables")
     if not 1 <= i <= table.n_copies:
         raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
-    oa = table.output_arities
-    low = math.prod(oa[: i - 1])
-    oi = oa[i - 1]
-    high = math.prod(oa[i:])
-    m = table.input_arities[0]
-    r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
-    probs = r.sum(axis=(2, 4, 5, 7))
-    return CorrelationTable(Scheme.BROADCAST, (m,), (oi,), probs)
+    probs = _copy_outputs(table.probs, table.output_arities, i)
+    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1],
+                            (table.output_arities[i - 1],), probs)
 
 
 def evaluate(expr: BellExpression, table: CorrelationTable) -> float:
@@ -381,7 +403,8 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
 
     For each fixed setting of the other inputs, the value is
     ``sum over (x_i, y_i, a_i, b_i)`` of the copy-``i`` coefficient times the
-    copy-``i`` marginal probability (other copies' outputs summed out).
+    copy-``i`` marginal probability (other copies' outputs summed out in
+    numpy's one-shot order; see the module docstring).
     """
     if table.scheme is not Scheme.PER_COPY:
         raise ShapeMismatch("averaged functionals are defined for per-copy tables")
@@ -397,18 +420,10 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
             f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
             f"copy has ({ma[i - 1]}, {oa[i - 1]})"
         )
-    low_m = math.prod(ma[: i - 1])
-    mi = ma[i - 1]
-    high_m = math.prod(ma[i:])
-    low_o = math.prod(oa[: i - 1])
-    oi = oa[i - 1]
-    high_o = math.prod(oa[i:])
-    r = table.probs.reshape(
-        high_m, mi, low_m, high_m, mi, low_m, high_o, oi, low_o, high_o, oi, low_o
-    )
-    # Other copies' outputs are always summed out; one row per setting
-    # (hx, lx, hy, ly) of the other copies' inputs.
-    marg = r.sum(axis=(6, 8, 9, 11)).transpose(0, 2, 3, 5, 1, 4, 6, 7)
+    low_m, mi, high_m, oi = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:]), oa[i - 1]
+    # One row per setting (hx, lx, hy, ly) of the other copies' inputs.
+    marg = _copy_outputs(table.probs, oa, i).reshape(
+        high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(0, 2, 3, 5, 1, 4, 6, 7)
     settings = (low_m * high_m) ** 2
     return math.fsum(_row_fsums(expr.coeffs * marg, settings).tolist()) / float(settings)
 

@@ -4,6 +4,7 @@ serialization."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ def test_averaged_j_percopy_deterministic_is_classical():
     exprs = [chsh_expression()] * 2
     for i in (1, 2):
         assert averaged_j_percopy(table, exprs, i) <= 2.0 + 1e-12
+
+
+def test_averaged_j_percopy_holds_no_table_sized_temporary():
+    # The copy marginal sums the table a chunk at a time; one temporary of the
+    # whole table (8.4 MB here) would push the traced peak far past the bound.
+    table = compose([chsh_reference()] * 5, Scheme.PER_COPY)
+    exprs = [chsh_expression()] * 5
+    for i in range(1, 6):
+        tracemalloc.start()
+        try:
+            averaged_j_percopy(table, exprs, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.probs.nbytes / 4, (i, peak)
 
 
 def test_averaged_j_percopy_requires_percopy_table():

@@ -6,7 +6,8 @@ Every case in ``CASES`` runs one ``paraself`` command through click's
 reproduce byte for byte the stdout, stderr and exit code recorded in
 ``tests/golden/cli/<name>.json``, and the sha256 of every file it wrote
 through ``--out``.  ``REPORT_NAMES`` names in-process certifier calls on the
-inputs of the benchmark's ``library-certify`` workload at n <= 4; their
+inputs of the benchmark's ``library-certify`` workload at n <= 4, and on its
+two per-copy chsh^5 tables (the only n = 5 reports); their
 ``to_json_dict()`` is compared as JSON text with
 ``tests/golden/reports/<name>.json``.  Floats are written with ``repr``, so a
 change of one ulp in any reported value or table entry shows.
@@ -142,6 +143,7 @@ def _reports() -> dict:
     tilted_max = bell.quantum_value_fixed_measurements(te, tilted).value
     fullstats = strategies.fullstats_reference(0.1, 0.2)
     noisy = strategies.apply_isotropic_noise(chsh, 0.9)
+    noisy5 = strategies.apply_isotropic_noise(chsh, 0.912)
     mix = [chsh, tilted, chsh, tilted]
     broadcast, percopy = Scheme.BROADCAST, Scheme.PER_COPY
     return {
@@ -161,12 +163,16 @@ def _reports() -> dict:
             strategies.compose([chsh] * 4, percopy), [ce] * 4, [CHSH_MAX] * 4),
         "theorem4-chsh4-noisy": lambda: certify.certify_theorem4(
             strategies.compose([noisy] * 4, percopy), [ce] * 4, [CHSH_MAX] * 4),
+        "theorem4-chsh5": lambda: certify.certify_theorem4(
+            strategies.compose([chsh] * 5, percopy), [ce] * 5, [CHSH_MAX] * 5),
+        "theorem4-chsh5-noisy": lambda: certify.certify_theorem4(
+            strategies.compose([noisy5] * 5, percopy), [ce] * 5, [CHSH_MAX] * 5),
     }
 
 
 REPORT_NAMES = ("theorem1-chsh4", "theorem1-adversary-copy4", "theorem1-adversary-shared4",
                 "theorem2-fullstats4", "theorem3-mix4", "theorem4-chsh4",
-                "theorem4-chsh4-noisy")
+                "theorem4-chsh4-noisy", "theorem4-chsh5", "theorem4-chsh5-noisy")
 
 
 def _report_text(report) -> str:

@@ -30,7 +30,13 @@ from paraself.bell import (
 )
 from paraself.certify import certify_theorem2
 from paraself.errors import ZeroPrefixProbability
-from paraself.strategies import adversary_copy, chsh_reference, compose, single_copy_table
+from paraself.strategies import (
+    adversary_copy,
+    adversary_shared_randomness,
+    chsh_reference,
+    compose,
+    single_copy_table,
+)
 from paraself.qcore import born_probability, stack_effects
 
 from conftest import (
@@ -312,13 +318,63 @@ def test_kernel_matches_oracle_on_zero_prefixes():
     assert [c.value for c in report.per_copy] == _oracle_theorem2_values(table, reference)
 
 
-@pytest.mark.parametrize("ma, oa", [((2, 3), (2, 2)), ((3, 2, 2), (2, 3, 2))])
-def test_averaged_percopy_matches_oracle(ma, oa):
+def _chsh_table(rng, scheme, ma, oa):
+    return compose([chsh_reference()] * len(ma), scheme)
+
+
+def _signed_zero_table(rng, scheme, ma, oa):
+    """A random table of which about 40% of entries are exact zeros, half of
+    them ``-0.0``."""
+    n_in = ma[0] if scheme is Scheme.BROADCAST else math.prod(ma)
+    probs = rng.uniform(0.01, 1.0, size=(n_in, n_in) + (math.prod(oa),) * 2)
+    probs[rng.uniform(size=probs.shape) < 0.4] = 0.0
+    probs /= probs.sum(axis=(2, 3), keepdims=True)
+    probs[(probs == 0.0) & (rng.uniform(size=probs.shape) < 0.5)] = -0.0
+    table = CorrelationTable(scheme, ma, oa, probs)
+    assert np.signbit(table.probs[table.probs == 0.0]).any()
+    return table
+
+
+# The copy marginal runs in chunks; these tables reach its sequential (< 8),
+# unrolled pairwise (8..128) and recursive pairwise (243 terms) run sums.
+@pytest.mark.parametrize("ma, oa, make", [
+    pytest.param((2, 3), (2, 2), _random_table, id="ma0-oa0"),
+    pytest.param((3, 2, 2), (2, 3, 2), _random_table, id="ma1-oa1"),
+    pytest.param((2,) * 5, (2,) * 5, _chsh_table, id="chsh5"),
+    pytest.param((1, 1, 1, 1, 1, 2), (3, 3, 3, 3, 3, 2), _random_table, id="low243"),
+    pytest.param((2, 1, 2), (3, 3, 2), _signed_zero_table, id="signed-zeros"),
+])
+def test_averaged_percopy_matches_oracle(ma, oa, make):
     rng = np.random.default_rng(7200 + len(ma))
-    table = _random_table(rng, Scheme.PER_COPY, ma, oa)
+    table = make(rng, Scheme.PER_COPY, ma, oa)
     exprs = _random_expressions(rng, ma, oa)
     for i in range(1, len(ma) + 1):
         assert averaged_j_percopy(table, exprs, i) == _oracle_averaged(table, exprs[i - 1], i)
+
+
+def _one_shot_marginal(table, i):
+    """The copy marginal as one numpy reduction over the eight-axis view."""
+    oa, m = table.output_arities, table.input_arities[0]
+    low, oi, high = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
+    return table.probs.reshape(m, m, high, oi, low, high, oi, low).sum(axis=(2, 4, 5, 7))
+
+
+@pytest.mark.parametrize("name", ["chsh6", "adversary-copy6", "adversary-shared6",
+                                  "mixed-arity", "signed-zeros"])
+def test_copy_marginal_matches_one_shot_reduction(name):
+    rng = np.random.default_rng(7300)
+    mixed = (2,) * 6, (3, 1, 4, 2, 3, 2)
+    table = {
+        "chsh6": lambda: _chsh_table(rng, Scheme.BROADCAST, (2,) * 6, (2,) * 6),
+        "adversary-copy6": lambda: adversary_copy(6),
+        "adversary-shared6": lambda: adversary_shared_randomness(6),
+        "mixed-arity": lambda: _random_table(rng, Scheme.BROADCAST, *mixed),
+        "signed-zeros": lambda: _signed_zero_table(rng, Scheme.BROADCAST, *mixed),
+    }[name]()
+    for i in range(1, table.n_copies + 1):
+        got = copy_marginal(table, i).probs
+        want = _one_shot_marginal(table, i)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
 
 
 @pytest.mark.parametrize("seed", range(6))
