@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -582,33 +582,46 @@ def table_to_json_dict(table: CorrelationTable, provenance: dict | None = None) 
     return _table_fields(table, table.probs.tolist(), provenance)
 
 
-def _probs_json_text(probs: np.ndarray) -> str:
+def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
     """The nested ``probs`` list as ``json.dumps(..., indent=2)`` lays it out
-    under a top-level key.  Each distinct value is formatted once: a composed
-    table holds few distinct floats among up to millions of entries."""
+    under a top-level key, one input row ``x`` per chunk.  Each distinct value
+    is formatted once: a composed table holds few distinct floats among up to
+    millions of entries."""
     # Distinct bit patterns, so that -0.0 keeps its sign.
     bits = probs.view(np.uint64).ravel()
     distinct, inverse = np.unique(bits, return_inverse=True)
     reprs = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()],
                      dtype=object)
-    text = reprs[inverse.reshape(probs.shape)]
-    for axis in range(probs.ndim - 1, -1, -1):
-        item = "\n" + " " * (2 * axis + 4)
-        close = "\n" + " " * (2 * axis + 2) + "]"
-        rows = text.reshape(-1, text.shape[-1]).tolist()
-        text = np.array(["[" + item + ("," + item).join(row) + close for row in rows],
-                        dtype=object).reshape(text.shape[:-1])
-    return text.item()
+    inverse = inverse.reshape(probs.shape)
+    for x in range(probs.shape[0]):
+        text = reprs[inverse[x]]
+        for axis in range(probs.ndim - 1, 0, -1):
+            item = "\n" + " " * (2 * axis + 4)
+            close = "\n" + " " * (2 * axis + 2) + "]"
+            rows = text.reshape(-1, text.shape[-1]).tolist()
+            text = np.array(["[" + item + ("," + item).join(row) + close for row in rows],
+                            dtype=object).reshape(text.shape[:-1])
+        yield ("[" if x == 0 else ",") + "\n    " + text.item()
+    yield "\n  ]"
 
 
-def table_to_json_text(table: CorrelationTable, provenance: dict | None = None) -> str:
+def table_to_json_chunks(table: CorrelationTable,
+                         provenance: dict | None = None) -> Iterator[str]:
     """``json.dumps(table_to_json_dict(table, provenance), indent=2) + "\\n"``,
-    byte for byte, without building the nested list of floats."""
+    byte for byte, as a stream of chunks holding one input row ``x`` of
+    ``probs`` each, without building the nested list of floats."""
     text = json.dumps(_table_fields(table, 0, provenance), indent=2)
     # Only fixed keys and integers precede "probs", so its placeholder is the
     # first match even when the provenance holds the same text.
     head, _, tail = text.partition('"probs": 0')
-    return "".join((head, '"probs": ', _probs_json_text(table.probs), tail, "\n"))
+    yield head + '"probs": '
+    yield from _probs_json_chunks(table.probs)
+    yield tail + "\n"
+
+
+def table_to_json_text(table: CorrelationTable, provenance: dict | None = None) -> str:
+    """The chunks of :func:`table_to_json_chunks` joined into one string."""
+    return "".join(table_to_json_chunks(table, provenance))
 
 
 def table_from_json_dict(data: dict) -> CorrelationTable:

@@ -15,8 +15,8 @@ the other commands exit 0 on success.  Errors become exit codes in one place,
     OSError, UnicodeDecodeError                    2     io
     EnumerationTooLarge                            3     enumeration
     SchemeInputMismatch, UnsupportedDimension,     3     composition
-      InvalidAngles, SeeSawDidNotConverge,
-      ShapeMismatch, ZeroPrefixProbability
+      InvalidAngles, ShapeMismatch,
+      ZeroPrefixProbability
 
 Any other exception is a bug and keeps its traceback.
 """
@@ -37,7 +37,6 @@ from .errors import (
     EnumerationTooLarge,
     InvalidAngles,
     SchemeInputMismatch,
-    SeeSawDidNotConverge,
     ShapeMismatch,
     TableFormatError,
     UnsupportedDimension,
@@ -56,8 +55,8 @@ ERROR_EXITS = (
     (TableFormatError, 2, "input"),
     ((OSError, UnicodeDecodeError), 2, "io"),
     (EnumerationTooLarge, 3, "enumeration"),
-    ((SchemeInputMismatch, UnsupportedDimension, InvalidAngles, SeeSawDidNotConverge,
-      ShapeMismatch, ZeroPrefixProbability), 3, "composition"),
+    ((SchemeInputMismatch, UnsupportedDimension, InvalidAngles, ShapeMismatch,
+      ZeroPrefixProbability), 3, "composition"),
 )
 
 
@@ -98,11 +97,17 @@ def _parse(option: str, fn, *args, **kwargs):
         raise ConfigError(option, str(exc.args[0] if exc.args else exc)) from None
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks, out: str | None):
+    """Write ``chunks``, one string or an iterable of strings, to ``out`` or
+    to stdout, chunk by chunk."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out is None or out == "-":
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
 
 
 def _json_text(data: dict) -> str:
@@ -138,7 +143,7 @@ def _load_table(path: str, option: str) -> tuple:
     return table, provenance
 
 
-def _parse_strategy_specs(specs, copies, seed):
+def _parse_strategy_specs(specs, copies):
     """Turn --strategy/--copies into either a list of single-copy strategies
     or an adversary table spec.  Returns (strategies, adversary, entries)
     where ``entries`` lists the effective per-copy presets for provenance."""
@@ -156,7 +161,7 @@ def _parse_strategy_specs(specs, copies, seed):
         if n is None:
             raise ConfigError("--copies", f"{name} needs a copy count")
         return None, (name, n), [{"name": name, "params": [n]}]
-    built = [_parse("--strategy", strategies.build_preset_strategy, name, args, seed=seed)
+    built = [_parse("--strategy", strategies.build_preset_strategy, name, args)
              for name, args in parsed]
     if len(built) == 1 and copies is not None:
         if copies < 1:
@@ -172,12 +177,12 @@ def _parse_strategy_specs(specs, copies, seed):
     return built, None, entries
 
 
-def _single_copy_strategy(option: str, spec: str, seed: int):
+def _single_copy_strategy(option: str, spec: str):
     """Build the single-copy preset ``spec`` given through ``option``."""
     name, args = _parse(option, strategies.parse_strategy_spec, spec)
     if name in strategies.ADVERSARY_PRESETS:
         raise ConfigError(option, f"{name} is a whole table, not a single-copy strategy")
-    return _parse(option, strategies.build_preset_strategy, name, args, seed=seed)
+    return _parse(option, strategies.build_preset_strategy, name, args)
 
 
 @click.group(cls=_ErrorBoundary)
@@ -194,11 +199,10 @@ def main():
               default="broadcast", show_default=True)
 @click.option("--noise", type=float, default=None,
               help="Visibility of white noise applied to every copy.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None, help="Output path (default: stdout).")
-def simulate(strategy_specs, copies, scheme, noise, seed, out):
+def simulate(strategy_specs, copies, scheme, noise, out):
     """Compose copies into a joint correlation table and write it as JSON."""
-    built, adversary, entries = _parse_strategy_specs(strategy_specs, copies, seed)
+    built, adversary, entries = _parse_strategy_specs(strategy_specs, copies)
     if noise is not None and not 0.0 <= noise <= 1.0:
         raise ConfigError("--noise", f"visibility {noise} outside [0, 1]")
     if adversary is not None:
@@ -211,8 +215,8 @@ def simulate(strategy_specs, copies, scheme, noise, seed, out):
         if noise is not None:
             built = [strategies.apply_isotropic_noise(s, noise) for s in built]
         table = strategies.compose(built, Scheme(scheme))
-    prov = {"strategies": entries, "noise": noise, "seed": seed}
-    _emit(bell.table_to_json_text(table, prov), out)
+    prov = {"strategies": entries, "noise": noise}
+    _emit(bell.table_to_json_chunks(table, prov), out)
 
 
 def _resolve_expressions(bell_specs, n: int):
@@ -226,7 +230,7 @@ def _resolve_expressions(bell_specs, n: int):
     return exprs
 
 
-def _resolve_targets(beta_specs, exprs, provenance, n: int, seed: int):
+def _resolve_targets(beta_specs, exprs, provenance, n: int):
     """--beta values, or the single token 'oracle' to resolve each target
     from the fixed measurements of the strategies recorded in the table's
     provenance."""
@@ -239,8 +243,7 @@ def _resolve_targets(beta_specs, exprs, provenance, n: int, seed: int):
         targets = []
         for k, entry in enumerate(entries):
             try:
-                s = strategies.build_preset_strategy(
-                    entry["name"], entry.get("params", ()), seed=seed)
+                s = strategies.build_preset_strategy(entry["name"], entry.get("params", ()))
             except (KeyError, TypeError, ValueError):
                 raise ConfigError(
                     "--beta", f"cannot rebuild strategy {k + 1} from provenance") from None
@@ -271,10 +274,8 @@ def _resolve_targets(beta_specs, exprs, provenance, n: int, seed: int):
               help="Single-copy reference table (theorem2 only).")
 @click.option("--tol", type=float, default=certify.DEFAULT_TOL, show_default=True,
               help="Numerical slack (not noise robustness).")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None, help="Report path (default: stdout).")
-def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
-                tol, seed, out):
+def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, tol, out):
     """Certify a table file; the exit code reflects the verdict (0 pass,
     1 fail, 4 precondition-violated)."""
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -296,7 +297,7 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
                 if len(specs) > 1:
                     raise ConfigError(option, f"theorem1 takes one value, got {len(specs)}")
         exprs = _resolve_expressions(bell_specs, table.n_copies)
-        targets = _resolve_targets(beta_specs, exprs, provenance, table.n_copies, seed)
+        targets = _resolve_targets(beta_specs, exprs, provenance, table.n_copies)
         if protocol == "theorem1":
             report = certify.certify_theorem1(table, exprs[0], targets[0], tol)
         elif protocol == "theorem3":
@@ -315,20 +316,19 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path,
                    "quantum value (defaults to the matching reference for "
                    "built-in expressions).")
 @click.option("--witness", is_flag=True, help="Serialize the optimizers as JSON.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None, help="Optional JSON output path.")
-def bounds(bell_spec, strategy_spec, witness, seed, out):
+def bounds(bell_spec, strategy_spec, witness, out):
     """Print the classical bound and, when measurements are available, the
     fixed-measurement quantum value (both at 10 significant digits)."""
     expr = _load_expression(bell_spec)
     classical = bell.classical_bound(expr)
     strategy = None
     if strategy_spec is not None:
-        strategy = _single_copy_strategy("--strategy", strategy_spec, seed)
+        strategy = _single_copy_strategy("--strategy", strategy_spec)
     elif bell_spec in ("chsh", "chsh-game"):
         strategy = strategies.chsh_reference()
     elif bell_spec.startswith("tilted-chsh("):
-        strategy = _single_copy_strategy("--bell", bell_spec, seed)
+        strategy = _single_copy_strategy("--bell", bell_spec)
     quantum = None if strategy is None else bell.quantum_value_fixed_measurements(expr, strategy)
     click.echo(f"classical {classical.value:.10g}")
     if quantum is not None:
@@ -389,14 +389,13 @@ def _parse_nus(text: str) -> list:
 @click.option("--bell", "bell_spec", default="chsh", show_default=True)
 @click.option("--nus", required=True,
               help="Visibilities: comma list or start:stop:step range.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None, help="CSV path (default: stdout).")
-def sweep(strategy_spec, copies, bell_spec, nus, seed, out):
+def sweep(strategy_spec, copies, bell_spec, nus, out):
     """Sweep the white-noise visibility and tabulate all per-copy values as
     CSV (12 significant digits)."""
     values = _parse_nus(nus)
     expr = _load_expression(bell_spec)
-    strategy = _single_copy_strategy("--strategy", strategy_spec, seed)
+    strategy = _single_copy_strategy("--strategy", strategy_spec)
     rows = certify.sweep_noise(strategy, copies, expr, values)
     lines = ["nu," + ",".join(f"J{i}" for i in range(1, copies + 1))]
     for r in rows:

@@ -45,11 +45,6 @@ class EnumerationTooLarge(ParaselfError):
     """The deterministic-strategy enumeration would exceed the hard cap."""
 
 
-class SeeSawDidNotConverge(ParaselfError):
-    """Alternating state/measurement optimization failed to converge or the
-    result disagrees with the eigenvalue oracle."""
-
-
 class InvalidAngles(ParaselfError):
     """Measurement angles outside the admissible range."""
 

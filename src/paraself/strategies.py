@@ -23,14 +23,12 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
-    bell_operator,
     tilted_chsh_expression,
 )
 from .errors import (
     InvalidAngles,
     NonrealResult,
     SchemeInputMismatch,
-    SeeSawDidNotConverge,
     UnsupportedDimension,
 )
 from .qcore import (
@@ -40,9 +38,9 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
+    Ket,
     Povm,
     effect_products,
-    max_eigenvalue,
     maximally_entangled_ket,
     povm_from_observable,
     stack_effects,
@@ -50,11 +48,6 @@ from .qcore import (
 
 # Joint tables grow as o^(2n) m^2; six copies per party is the desk-scale cap.
 MAX_COPIES = 6
-
-SEESAW_MAX_ITERATIONS = 10**4
-SEESAW_IMPROVEMENT_THRESHOLD = 1e-12
-SEESAW_ORACLE_AGREEMENT = 1e-6
-SEESAW_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -291,149 +284,37 @@ def adversary_shared_randomness(n: int) -> CorrelationTable:
     return CorrelationTable(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
 
 
-# ---------------------------------------------------------------------------
-# See-saw optimization for two-qubit strategies with binary outcomes.
-
-def _best_binary_povm(score_gap: np.ndarray) -> np.ndarray:
-    """Effects [M_0, M_1] of the binary POVM maximizing tr[M_0 D]: M_0
-    projects onto the nonnegative eigenspace of D."""
-    eigenvalues, eigenvectors = np.linalg.eigh((score_gap + score_gap.conj().T) / 2)
-    dim = score_gap.shape[0]
-    p0 = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        if eigenvalues[k] > 0:
-            v = eigenvectors[:, k]
-            p0 += np.outer(v, v.conj())
-    return np.array([p0, np.eye(dim) - p0])
-
-
-def _seesaw_binary_qubits(expr: BellExpression, alice, bob):
-    """Alternate state / Alice / Bob optimization until the value improvement
-    drops below the threshold.  Returns (state ket, alice effects, bob
-    effects, achieved value), effects stacked as ``[input, outcome, i, j]``."""
-    if expr.o != 2:
-        raise SeeSawDidNotConverge("see-saw implemented for binary outcomes")
-    alice, bob = stack_effects(alice), stack_effects(bob)
-    previous = -math.inf
-    for _ in range(SEESAW_MAX_ITERATIONS):
-        op = bell_operator(expr, alice, bob)
-        eigenvalues, eigenvectors = np.linalg.eigh(op)
-        psi = eigenvectors[:, -1]
-        value = float(eigenvalues[-1])
-        # Converged: the state is the top eigenvector of the operator built
-        # from exactly these measurements.
-        if value - previous < SEESAW_IMPROVEMENT_THRESHOLD:
-            return psi, alice, bob, value
-        previous = value
-        rho4 = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2)
-        new_alice = []
-        for x in range(expr.m):
-            gaps = []
-            for a in range(2):
-                t = sum(
-                    expr.coeffs[x, y, a, b] * bob[y, b]
-                    for y in range(expr.m) for b in range(2)
-                )
-                # tr_B[(I (x) T) rho]: rho4[i, j, k, l] = rho[(i, j), (k, l)]
-                gaps.append(np.einsum("ijkl,lj->ik", rho4, t))
-            new_alice.append(_best_binary_povm(gaps[0] - gaps[1]))
-        alice = np.array(new_alice)
-        new_bob = []
-        for y in range(expr.m):
-            gaps = []
-            for b in range(2):
-                t = sum(
-                    expr.coeffs[x, y, a, b] * alice[x, a]
-                    for x in range(expr.m) for a in range(2)
-                )
-                gaps.append(np.einsum("ijkl,ki->jl", rho4, t))
-            new_bob.append(_best_binary_povm(gaps[0] - gaps[1]))
-        bob = np.array(new_bob)
-    raise SeeSawDidNotConverge(
-        f"no convergence after {SEESAW_MAX_ITERATIONS} iterations"
-    )
-
-
-def _random_qubit_observables(m: int, rng: np.random.Generator):
-    angles = rng.uniform(0.0, 2 * np.pi, size=m)
-    return tuple(
-        povm_from_observable(np.cos(t) * SIGMA_Z + np.sin(t) * SIGMA_X) for t in angles
-    )
-
-
 def tilted_chsh_reference(alpha: float, coefficients: BellExpression,
                           seed: int = 0) -> SingleCopyStrategy:
-    """Two-qubit strategy maximizing the supplied tilted-family expression.
+    """Two-qubit strategy attaining the quantum maximum sqrt(8 + 2 alpha^2)
+    of ``tilted_chsh_expression(alpha)``, in closed form (Acin, Massar,
+    Pironio, PRL 108, 100402 (2012); Bamps, Pironio, PRA 91, 052111 (2015)).
 
-    The optimum is found by see-saw over states and binary qubit
-    measurements and certified against the eigenvalue oracle of the final
-    operator: the value reached by the strategy must agree with the largest
-    eigenvalue to within 1e-6, otherwise :class:`SeeSawDidNotConverge` is
-    raised.  The coefficient tensor is supplied by the caller; this function
-    does not fix the family.
+    The state is cos(theta)|00> + sin(theta)|11> with
+    sin(2 theta) = sqrt((4 - alpha^2) / (4 + alpha^2)); Alice measures Z and
+    X, Bob cos(mu) Z +/- sin(mu) X with tan(mu) = sin(2 theta).
+    ``coefficients`` must equal ``tilted_chsh_expression(alpha).coeffs`` bit
+    for bit, since the formula maximizes only that family; ``seed`` is
+    unused.
     """
     if not 0.0 <= alpha < 2.0:
         raise ValueError(f"tilt parameter {alpha} outside [0, 2)")
-    if coefficients.o != 2:
-        raise SeeSawDidNotConverge("tilted references are binary-outcome")
-    rng = np.random.default_rng(seed)
-    if coefficients.m == 2:
-        first = (
-            (povm_from_observable(SIGMA_Z), povm_from_observable(SIGMA_X)),
-            (povm_from_observable(SIGMA_PLUS), povm_from_observable(SIGMA_MINUS)),
-        )
-    else:
-        # Evenly spaced directions in the Z-X plane.
-        spread = tuple(
-            povm_from_observable(
-                np.cos(k * np.pi / coefficients.m) * SIGMA_Z
-                + np.sin(k * np.pi / coefficients.m) * SIGMA_X
-            )
-            for k in range(coefficients.m)
-        )
-        first = (spread, spread)
-    starts = [first]
-    # Seeded random restarts: the alternating optimization is a lower-bound
-    # method and can stall on suboptimal fixed points (e.g. deterministic
-    # ones for strong tilts), so every start is evaluated and the best
-    # certified strategy wins.
-    for _ in range(SEESAW_RESTARTS):
-        starts.append((
-            _random_qubit_observables(coefficients.m, rng),
-            _random_qubit_observables(coefficients.m, rng),
-        ))
-    best = None
-    best_value = -math.inf
-    last_error = None
-    for alice0, bob0 in starts:
-        try:
-            psi, alice, bob, value = _seesaw_binary_qubits(coefficients, alice0, bob0)
-        except SeeSawDidNotConverge as exc:
-            last_error = exc
-            continue
-        strategy = SingleCopyStrategy(
-            state=DensityMatrix(np.outer(psi, psi.conj())),
-            alice=tuple(Povm(tuple(effects)) for effects in alice),
-            bob=tuple(Povm(tuple(effects)) for effects in bob),
-            m=coefficients.m,
-            o=2,
-            label=f"tilted-chsh({alpha:g})",
-        )
-        oracle = max_eigenvalue(bell_operator(coefficients, alice, bob))
-        achieved = math.fsum(
-            (coefficients.coeffs * single_copy_table(strategy).probs).ravel()
-        )
-        if abs(achieved - oracle) > SEESAW_ORACLE_AGREEMENT:
-            last_error = SeeSawDidNotConverge(
-                f"achieved value {achieved!r} disagrees with eigenvalue oracle {oracle!r}"
-            )
-            continue
-        if achieved > best_value:
-            best = strategy
-            best_value = achieved
-    if best is None:
-        raise last_error
-    return best
+    want = tilted_chsh_expression(alpha).coeffs
+    if not np.array_equal(coefficients.coeffs.view(np.uint64), want.view(np.uint64)):
+        raise ValueError(f"coefficients are not those of tilted-chsh({alpha:g})")
+    # atan2 of (sin 2 theta, cos 2 theta) stays well conditioned as alpha -> 0.
+    theta = 0.5 * math.atan2(math.sqrt(4.0 - alpha * alpha), alpha * math.sqrt(2.0))
+    mu = math.atan(math.sin(2.0 * theta))
+    bob = tuple(povm_from_observable(math.cos(mu) * SIGMA_Z + sign * math.sin(mu) * SIGMA_X)
+                for sign in (1.0, -1.0))
+    return SingleCopyStrategy(
+        state=Ket([math.cos(theta), 0.0, 0.0, math.sin(theta)]).density(),
+        alice=(povm_from_observable(SIGMA_Z), povm_from_observable(SIGMA_X)),
+        bob=bob,
+        m=2,
+        o=2,
+        label=f"tilted-chsh({alpha:g})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +335,7 @@ def parse_strategy_spec(text: str) -> tuple:
 ADVERSARY_PRESETS = ("adversary-copy", "adversary-shared-randomness")
 
 
-def build_preset_strategy(name: str, args: Sequence[float],
-                          seed: int = 0) -> SingleCopyStrategy:
+def build_preset_strategy(name: str, args: Sequence[float]) -> SingleCopyStrategy:
     """Construct a single-copy strategy preset by name.  Adversary presets
     are whole tables, not single-copy strategies; see
     :func:`build_preset_table`."""
@@ -467,7 +347,7 @@ def build_preset_strategy(name: str, args: Sequence[float],
         if len(args) != 1:
             raise KeyError("tilted-chsh takes exactly one parameter (alpha)")
         alpha = float(args[0])
-        return tilted_chsh_reference(alpha, tilted_chsh_expression(alpha), seed=seed)
+        return tilted_chsh_reference(alpha, tilted_chsh_expression(alpha))
     if name == "fullstats":
         if len(args) != 2:
             raise KeyError("fullstats takes exactly two parameters (gamma, delta)")

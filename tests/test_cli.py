@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from paraself import cli
 from paraself.bell import (
     Scheme,
     chsh_expression,
@@ -388,3 +392,55 @@ def test_certify_theorem1_takes_one_expression_and_target(runner, tmp_path, opti
     assert len(result.stderr.splitlines()) == 1
     oracle = runner.invoke(main, base[:-1] + ["oracle"])
     assert oracle.exit_code == 0, oracle.output
+
+
+def test_simulate_streams_table_file(runner, tmp_path):
+    # Rows are formatted and written one input row at a time, so the whole
+    # text is never held at once.
+    out = tmp_path / "percopy4.json"
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["simulate", "--strategy", "chsh", "--copies", "4",
+                                      "--scheme", "percopy", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak < 2 * out.stat().st_size
+
+
+def _error_exits_in_code() -> list:
+    rows = []
+    for kinds, code, category in cli.ERROR_EXITS:
+        for kind in kinds if isinstance(kinds, tuple) else (kinds,):
+            prefix = "click." if kind.__module__.startswith("click") else ""
+            rows.append((prefix + kind.__name__, code, category))
+    return sorted(rows)
+
+
+def _error_exits_in_readme() -> list:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = []
+    for names, code, category in re.findall(r"^\| (.*) \| (\d) \| `(\w+)` \|$", text, re.M):
+        for name in re.findall(r"`([\w.]+)`", re.sub(r"\([^)]*\)", "", names)):
+            rows.append((name, int(code), category))
+    return sorted(rows)
+
+
+def _error_exits_in_docstring() -> list:
+    lines = cli.__doc__.split("exception ")[1].split("\n\n")[0].splitlines()[1:]
+    rows = []
+    for line in lines:
+        start = re.match(r"    (\S.*?)\s+(\d)\s+(\w+)$", line)
+        if start:
+            rows.append([start[1], int(start[2]), start[3]])
+        else:
+            rows[-1][0] += " " + line.strip()
+    return sorted((name, code, category) for names, code, category in rows
+                  for name in re.findall(r"[\w.]+", re.sub(r"\([^)]*\)", "", names)))
+
+
+@pytest.mark.parametrize("documented", [_error_exits_in_readme, _error_exits_in_docstring],
+                         ids=["readme", "cli-docstring"])
+def test_exit_code_tables_match_error_exits(documented):
+    assert documented() == _error_exits_in_code()

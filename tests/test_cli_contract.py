@@ -58,8 +58,7 @@ def _assert_contract(result, command):
 
 def _table_doc(strategies, scheme=Scheme.BROADCAST):
     table = compose(strategies, scheme)
-    prov = {"strategies": [{"name": "chsh", "params": []}] * len(strategies),
-            "noise": None, "seed": 0}
+    prov = {"strategies": [{"name": "chsh", "params": []}] * len(strategies), "noise": None}
     return json.loads(json.dumps(table_to_json_dict(table, prov)))
 
 
@@ -133,6 +132,8 @@ ESCAPED_INPUTS = [
     pytest.param(["--bogus"], 2, "config", id="group-unknown-option"),
     pytest.param(["simulate", "--strategy", "chsh", "--copies", str(2 ** 62)],
                  3, "composition", id="simulate-copies-beyond-cap"),
+    pytest.param(["simulate", "--strategy", "chsh", "--seed", "1"], 2, "config",
+                 id="simulate-seed-is-gone"),
 ]
 
 
@@ -214,9 +215,9 @@ FLOAT_TEXT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 TOLS = _or_valid("1e-8", st.sampled_from(["0", "nan", "-1", "inf", "-0.0", "abc"]) | FLOAT_TEXT)
 BETAS = st.lists(_or_valid(BETA, st.sampled_from(["oracle", "nan", "-inf", "x", "", "2"])
                            | FLOAT_TEXT | st.text(max_size=4)), min_size=0, max_size=3)
-# Cheap presets only: the see-saw behind tilted-chsh takes seconds near alpha = 2.
 STRATEGIES = _or_valid("chsh", st.sampled_from([
-    "tilted-chsh(0.5)", "tilted-chsh(nan)", "tilted-chsh(5)", "tilted-chsh(0.5",
+    "tilted-chsh(0.5)", "tilted-chsh(1.999)", "tilted-chsh(0)", "tilted-chsh(-0.5)",
+    "tilted-chsh(2)", "tilted-chsh(nan)", "tilted-chsh(5)", "tilted-chsh(0.5",
     "tilted-chsh()", "fullstats(0.1,0.2)", "fullstats(2,0.1)", "fullstats(a,b)",
     "adversary-copy(2)", "adversary-copy(2.7)", "adversary-shared-randomness", "chsh(1)",
     "bogus", "", "(", ")",
@@ -226,8 +227,10 @@ COPIES = _or_valid(2, st.sampled_from([None, -1, 0, 1, 3, 7, "x"]))
 NUS = _or_valid("0,0.5,1", st.sampled_from([
     "0:1:0.25", "nan", "inf", "0:1:0", "1:0:0.1", "0:1:1e-9", "a", "", ":", "0:nan:0.1",
     "-1,2", "0:1", "0.5,,"]) | st.text(alphabet="0123456789.:,-nai", max_size=6))
-BELL_NAMES = st.sampled_from(["chsh-game", "tilted-chsh(0.5)", "tilted-chsh(nan)",
-                              "tilted-chsh(-inf)", "tilted-chsh(x)", "nope", ""])
+BELL_NAMES = st.sampled_from(["chsh-game", "tilted-chsh(0.5)", "tilted-chsh(1.999)",
+                              "tilted-chsh(0)", "tilted-chsh(-0.5)", "tilted-chsh(2)",
+                              "tilted-chsh(nan)", "tilted-chsh(-inf)", "tilted-chsh(x)",
+                              "nope", ""])
 
 
 def _bell(draw, files, k=0):

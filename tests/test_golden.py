@@ -90,6 +90,7 @@ def _cases():
         ("sweep-chsh4", ["sweep", "--copies", "4", "--nus", "0:1:0.05"]),
         ("bounds-chsh", ["bounds", "--bell", "chsh"]),
         ("bounds-tilted0.5", ["bounds", "--bell", "tilted-chsh(0.5)"]),
+        ("bounds-tilted1.999", ["bounds", "--bell", "tilted-chsh(1.999)"]),
         ("bounds-witness-chsh", ["bounds", "--bell", "chsh", "--witness",
                                  "--out", "bounds-chsh.json"]),
         ("bounds-witness-chsh-game", ["bounds", "--bell", "chsh-game", "--witness",
@@ -139,7 +140,7 @@ def _reports() -> dict:
     chsh = strategies.chsh_reference()
     ce = bell.chsh_expression()
     te = bell.tilted_chsh_expression(0.5)
-    tilted = strategies.tilted_chsh_reference(0.5, te, seed=0)
+    tilted = strategies.tilted_chsh_reference(0.5, te)
     tilted_max = bell.quantum_value_fixed_measurements(te, tilted).value
     fullstats = strategies.fullstats_reference(0.1, 0.2)
     noisy = strategies.apply_isotropic_noise(chsh, 0.9)

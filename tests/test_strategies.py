@@ -108,29 +108,49 @@ def test_tilted_reference_classical_and_quantum_values():
     assert classical_bound(expr).value == 2.5
     s = tilted_chsh_reference(0.5, expr)
     oracle = quantum_value_fixed_measurements(expr, s)
-    # Strategy value and eigen-oracle value must agree within the see-saw
-    # certification tolerance and beat the deterministic bound.
+    # Strategy value and eigen-oracle value agree and beat the deterministic
+    # bound.
     achieved = evaluate(expr, single_copy_table(s))
     assert achieved == pytest.approx(oracle.value, abs=1e-6)
     assert oracle.value > 2.5 + 0.05
     assert oracle.value == pytest.approx(np.sqrt(8.0 + 2.0 * 0.25), abs=1e-9)
 
 
-def test_tilted_reference_strong_tilt_escapes_deterministic_fixed_point():
-    # At strong tilts the alternating optimization has a deterministic fixed
-    # point at the classical value 2 + alpha; the restart sweep must find the
-    # entangled optimum sqrt(8 + 2 alpha^2) instead.
-    alpha = 1.5
+def _ulps_from_tilted_max(value: float, alpha: float) -> float:
+    want = math.sqrt(8.0 + 2.0 * alpha * alpha)
+    return abs(value - want) / math.ulp(want)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.9, 1.99, 1.999])
+def test_tilted_reference_strong_tilt_escapes_deterministic_fixed_point(alpha):
+    # At strong tilts the deterministic strategy reaches the classical value
+    # 2 + alpha, within 1.25e-7 of the entangled optimum sqrt(8 + 2 alpha^2)
+    # at alpha = 1.999; the reference must attain the optimum.
+    expr = tilted_chsh_expression(alpha)
+    achieved = evaluate(expr, single_copy_table(tilted_chsh_reference(alpha, expr)))
+    assert _ulps_from_tilted_max(achieved, alpha) <= 4
+    assert achieved > 2.0 + alpha
+
+
+@pytest.mark.parametrize("alpha", [*np.linspace(0.0, 1.99, 50).tolist(), 1.999])
+def test_tilted_reference_attains_closed_form_maximum(alpha):
     expr = tilted_chsh_expression(alpha)
     s = tilted_chsh_reference(alpha, expr)
-    achieved = evaluate(expr, single_copy_table(s))
-    assert achieved == pytest.approx(np.sqrt(8.0 + 2.0 * alpha ** 2), abs=1e-9)
-    assert achieved > 2.0 + alpha + 0.03
+    assert _ulps_from_tilted_max(evaluate(expr, single_copy_table(s)), alpha) <= 4
+    assert _ulps_from_tilted_max(quantum_value_fixed_measurements(expr, s).value, alpha) <= 4
 
 
 def test_tilted_reference_rejects_alpha_out_of_range():
     with pytest.raises(ValueError):
         tilted_chsh_reference(2.0, tilted_chsh_expression(2.0))
+
+
+def test_tilted_reference_rejects_other_coefficients():
+    # The closed form maximizes only the tilted family at the given alpha.
+    with pytest.raises(ValueError, match="not those of tilted-chsh"):
+        tilted_chsh_reference(0.5, chsh_expression())
+    with pytest.raises(ValueError, match="not those of tilted-chsh"):
+        tilted_chsh_reference(0.5, tilted_chsh_expression(0.47))
 
 
 def test_noise_identity_at_full_visibility():
