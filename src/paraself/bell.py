@@ -144,21 +144,44 @@ def tilted_chsh_expression(alpha: float) -> BellExpression:
     return BellExpression(2, 2, c, label=f"tilted-chsh({alpha:g})")
 
 
+def _builtin_spec(name: str) -> tuple:
+    """``(family, alpha)`` of a built-in expression name: ``("chsh", None)``,
+    ``("chsh-game", None)`` or ``("tilted-chsh", alpha)``.  Any other name
+    raises ``KeyError``."""
+    text = name.strip()
+    if text in ("chsh", "chsh-game"):
+        return text, None
+    if text.startswith("tilted-chsh(") and text.endswith(")"):
+        try:
+            return "tilted-chsh", float(text[len("tilted-chsh("):-1])
+        except ValueError:
+            raise KeyError(f"bad tilted-chsh parameter in {name!r}") from None
+    raise KeyError(f"unknown built-in expression {name!r}")
+
+
 def builtin_expression(name: str) -> BellExpression:
     """Resolve a built-in expression by name: ``chsh``, ``chsh-game``, or
     ``tilted-chsh(alpha)``."""
-    text = name.strip()
-    if text == "chsh":
-        return chsh_expression()
-    if text == "chsh-game":
-        return chsh_game_expression()
-    if text.startswith("tilted-chsh(") and text.endswith(")"):
-        try:
-            alpha = float(text[len("tilted-chsh("):-1])
-        except ValueError:
-            raise KeyError(f"bad tilted-chsh parameter in {name!r}") from None
+    family, alpha = _builtin_spec(name)
+    if family == "tilted-chsh":
         return tilted_chsh_expression(alpha)
-    raise KeyError(f"unknown built-in expression {name!r}")
+    return chsh_expression() if family == "chsh" else chsh_game_expression()
+
+
+def builtin_quantum_maximum(name: str) -> float:
+    """Quantum maximum of the built-in expression ``name`` in closed form:
+    sqrt(8) for ``chsh``, (2 + sqrt(2))/4 for ``chsh-game`` and
+    sqrt(8 + 2 alpha^2) for ``tilted-chsh(alpha)`` with 0 <= alpha < 2
+    (Acin, Massar, Pironio, PRL 108, 100402 (2012)).  A name that is not a
+    built-in raises ``KeyError``; a tilt outside [0, 2) raises ``ValueError``."""
+    family, alpha = _builtin_spec(name)
+    if family == "chsh":
+        return math.sqrt(8.0)
+    if family == "chsh-game":
+        return (2.0 + math.sqrt(2.0)) / 4.0
+    if not 0.0 <= alpha < 2.0:
+        raise ValueError(f"tilt parameter {alpha} outside [0, 2)")
+    return math.sqrt(8.0 + 2.0 * alpha * alpha)
 
 
 @dataclass(frozen=True)
@@ -239,10 +262,27 @@ def decode_joint(index: int, arities: Sequence[int]) -> tuple:
     return tuple(digits)
 
 
-def _copy_outputs(probs: np.ndarray, oa: Sequence[int], i: int) -> np.ndarray:
+def _copy_split(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCAST,
+                expr: BellExpression | None = None) -> tuple:
+    """``(low, o_i, high)``: the joint output arity of the copies before copy
+    ``i``, that of copy ``i`` and that of the copies after it.  Raises
+    :class:`ShapeMismatch` unless ``table`` has ``scheme`` and a copy ``i``,
+    and, given ``expr``, that copy has the expression's input and output
+    arities."""
+    if table.scheme is not scheme:
+        raise ShapeMismatch(f"this functional is defined for {scheme.value} tables")
+    if not 1 <= i <= table.n_copies:
+        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
+    ia, oa = table.input_arities, table.output_arities
+    if expr is not None and (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
+        raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
+                            f"copy has ({ia[i - 1]}, {oa[i - 1]})")
+    return math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
+
+
+def _copy_outputs(probs: np.ndarray, low: int, oi: int, high: int) -> np.ndarray:
     """``p(a_i, b_i | x, y)`` for every input pair of ``probs``, summed in numpy's
     one-shot order (see the module docstring) ``_MARGINAL_CHUNK`` entries at a time."""
-    low, oi, high = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
     if oi == 1:  # nothing is kept, so numpy sums each row as one run
         return probs.sum(axis=(2, 3), keepdims=True)
     rows = probs.reshape(-1, high, oi, low, high, oi, low)
@@ -261,13 +301,9 @@ def _copy_outputs(probs: np.ndarray, oa: Sequence[int], i: int) -> np.ndarray:
 def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
     """Single-copy marginal of copy ``i`` of a broadcast table (other copies'
     outputs summed out in numpy's one-shot order; see the module docstring)."""
-    if table.scheme is not Scheme.BROADCAST:
-        raise ShapeMismatch("copy marginals are defined for broadcast tables")
-    if not 1 <= i <= table.n_copies:
-        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
-    probs = _copy_outputs(table.probs, table.output_arities, i)
-    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1],
-                            (table.output_arities[i - 1],), probs)
+    low, oi, high = _copy_split(table, i)
+    probs = _copy_outputs(table.probs, low, oi, high)
+    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1], (oi,), probs)
 
 
 def evaluate(expr: BellExpression, table: CorrelationTable) -> float:
@@ -313,14 +349,7 @@ def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
     the prefix probability exceeds the positivity threshold and zero
     elsewhere.  The table is reshaped and summed once for all prefixes.
     """
-    if table.scheme is not Scheme.BROADCAST:
-        raise ShapeMismatch("conditional functionals are defined for broadcast tables")
-    if not 1 <= i <= table.n_copies:
-        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
-    oa = table.output_arities
-    low = math.prod(oa[: i - 1])
-    oi = oa[i - 1]
-    high = math.prod(oa[i:])
+    low, oi, high = _copy_split(table, i)
     m = table.input_arities[0]
     r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
     # A contiguous (a_i, b_i) block per prefix makes each prefix probability
@@ -338,21 +367,6 @@ def _row_fsums(products: np.ndarray, rows: int) -> np.ndarray:
     return np.array([math.fsum(row) for row in products.reshape(rows, -1).tolist()])
 
 
-def _check_copy_shape(table: CorrelationTable, expr: BellExpression, i: int) -> None:
-    if table.scheme is not Scheme.BROADCAST:
-        raise ShapeMismatch("conditional functionals are defined for broadcast tables")
-    if not 1 <= i <= table.n_copies:
-        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
-    if expr.m != table.input_arities[0]:
-        raise ShapeMismatch(
-            f"expression has {expr.m} inputs, table has {table.input_arities[0]}"
-        )
-    if expr.o != table.output_arities[i - 1]:
-        raise ShapeMismatch(
-            f"expression has {expr.o} outputs, copy {i} has {table.output_arities[i - 1]}"
-        )
-
-
 def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
     """Sum of the defined conditional values of copy ``i`` over all prefixes,
     divided by the full prefix count ``prod(o_j, j < i)**2``, together with
@@ -366,7 +380,7 @@ def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> t
     at or below the positivity threshold at an input pair that carries a
     nonzero coefficient.
     """
-    _check_copy_shape(table, expr, i)
+    _copy_split(table, i, expr=expr)
     if i == 1:
         return evaluate(expr, copy_marginal(table, 1)), None
     cond, prefix_prob = conditional_kernel(table, i)
@@ -406,26 +420,17 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
     copy-``i`` marginal probability (other copies' outputs summed out in
     numpy's one-shot order; see the module docstring).
     """
-    if table.scheme is not Scheme.PER_COPY:
-        raise ShapeMismatch("averaged functionals are defined for per-copy tables")
     if len(exprs) != table.n_copies:
         raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
-    if not 1 <= i <= table.n_copies:
-        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
-    expr = exprs[i - 1]
+    # Slicing never raises; _copy_split checks i before it reads the expression.
+    low, oi, high = _copy_split(table, i, Scheme.PER_COPY, *exprs[i - 1:i])
     ma = table.input_arities
-    oa = table.output_arities
-    if expr.m != ma[i - 1] or expr.o != oa[i - 1]:
-        raise ShapeMismatch(
-            f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
-            f"copy has ({ma[i - 1]}, {oa[i - 1]})"
-        )
-    low_m, mi, high_m, oi = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:]), oa[i - 1]
+    low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
     # One row per setting (hx, lx, hy, ly) of the other copies' inputs.
-    marg = _copy_outputs(table.probs, oa, i).reshape(
+    marg = _copy_outputs(table.probs, low, oi, high).reshape(
         high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(0, 2, 3, 5, 1, 4, 6, 7)
     settings = (low_m * high_m) ** 2
-    return math.fsum(_row_fsums(expr.coeffs * marg, settings).tolist()) / float(settings)
+    return math.fsum(_row_fsums(exprs[i - 1].coeffs * marg, settings).tolist()) / float(settings)
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,10 @@ def _load_expression(spec: str) -> bell.BellExpression:
     return bell.expression_from_json_dict(_read_json(Path(spec)))
 
 
-def _load_table(path: str, option: str) -> tuple:
+def _load_table(path: str, option: str) -> bell.CorrelationTable:
     if not Path(path).exists():
         raise ConfigError(option, f"file not found: {path}")
-    data = _read_json(Path(path))
-    table = bell.table_from_json_dict(data)
-    provenance = data.get("provenance", {}) if isinstance(data, dict) else {}
-    return table, provenance
+    return bell.table_from_json_dict(_read_json(Path(path)))
 
 
 def _parse_strategy_specs(specs, copies):
@@ -230,31 +227,23 @@ def _resolve_expressions(bell_specs, n: int):
     return exprs
 
 
-def _resolve_targets(beta_specs, exprs, provenance, n: int):
-    """--beta values, or the single token 'oracle' to resolve each target
-    from the fixed measurements of the strategies recorded in the table's
-    provenance."""
-    if len(beta_specs) == 1 and beta_specs[0] == "oracle":
-        entries = provenance.get("strategies") if isinstance(provenance, dict) else None
-        if not entries or len(entries) != n:
-            raise ConfigError(
-                "--beta", "oracle resolution needs table provenance with one "
-                          "strategy per copy")
-        targets = []
-        for k, entry in enumerate(entries):
-            try:
-                s = strategies.build_preset_strategy(entry["name"], entry.get("params", ()))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(
-                    "--beta", f"cannot rebuild strategy {k + 1} from provenance") from None
-            targets.append(bell.quantum_value_fixed_measurements(exprs[k], s).value)
-        return targets
-    try:
-        targets = [float(b) for b in beta_specs]
-    except ValueError:
-        raise ConfigError("--beta", "values must be numbers or the token 'oracle'") from None
-    if not all(math.isfinite(t) for t in targets):
-        raise ConfigError("--beta", "values must be finite")
+def _resolve_targets(beta_specs, bell_specs, n: int):
+    """--beta values, or the single token 'oracle' for the closed-form quantum
+    maximum of each copy's built-in --bell expression; the table never sets
+    its own target, and an expression file needs a number."""
+    if list(beta_specs) == ["oracle"]:
+        try:
+            targets = [bell.builtin_quantum_maximum(spec) for spec in bell_specs]
+        except (KeyError, ValueError) as exc:
+            raise ConfigError("--beta", f"oracle: {exc.args[0]}; "
+                                        "give the target as a number") from None
+    else:
+        try:
+            targets = [float(b) for b in beta_specs]
+        except ValueError:
+            raise ConfigError("--beta", "values must be numbers or the token 'oracle'") from None
+        if not all(math.isfinite(t) for t in targets):
+            raise ConfigError("--beta", "values must be finite")
     if len(targets) == 1 and n > 1:
         targets = targets * n
     if len(targets) != n:
@@ -269,7 +258,8 @@ def _resolve_targets(beta_specs, exprs, provenance, n: int):
 @click.option("--bell", "bell_specs", multiple=True,
               help="Expression name or JSON path (repeatable for per-copy lists).")
 @click.option("--beta", "beta_specs", multiple=True,
-              help="Target value(s), or 'oracle' to resolve from provenance.")
+              help="Target value(s), or 'oracle' for the quantum maximum of each "
+                   "built-in expression (an expression file needs a number).")
 @click.option("--reference", "reference_path", default=None,
               help="Single-copy reference table (theorem2 only).")
 @click.option("--tol", type=float, default=certify.DEFAULT_TOL, show_default=True,
@@ -280,14 +270,14 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
     1 fail, 4 precondition-violated)."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError("--tol", f"must be finite and non-negative, got {tol}")
-    table, provenance = _load_table(table_path, "--table")
+    table = _load_table(table_path, "--table")
     if protocol == "theorem2":
         if reference_path is None:
             raise ConfigError("--reference", "required for theorem2")
         if bell_specs or beta_specs:
             raise ConfigError("--bell", "theorem2 compares against --reference, "
                                         "not expressions/targets")
-        reference, _ = _load_table(reference_path, "--reference")
+        reference = _load_table(reference_path, "--reference")
         report = certify.certify_theorem2(table, reference, tol)
     else:
         if reference_path is not None:
@@ -297,7 +287,7 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
                 if len(specs) > 1:
                     raise ConfigError(option, f"theorem1 takes one value, got {len(specs)}")
         exprs = _resolve_expressions(bell_specs, table.n_copies)
-        targets = _resolve_targets(beta_specs, exprs, provenance, table.n_copies)
+        targets = _resolve_targets(beta_specs, bell_specs, table.n_copies)
         if protocol == "theorem1":
             report = certify.certify_theorem1(table, exprs[0], targets[0], tol)
         elif protocol == "theorem3":
@@ -325,10 +315,15 @@ def bounds(bell_spec, strategy_spec, witness, out):
     strategy = None
     if strategy_spec is not None:
         strategy = _single_copy_strategy("--strategy", strategy_spec)
-    elif bell_spec in ("chsh", "chsh-game"):
-        strategy = strategies.chsh_reference()
-    elif bell_spec.startswith("tilted-chsh("):
-        strategy = _single_copy_strategy("--bell", bell_spec)
+    else:
+        try:
+            family, alpha = bell._builtin_spec(bell_spec)
+        except KeyError:  # an expression file has no reference strategy
+            family = None
+        if family in ("chsh", "chsh-game"):
+            strategy = strategies.chsh_reference()
+        elif family == "tilted-chsh":
+            strategy = _parse("--bell", strategies.tilted_chsh_reference, alpha, expr)
     quantum = None if strategy is None else bell.quantum_value_fixed_measurements(expr, strategy)
     click.echo(f"classical {classical.value:.10g}")
     if quantum is not None:

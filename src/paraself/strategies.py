@@ -94,18 +94,6 @@ class SingleCopyStrategy:
         object.__setattr__(self, "bob", bob)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Visibility of the white-noise channel applied identically to every
-    copy: the state becomes nu * rho + (1 - nu) * I/4."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValueError(f"visibility {self.nu} outside [0, 1]")
-
-
 def chsh_reference() -> SingleCopyStrategy:
     """Maximally entangled pair measured along Z/X (Alice) and the diagonal
     directions (Bob); attains the CHSH quantum maximum 2*sqrt(2)."""
@@ -166,22 +154,24 @@ def local_deterministic(alice_outputs: Sequence[int], bob_outputs: Sequence[int]
     )
 
 
-def apply_isotropic_noise(s: SingleCopyStrategy, noise) -> SingleCopyStrategy:
-    """Replace the shared state by nu * rho + (1 - nu) * I/4; measurements are
-    unchanged.  Only two-qubit (dimension-4) states are supported."""
-    spec = noise if isinstance(noise, NoiseSpec) else NoiseSpec(float(noise))
+def apply_isotropic_noise(s: SingleCopyStrategy, nu: float) -> SingleCopyStrategy:
+    """Replace the shared state by nu * rho + (1 - nu) * I/4 for a visibility
+    ``nu`` in [0, 1]; measurements are unchanged.  Only two-qubit
+    (dimension-4) states are supported."""
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError(f"visibility {nu} outside [0, 1]")
     if s.state.dim != 4:
         raise UnsupportedDimension(
             f"isotropic noise implemented for two-qubit states, got dim {s.state.dim}"
         )
-    mixed = spec.nu * s.state.matrix + (1.0 - spec.nu) * np.eye(4) / 4.0
+    mixed = nu * s.state.matrix + (1.0 - nu) * np.eye(4) / 4.0
     return SingleCopyStrategy(
         state=DensityMatrix(mixed),
         alice=s.alice,
         bob=s.bob,
         m=s.m,
         o=s.o,
-        label=f"{s.label}+noise({spec.nu:g})",
+        label=f"{s.label}+noise({nu:g})",
     )
 
 

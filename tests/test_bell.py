@@ -15,6 +15,8 @@ from paraself.bell import (
     Scheme,
     averaged_j_percopy,
     bell_operator,
+    builtin_expression,
+    builtin_quantum_maximum,
     chsh_expression,
     chsh_game_expression,
     classical_bound,
@@ -312,6 +314,58 @@ def test_averaged_j_percopy_requires_percopy_table():
     table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
     with pytest.raises(ShapeMismatch):
         averaged_j_percopy(table, [chsh_expression()] * 2, 1)
+
+
+BROADCAST2 = compose([chsh_reference()] * 2, Scheme.BROADCAST)
+PERCOPY2 = compose([chsh_reference()] * 2, Scheme.PER_COPY)
+CHSH2 = [chsh_expression()] * 2
+M2O3 = BellExpression(2, 3, np.ones((2, 2, 3, 3)))
+M3O2 = BellExpression(3, 2, np.ones((3, 3, 2, 2)))
+SHAPE_ERRORS = {
+    "marginal-percopy": lambda: copy_marginal(PERCOPY2, 1),
+    "kernel-percopy": lambda: conditional_kernel(PERCOPY2, 2),
+    "mean-percopy": lambda: conditional_mean(PERCOPY2, chsh_expression(), 2),
+    **{f"marginal-copy{i}": lambda i=i: copy_marginal(BROADCAST2, i) for i in (0, 3)},
+    **{f"kernel-copy{i}": lambda i=i: conditional_kernel(BROADCAST2, i) for i in (0, 3)},
+    **{f"mean-copy{i}": lambda i=i: conditional_mean(BROADCAST2, chsh_expression(), i)
+       for i in (0, 3)},
+    **{f"averaged-copy{i}": lambda i=i: averaged_j_percopy(PERCOPY2, CHSH2, i)
+       for i in (-1, 0, 3)},
+    "mean-outputs": lambda: conditional_mean(BROADCAST2, M2O3, 2),
+    "mean-inputs": lambda: conditional_mean(BROADCAST2, M3O2, 2),
+    "averaged-outputs": lambda: averaged_j_percopy(PERCOPY2, [chsh_expression(), M2O3], 2),
+    "averaged-expression-count": lambda: averaged_j_percopy(PERCOPY2, CHSH2[:1], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_ERRORS))
+def test_copy_functionals_share_one_shape_check(name):
+    # Scheme, copy index and the copy's arities are checked in one place for
+    # the marginal, the conditional kernel and mean and the per-copy average.
+    with pytest.raises(ShapeMismatch):
+        SHAPE_ERRORS[name]()
+
+
+@pytest.mark.parametrize("name,strategy", [
+    ("chsh", chsh_reference),
+    ("chsh-game", chsh_reference),
+    *((f"tilted-chsh({alpha})",
+       lambda alpha=alpha: tilted_chsh_reference(alpha, tilted_chsh_expression(alpha)))
+      for alpha in (0.0, 0.5, 1.5, 1.999)),
+])
+def test_builtin_quantum_maximum_matches_reference_eigenvalue(name, strategy):
+    closed = builtin_quantum_maximum(name)
+    eigen = quantum_value_fixed_measurements(builtin_expression(name), strategy()).value
+    assert abs(closed - eigen) <= 4 * math.ulp(closed)
+    assert builtin_quantum_maximum(f" {name} ") == closed
+
+
+def test_builtin_quantum_maximum_needs_a_closed_form():
+    with pytest.raises(KeyError):
+        builtin_quantum_maximum("expr.json")
+    for alpha in ("2", "-0.1", "nan"):
+        with pytest.raises(ValueError, match="outside"):
+            builtin_quantum_maximum(f"tilted-chsh({alpha})")
 
 
 def test_classical_bound_chsh():

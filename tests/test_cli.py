@@ -178,15 +178,69 @@ def test_certify_theorem2_via_reference_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
-def test_certify_theorem3_oracle_betas_from_provenance(runner, tmp_path):
+def test_certify_theorem3_oracle_betas_from_expressions(runner, tmp_path):
     table, _ = _simulate(runner, tmp_path, "--strategy", "chsh",
                          "--strategy", "tilted-chsh(0.5)")
     result = runner.invoke(main, [
         "certify", "--table", str(table), "--protocol", "theorem3",
-        "--bell", "chsh", "--bell", "tilted-chsh(0.5)",
+        "--bell", "chsh", "--bell", " tilted-chsh(0.5) ",
         "--beta", "oracle", "--tol", "1e-6",
     ])
     assert result.exit_code == 0, result.output
+    # Each target is the closed-form maximum of its expression.
+    targets = [c["target"] for c in json.loads(result.stdout)["copies"]]
+    assert targets == [np.sqrt(8.0), np.sqrt(8.5)]
+
+
+def _lying_provenance_table(runner, tmp_path):
+    """A noisy chsh^3 table whose provenance names, for every copy, the tilted
+    strategy whose CHSH value with those measurements is the noisy value."""
+    table, data = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3",
+                            "--noise", "0.9")
+    lie = {"name": "tilted-chsh", "params": [1.7715550342423128]}
+    data["provenance"] = {"strategies": [lie] * 3, "noise": None}
+    table.write_text(json.dumps(data, indent=2))
+    return table, data
+
+
+def test_certify_oracle_ignores_lying_provenance(runner, tmp_path):
+    # The file being judged must not choose its own target.
+    table, _ = _lying_provenance_table(runner, tmp_path)
+    result = runner.invoke(main, ["certify", "--table", str(table), "--protocol", "theorem1",
+                                  "--bell", "chsh", "--beta", "oracle"])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.stdout)
+    assert report["verdict"] == "fail"
+    assert [c["target"] for c in report["copies"]] == [2.8284271247461903] * 3
+
+
+def test_certify_output_does_not_depend_on_provenance(runner, tmp_path):
+    table, data = _lying_provenance_table(runner, tmp_path)
+    args = ["certify", "--table", str(table), "--protocol", "theorem3", "--bell", "chsh",
+            "--beta", "oracle"]
+    outputs = []
+    for provenance in ({"strategies": [{"name": "chsh", "params": []}] * 3, "noise": 0.9},
+                       data["provenance"], {}, "garbage", [1, None], 7):
+        table.write_text(json.dumps({**data, "provenance": provenance}))
+        result = runner.invoke(main, args)
+        outputs.append((result.exit_code, result.stdout, result.stderr))
+    assert outputs[0][0] == 1
+    assert outputs == [outputs[0]] * len(outputs)
+
+
+@pytest.mark.parametrize("bell", ["expression-file", "tilted-chsh(2)", "tilted-chsh(-0.1)"])
+def test_certify_oracle_needs_a_closed_form(runner, tmp_path, bell):
+    table, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "2")
+    if bell == "expression-file":
+        bell = tmp_path / "chsh-expr.json"
+        bell.write_text(json.dumps(expression_to_json_dict(chsh_expression())))
+    result = runner.invoke(main, ["certify", "--table", str(table), "--protocol", "theorem3",
+                                  "--bell", str(bell), "--beta", "oracle"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: config: --beta: oracle: ")
+    assert result.stderr.endswith("give the target as a number\n")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_certify_oracle_beta_with_replicated_copies(runner, tmp_path):
@@ -276,6 +330,17 @@ def test_bounds_game(runner):
     assert result.exit_code == 0
     assert "classical 0.75" in result.output
     assert "quantum 0.8535533906" in result.output
+
+
+@pytest.mark.parametrize("spec,quantum", [(" chsh", "2.828427125"),
+                                          (" tilted-chsh(0.5)", "2.915475947")])
+def test_bounds_default_strategy_from_stripped_spec(runner, spec, quantum):
+    # The reference strategy is chosen from the same parse that resolves the
+    # expression, so surrounding spaces do not drop the quantum line.
+    result = runner.invoke(main, ["bounds", "--bell", spec])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == runner.invoke(main, ["bounds", "--bell", spec.strip()]).stdout
+    assert result.stdout.splitlines()[1] == f"quantum {quantum}"
 
 
 def test_bounds_custom_zero_expression(runner, tmp_path):

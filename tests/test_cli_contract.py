@@ -106,8 +106,11 @@ ESCAPED_INPUTS = [
                   "--bell", "chsh", "--beta", BETA], 2, "io", id="certify-table-not-utf8"),
     pytest.param(["bounds", "--bell", "{non_utf8}"], 2, "io", id="bounds-bell-not-utf8"),
     pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem3",
+                  "--bell", "{m2o3}", "--beta", BETA],
+                 3, "composition", id="certify-expression-arity-mismatch"),
+    pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem3",
                   "--bell", "{m2o3}", "--beta", "oracle"],
-                 3, "composition", id="certify-oracle-arity-mismatch"),
+                 2, "config", id="certify-oracle-expression-file"),
     pytest.param(["bounds", "--bell", "{m3}", "--strategy", "chsh"],
                  3, "composition", id="bounds-strategy-arity-mismatch"),
     pytest.param(["bounds", "--bell", "tilted-chsh(nan)"], 2, "config", id="bounds-tilted-nan"),

@@ -25,7 +25,6 @@ from paraself.errors import (
 from paraself.qcore import born_probability
 from paraself.strategies import (
     MAX_COPIES,
-    NoiseSpec,
     SingleCopyStrategy,
     adversary_copy,
     adversary_shared_randomness,
@@ -155,7 +154,7 @@ def test_tilted_reference_rejects_other_coefficients():
 
 def test_noise_identity_at_full_visibility():
     s = chsh_reference()
-    noisy = apply_isotropic_noise(s, NoiseSpec(1.0))
+    noisy = apply_isotropic_noise(s, 1.0)
     assert np.allclose(noisy.state.matrix, s.state.matrix, atol=1e-15)
 
 
@@ -166,7 +165,7 @@ def test_noise_kills_correlations_at_zero_visibility():
 
 
 def test_noise_scales_value_linearly():
-    noisy = apply_isotropic_noise(chsh_reference(), NoiseSpec(0.9))
+    noisy = apply_isotropic_noise(chsh_reference(), 0.9)
     table = single_copy_table(noisy)
     # Independent check: evaluate the Born rule directly on the mixed state.
     direct = math.fsum(
@@ -185,8 +184,9 @@ def test_noise_requires_two_qubit_state():
 
 
 def test_noise_spec_range():
-    with pytest.raises(ValueError):
-        NoiseSpec(1.5)
+    for nu in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            apply_isotropic_noise(chsh_reference(), nu)
 
 
 def test_compose_single_copy_is_identity():
