@@ -16,6 +16,7 @@ functions give all of them:
   names the first prefix where one is undefined.  Simultaneous maximality of
   these averages for every copy is the certification target of the broadcast
   scheme; ``j_value`` is the same average, raising on an undefined prefix.
+  ``conditional_means`` gives them for a stack of tables in one kernel pass.
 
 For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
@@ -281,21 +282,25 @@ def _copy_split(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCA
 
 
 def _copy_outputs(probs: np.ndarray, low: int, oi: int, high: int) -> np.ndarray:
-    """``p(a_i, b_i | x, y)`` for every input pair of ``probs``, summed in numpy's
-    one-shot order (see the module docstring) ``_MARGINAL_CHUNK`` entries at a time."""
+    """``p(a_i, b_i | x, y)`` for every leading index and input pair of ``probs``, summed in
+    numpy's one-shot order (see the module docstring) ``_MARGINAL_CHUNK`` entries at a time."""
     if oi == 1:  # nothing is kept, so numpy sums each row as one run
-        return probs.sum(axis=(2, 3), keepdims=True)
+        return probs.sum(axis=(-2, -1), keepdims=True)
     rows = probs.reshape(-1, high, oi, low, high, oi, low)
     out = np.empty((oi, oi, len(rows)))
     step = max(1, _MARGINAL_CHUNK // rows[0].size)
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         # numpy's pairwise sum adds runs shorter than 8 in sequence.
-        runs = chunk.sum(axis=-1) if low >= 8 else sum(chunk[..., k] for k in range(low))
+        runs = chunk.sum(axis=-1) if low >= 8 else chunk[..., 0]
+        if 1 < low < 8:
+            runs = runs + chunk[..., 1]
+            for k in range(2, low):
+                runs += chunk[..., k]
         # Row index last: a long-run copy, then whole rows added in sequence.
-        out[..., start:start + step] = runs.transpose(1, 3, 4, 2, 5, 0).reshape(
-            high * low * high, oi, oi, -1).sum(axis=0)
-    return out.transpose(2, 0, 1).reshape(probs.shape[:2] + (oi, oi))
+        np.add.reduce(runs.transpose(1, 3, 4, 2, 5, 0).reshape(high * low * high, oi, oi, -1),
+                      axis=0, out=out[..., start:start + step])
+    return out.transpose(2, 0, 1).reshape(probs.shape[:-2] + (oi, oi))
 
 
 def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
@@ -349,13 +354,18 @@ def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
     the prefix probability exceeds the positivity threshold and zero
     elsewhere.  The table is reshaped and summed once for all prefixes.
     """
-    low, oi, high = _copy_split(table, i)
-    m = table.input_arities[0]
-    r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
+    cond, prefix_prob = _prefix_kernel(table.probs[None], *_copy_split(table, i))
+    return cond[0], prefix_prob[0]
+
+
+def _prefix_kernel(probs: np.ndarray, low: int, oi: int, high: int) -> tuple:
+    """:func:`conditional_kernel` of each table ``probs[k]`` of a stack, with
+    ``k`` leading both results."""
+    r = probs.reshape(probs.shape[:3] + (high, oi, low, high, oi, low))
     # A contiguous (a_i, b_i) block per prefix makes each prefix probability
     # the same pairwise sum that marginalizing one prefix at a time yields.
-    block = np.ascontiguousarray(r.sum(axis=(2, 5)).transpose(0, 1, 3, 5, 2, 4))
-    prefix_prob = block.sum(axis=(4, 5))
+    block = np.ascontiguousarray(r.sum(axis=(3, 6)).transpose(0, 1, 2, 4, 6, 3, 5))
+    prefix_prob = block.sum(axis=(5, 6))
     positive = prefix_prob > POSITIVITY_THRESHOLD
     safe = np.where(positive, prefix_prob, 1.0)
     cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
@@ -380,22 +390,33 @@ def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> t
     at or below the positivity threshold at an input pair that carries a
     nonzero coefficient.
     """
-    _copy_split(table, i, expr=expr)
+    return conditional_means([table], expr, i)[0]
+
+
+def conditional_means(tables: Sequence[CorrelationTable], expr: BellExpression,
+                      i: int) -> list:
+    """:func:`conditional_mean` of copy ``i`` of each of ``tables``, which must
+    share scheme and arities, from one kernel pass over their stacked probabilities."""
+    low, oi, high = _copy_split(tables[0], i, expr=expr)
+    if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
+        raise ShapeMismatch("stacked tables differ in scheme or arities")
+    probs = tables[0].probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
     if i == 1:
-        return evaluate(expr, copy_marginal(table, 1)), None
-    cond, prefix_prob = conditional_kernel(table, i)
-    low = cond.shape[2]
-    products = (expr.coeffs[:, :, None, None] * cond).transpose(2, 3, 0, 1, 4, 5)
-    values = _row_fsums(products, low * low).reshape(low, low)
-    # undefined[prefix_a, prefix_b, x, y]
+        return [(math.fsum((expr.coeffs * p).ravel()), None)
+                for p in _copy_outputs(probs, 1, oi, high)]
+    cond, prefix_prob = _prefix_kernel(probs, low, oi, high)
+    # values[k, prefix]; undefined[k, prefix_a, prefix_b, x, y]
+    products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
+    values = _row_fsums(products, len(tables) * low * low).reshape(len(tables), -1)
     undefined = np.any(expr.coeffs != 0.0, axis=(2, 3)) & (
-        prefix_prob <= POSITIVITY_THRESHOLD).transpose(2, 3, 0, 1)
-    defined = ~undefined.any(axis=(2, 3))
-    error = None
-    if not defined.all():
-        pa, pb, x, y = (int(v) for v in np.argwhere(undefined)[0])
-        error = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[x, y, pa, pb]))
-    return math.fsum(values[defined].tolist()) / float(values.size), error
+        prefix_prob <= POSITIVITY_THRESHOLD).transpose(0, 3, 4, 1, 2)
+    defined = ~undefined.any(axis=(3, 4)).reshape(len(tables), -1)
+    means = [(math.fsum(row) / float(low * low), None) for row in values.tolist()]
+    for k in np.flatnonzero(~defined.all(axis=1)):
+        pa, pb, x, y = (int(v) for v in np.argwhere(undefined[k])[0])
+        means[k] = (math.fsum(values[k][defined[k]].tolist()) / float(low * low),
+                    ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb])))
+    return means
 
 
 def j_value(table: CorrelationTable, expr: BellExpression, i: int) -> float:

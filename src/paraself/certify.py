@@ -9,7 +9,9 @@ finite, and for a target that is not finite.
 
 The conditional certifiers (theorems 1-3) make one pass of
 :func:`~paraself.bell.conditional_kernel` per copy.  Theorem 1 is theorem 3
-with the same expression and target for every copy.
+with the same expression and target for every copy.  The noise sweep stacks
+the tables of a batch of visibilities: one Born rule, one product and one
+kernel pass per copy serve the whole batch, and every table is validated.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
@@ -39,15 +41,18 @@ from .bell import (
     averaged_j_percopy,
     conditional_kernel,
     conditional_mean,
+    conditional_means,
     copy_marginal,
     correlator,
-    j_value,
     POSITIVITY_THRESHOLD,
 )
 from .errors import SchemeInputMismatch, ShapeMismatch
-from .strategies import MAX_COPIES, SingleCopyStrategy, apply_isotropic_noise, compose
+from .strategies import (MAX_COPIES, SingleCopyStrategy, apply_isotropic_noise, born_tables,
+                         broadcast_product)
 
 DEFAULT_TOL = 1e-8
+
+_SWEEP_BATCH = 1 << 16  # table entries composed and evaluated at a time by a sweep
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -273,15 +278,31 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
     """Compose ``n`` identically noisy copies for each visibility and report
     all per-copy averaged conditional values.
 
-    Rows are returned in ascending visibility.
+    Rows are returned in ascending visibility.  Visibilities are evaluated as
+    stacked tables in batches of at most ``_SWEEP_BATCH`` entries, so the
+    tables held at once do not grow with their number.  Rows equal those of ``j_value`` on
+    ``compose([apply_isotropic_noise(strategy, nu)] * n)`` bit for bit, and
+    the first undefined prefix (lowest visibility, then copy) raises the same
+    :class:`ZeroPrefixProbability`.
     """
     if not 1 <= n <= MAX_COPIES:
         raise SchemeInputMismatch(f"copies must be in 1..{MAX_COPIES}")
-    nus = [float(v) for v in nus]
+    nus = sorted(float(v) for v in nus)
     if any(not 0.0 <= v <= 1.0 for v in nus):
         raise ValueError("visibilities must lie in [0, 1]")
+    m, o = strategy.m, strategy.o
+    # Entries per visibility: its joint table or its Born rule's temporary.
+    step = max(1, _SWEEP_BATCH // (m * m * max(o ** (2 * n), (o * strategy.state.dim) ** 2)))
     rows = []
-    for nu in sorted(nus):
-        table = compose([apply_isotropic_noise(strategy, nu)] * n, Scheme.BROADCAST)
-        rows.append({"nu": nu, "j_values": [j_value(table, expr, i) for i in range(1, n + 1)]})
+    for start in range(0, len(nus), step):
+        batch = nus[start:start + step]
+        states = np.array([apply_isotropic_noise(strategy, nu).state.matrix for nu in batch])
+        tables = [CorrelationTable(Scheme.BROADCAST, (m,) * n, (o,) * n, probs)
+                  for probs in broadcast_product([born_tables(strategy, states)] * n)]
+        means = [conditional_means(tables, expr, i) for i in range(1, n + 1)]
+        for nu, copies in zip(batch, zip(*means)):
+            errors = [error for _, error in copies if error is not None]
+            if errors:
+                raise errors[0]
+            rows.append({"nu": nu, "j_values": [value for value, _ in copies]})
     return rows

@@ -304,12 +304,13 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
 @click.option("--strategy", "strategy_spec", default=None,
               help="Strategy preset supplying fixed measurements for the "
                    "quantum value (defaults to the matching reference for "
-                   "built-in expressions).")
+                   "built-in expressions; tilted-chsh has one for 0 <= alpha < 2).")
 @click.option("--witness", is_flag=True, help="Serialize the optimizers as JSON.")
 @click.option("--out", default=None, help="Optional JSON output path.")
 def bounds(bell_spec, strategy_spec, witness, out):
     """Print the classical bound and, when measurements are available, the
-    fixed-measurement quantum value (both at 10 significant digits)."""
+    fixed-measurement quantum value (both at 10 significant digits); a tilt
+    outside [0, 2) has no reference measurements."""
     expr = _load_expression(bell_spec)
     classical = bell.classical_bound(expr)
     strategy = None
@@ -322,8 +323,8 @@ def bounds(bell_spec, strategy_spec, witness, out):
             family = None
         if family in ("chsh", "chsh-game"):
             strategy = strategies.chsh_reference()
-        elif family == "tilted-chsh":
-            strategy = _parse("--bell", strategies.tilted_chsh_reference, alpha, expr)
+        elif family == "tilted-chsh" and 0.0 <= alpha < 2.0:  # the reference's range
+            strategy = strategies.tilted_chsh_reference(alpha, expr)
     quantum = None if strategy is None else bell.quantum_value_fixed_measurements(expr, strategy)
     click.echo(f"classical {classical.value:.10g}")
     if quantum is not None:

@@ -175,16 +175,32 @@ def apply_isotropic_noise(s: SingleCopyStrategy, nu: float) -> SingleCopyStrateg
     )
 
 
-def single_copy_table(s: SingleCopyStrategy) -> CorrelationTable:
-    """Born-rule table p(a, b | x, y) of one strategy, every entry at once."""
+def born_tables(s: SingleCopyStrategy, rhos: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities ``p[k, x, y, a, b]`` of the measurements of
+    ``s`` on each state ``rhos[k]``, every entry of the stack at once."""
     krons = effect_products(stack_effects(s.alice), stack_effects(s.bob))
-    values = np.trace(krons @ s.state.matrix, axis1=-2, axis2=-1)
+    values = np.trace(krons @ rhos[:, None, None, None, None], axis1=-2, axis2=-1)
     residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_TOL:
         raise NonrealResult(f"probability has imaginary part {residue:.3e}")
     # Clip losses from trace round-off; values are within 1e-15 of [0, 1].
-    probs = np.clip(values.real, 0.0, 1.0)
+    return np.clip(values.real, 0.0, 1.0)
+
+
+def single_copy_table(s: SingleCopyStrategy) -> CorrelationTable:
+    """Born-rule table p(a, b | x, y) of one strategy, every entry at once."""
+    probs = born_tables(s, s.state.matrix[None])[0]
     return CorrelationTable(Scheme.BROADCAST, (s.m,), (s.o,), probs)
+
+
+def broadcast_product(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Broadcast product ``p[..., x, y, a, b]`` of the arrays ``tables[i][..., x, y, a_i, b_i]``
+    of each copy, over any leading stack axes; copy 1 is least significant."""
+    probs = tables[0]
+    for t in tables[1:]:
+        joint = np.einsum("...xyab,...xycd->...xyacbd", t, probs)
+        probs = joint.reshape(joint.shape[:-4] + (joint.shape[-4] * joint.shape[-3], -1))
+    return probs
 
 
 def compose(strategies: Sequence[SingleCopyStrategy], scheme: Scheme) -> CorrelationTable:
@@ -209,14 +225,8 @@ def compose(strategies: Sequence[SingleCopyStrategy], scheme: Scheme) -> Correla
         m = strategies[0].m
         if any(s.m != m for s in strategies):
             raise SchemeInputMismatch("broadcast composition requires equal input counts")
-        probs = tables[0]
-        for t in tables[1:]:
-            a_new, b_new = t.shape[2], t.shape[3]
-            a_old, b_old = probs.shape[2], probs.shape[3]
-            probs = np.einsum("xyab,xycd->xyacbd", t, probs).reshape(
-                m, m, a_new * a_old, b_new * b_old
-            )
-        return CorrelationTable(scheme, (m,) * len(strategies), output_arities, probs)
+        return CorrelationTable(scheme, (m,) * len(strategies), output_arities,
+                                broadcast_product(tables))
     if scheme is Scheme.PER_COPY:
         probs = tables[0]
         for t in tables[1:]:

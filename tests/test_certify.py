@@ -1,13 +1,18 @@
 """Certification verdicts for all four protocols, plus noise sweeps."""
 
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from paraself import certify
 from paraself.bell import (
     Scheme,
+    builtin_expression,
     chsh_expression,
+    j_value,
     quantum_value_fixed_measurements,
     table_from_json_dict,
     table_to_json_dict,
@@ -20,15 +25,19 @@ from paraself.certify import (
     certify_theorem4,
     sweep_noise,
 )
-from paraself.errors import SchemeInputMismatch
+from paraself.errors import SchemeInputMismatch, ZeroPrefixProbability
+from paraself.qcore import SIGMA_X, SIGMA_Z, Ket, povm_from_observable
 from paraself.strategies import (
+    SingleCopyStrategy,
     adversary_copy,
     adversary_shared_randomness,
     apply_isotropic_noise,
+    build_preset_strategy,
     chsh_reference,
     compose,
     fullstats_reference,
     local_deterministic,
+    parse_strategy_spec,
     single_copy_table,
     tilted_chsh_reference,
 )
@@ -352,6 +361,112 @@ def test_sweep_noise_validates_arguments():
         sweep_noise(chsh_reference(), 2, chsh_expression(), [1.2])
     with pytest.raises(SchemeInputMismatch):
         sweep_noise(chsh_reference(), 9, chsh_expression(), [0.5])
+
+
+def _sweep_loop(strategy, n, expr, nus):
+    """The per-visibility sweep: compose, validate and evaluate one table per
+    visibility."""
+    rows = []
+    for nu in sorted(float(v) for v in nus):
+        table = compose([apply_isotropic_noise(strategy, nu)] * n, Scheme.BROADCAST)
+        rows.append({"nu": nu, "j_values": [j_value(table, expr, i) for i in range(1, n + 1)]})
+    return rows
+
+
+def _outcome(call, *args):
+    """Rows, or the type, message and fields of the ZeroPrefixProbability raised."""
+    try:
+        return call(*args)
+    except ZeroPrefixProbability as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_reference(spec, n):
+    return _sweep_loop(build_preset_strategy(*parse_strategy_spec(spec)), n,
+                       builtin_expression("chsh"), SWEEP_NUS)
+
+
+# Unsorted, with duplicates, both endpoints and -0.0; 20 visibilities are more
+# than one batch holds at n = 5 (and at every n under the small budget).
+SWEEP_NUS = [0.35, 1.0, 0.0, 0.8, 0.35, 0.05, 1.0, 0.6, 0.999, 0.2,
+             0.0, 0.45, 0.9, 0.125, -0.0, 0.7, 0.35, 0.55, 0.3, 0.95]
+
+
+@pytest.mark.parametrize("budget", ["module", 2048])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spec", ["chsh", "tilted-chsh(0.5)", "fullstats(0.1,0.2)"])
+def test_sweep_noise_equals_per_visibility_loop(monkeypatch, spec, n, budget):
+    # Batched rows are the loop's bit for bit, whatever the batch boundaries.
+    if budget != "module":
+        monkeypatch.setattr(certify, "_SWEEP_BATCH", budget)
+    batches, born = [], certify.born_tables
+
+    def born_tables(s, rhos):
+        batches.append(len(rhos))
+        return born(s, rhos)
+
+    monkeypatch.setattr(certify, "born_tables", born_tables)
+    strategy = build_preset_strategy(*parse_strategy_spec(spec))
+    rows = sweep_noise(strategy, n, builtin_expression("chsh"), SWEEP_NUS)
+    reference = _sweep_reference(spec, n)
+    assert rows == reference
+    assert repr(rows) == repr(reference)  # also the sign of every zero
+    assert sum(batches) == len(SWEEP_NUS)
+    if budget != "module" or n == 5:
+        assert len(batches) > 1
+
+
+def _product_state_strategy():
+    """|00> measured in Z and X by both parties: at full visibility every
+    prefix with a Z outcome 1 has probability exactly 0."""
+    povms = (povm_from_observable(SIGMA_Z), povm_from_observable(SIGMA_X))
+    return SingleCopyStrategy(state=Ket([1.0, 0.0, 0.0, 0.0]).density(),
+                              alice=povms, bob=povms, m=2, o=2, label="product")
+
+
+@pytest.mark.parametrize("budget", ["module", 1])
+@pytest.mark.parametrize("strategy,n,nus", [
+    (_product_state_strategy(), 3, [1.0, 0.5, 0.0, 1.0, 0.9]),
+    # Undefined at 0.99 and 1 (copy 6 only), in the same batch.
+    (fullstats_reference(0.1, 0.2), 6, [1.0, 0.3, 0.99, 0.0, 1.0]),
+])
+def test_sweep_noise_raises_the_loops_first_undefined_prefix(monkeypatch, strategy, n, nus,
+                                                             budget):
+    if budget != "module":
+        monkeypatch.setattr(certify, "_SWEEP_BATCH", budget)
+    expr = chsh_expression()
+    expected = _outcome(_sweep_loop, strategy, n, expr, nus)
+    assert isinstance(expected, tuple)
+    assert _outcome(sweep_noise, strategy, n, expr, nus) == expected
+
+
+def test_sweep_noise_memory_does_not_grow_with_visibilities(monkeypatch):
+    # The per-prefix fsums of 2,001 visibilities at n = 6 take seconds (a
+    # minute under tracemalloc), so the kernel is replaced by a stub that
+    # records how many tables it is handed at once; what is traced is the
+    # sweep's own batching: states, Born rule, product, validated tables, rows.
+    stacks = []
+
+    def means(tables, expr, i):
+        stacks.append(len(tables))
+        return [(float(k + i), None) for k in range(len(tables))]
+
+    monkeypatch.setattr(certify, "conditional_means", means)
+    peaks, largest = [], []
+    for count in (21, 2001):
+        nus = [k / (count - 1) for k in range(count)]
+        tracemalloc.start()
+        try:
+            rows = sweep_noise(chsh_reference(), 6, chsh_expression(), nus)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == count
+        largest.append(max(stacks))
+        stacks.clear()
+    assert largest[1] == largest[0] < 21
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_certify_file_roundtrip_identical_report():

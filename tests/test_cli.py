@@ -343,6 +343,24 @@ def test_bounds_default_strategy_from_stripped_spec(runner, spec, quantum):
     assert result.stdout.splitlines()[1] == f"quantum {quantum}"
 
 
+@pytest.mark.parametrize("spec,classical", [("tilted-chsh(2)", "4"),
+                                             ("tilted-chsh(-0.5)", "2.5")])
+def test_bounds_tilt_without_reference_prints_classical_only(runner, tmp_path, spec, classical):
+    # The classical bound exists for any tilt; the reference strategy only
+    # for 0 <= alpha < 2, so these print and serialize the classical line alone.
+    result = runner.invoke(main, ["bounds", "--bell", spec])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"classical {classical}\n"
+    out = tmp_path / "bounds.json"
+    result = runner.invoke(main, ["bounds", "--bell", spec, "--witness", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[0] == f"classical {classical}"
+    assert list(json.loads(result.stdout.split("\n", 1)[1])) == ["classical"]
+    payload = json.loads(out.read_text())
+    assert list(payload) == ["classical"]
+    assert payload["classical"]["value"] == float(classical)
+
+
 def test_bounds_custom_zero_expression(runner, tmp_path):
     from paraself.bell import BellExpression
 
