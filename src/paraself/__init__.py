@@ -20,17 +20,11 @@ from .bell import (
     classical_bound,
     copy_marginal,
     correlator,
-    decode_joint,
-    encode_joint,
-    evaluate,
     expression_from_json_dict,
-    expression_to_json_dict,
-    j_value,
     quantum_value_fixed_measurements,
     table_from_json_dict,
     table_to_json_chunks,
     table_to_json_dict,
-    table_to_json_text,
     tilted_chsh_expression,
 )
 from .certify import (
@@ -45,10 +39,7 @@ from .qcore import (
     DensityMatrix,
     Ket,
     Povm,
-    born_probability,
-    max_eigenvalue,
     stack_effects,
-    validate_povm,
 )
 from .strategies import (
     SingleCopyStrategy,
@@ -56,11 +47,9 @@ from .strategies import (
     adversary_shared_randomness,
     apply_isotropic_noise,
     build_preset_strategy,
-    build_preset_table,
     chsh_reference,
     compose,
     fullstats_reference,
-    local_deterministic,
     parse_strategy_spec,
     single_copy_table,
     tilted_chsh_reference,
@@ -83,9 +72,7 @@ __all__ = [
     "apply_isotropic_noise",
     "averaged_j_percopy",
     "bell_operator",
-    "born_probability",
     "build_preset_strategy",
-    "build_preset_table",
     "builtin_expression",
     "builtin_quantum_maximum",
     "certify_theorem1",
@@ -99,15 +86,8 @@ __all__ = [
     "compose",
     "copy_marginal",
     "correlator",
-    "decode_joint",
-    "encode_joint",
-    "evaluate",
     "expression_from_json_dict",
-    "expression_to_json_dict",
     "fullstats_reference",
-    "j_value",
-    "local_deterministic",
-    "max_eigenvalue",
     "parse_strategy_spec",
     "quantum_value_fixed_measurements",
     "single_copy_table",
@@ -116,8 +96,6 @@ __all__ = [
     "table_from_json_dict",
     "table_to_json_chunks",
     "table_to_json_dict",
-    "table_to_json_text",
     "tilted_chsh_expression",
     "tilted_chsh_reference",
-    "validate_povm",
 ]

@@ -15,8 +15,8 @@ functions give all of them:
 * ``conditional_mean`` averages the conditional values over all prefixes and
   names the first prefix where one is undefined.  Simultaneous maximality of
   these averages for every copy is the certification target of the broadcast
-  scheme; ``j_value`` is the same average, raising on an undefined prefix.
-  ``conditional_means`` gives them for a stack of tables in one kernel pass.
+  scheme.  ``conditional_means`` gives them for a stack of tables in one
+  kernel pass.
 
 For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
@@ -102,9 +102,6 @@ class BellExpression:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-
-    def scaled(self, factor: float) -> "BellExpression":
-        return BellExpression(self.m, self.o, factor * self.coeffs, self.label)
 
 
 def chsh_expression() -> BellExpression:
@@ -238,31 +235,6 @@ class CorrelationTable:
         return len(self.output_arities)
 
 
-def encode_joint(digits: Sequence[int], arities: Sequence[int]) -> int:
-    """Mixed-radix encoding, copy 1 (first digit) least significant."""
-    if len(digits) != len(arities):
-        raise ShapeMismatch("digit/arity length mismatch")
-    index = 0
-    weight = 1
-    for d, r in zip(digits, arities):
-        if not 0 <= d < r:
-            raise ValueError(f"digit {d} out of range for arity {r}")
-        index += d * weight
-        weight *= r
-    return index
-
-
-def decode_joint(index: int, arities: Sequence[int]) -> tuple:
-    """Inverse of :func:`encode_joint`."""
-    if not 0 <= index < math.prod(arities):
-        raise ValueError(f"joint index {index} out of range")
-    digits = []
-    for r in arities:
-        digits.append(index % r)
-        index //= r
-    return tuple(digits)
-
-
 def _copy_split(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCAST,
                 expr: BellExpression | None = None) -> tuple:
     """``(low, o_i, high)``: the joint output arity of the copies before copy
@@ -309,23 +281,6 @@ def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
     low, oi, high = _copy_split(table, i)
     probs = _copy_outputs(table.probs, low, oi, high)
     return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1], (oi,), probs)
-
-
-def evaluate(expr: BellExpression, table: CorrelationTable) -> float:
-    """Value of a linear expression on a single-copy table.
-
-    Summation uses ``math.fsum`` (exactly rounded), so the result is
-    independent of coefficient ordering and of padding zeros; the classical
-    bound below relies on this to match an exhaustive oracle exactly.
-    """
-    if table.n_copies != 1:
-        raise ShapeMismatch("evaluate expects a single-copy table")
-    if table.input_arities[0] != expr.m or table.output_arities[0] != expr.o:
-        raise ShapeMismatch(
-            f"expression ({expr.m} inputs, {expr.o} outputs) does not match table "
-            f"({table.input_arities[0]}, {table.output_arities[0]})"
-        )
-    return math.fsum((expr.coeffs * table.probs).ravel())
 
 
 def correlator(table: CorrelationTable, x: int, y: int) -> float:
@@ -419,18 +374,6 @@ def conditional_means(tables: Sequence[CorrelationTable], expr: BellExpression,
     return means
 
 
-def j_value(table: CorrelationTable, expr: BellExpression, i: int) -> float:
-    """Uniform average of the conditional values of copy ``i`` over all
-    ``o^(2(i-1))`` prefixes; for ``i = 1`` this is exactly the expression
-    value on the copy-1 marginal.  Any undefined prefix raises
-    :class:`ZeroPrefixProbability` (the certification condition quantifies
-    over every prefix)."""
-    value, error = conditional_mean(table, expr, i)
-    if error is not None:
-        raise error
-    return value
-
-
 def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
                        i: int) -> float:
     """Expression value of copy ``i`` of a per-copy-input table, averaged
@@ -473,8 +416,8 @@ def classical_bound(expr: BellExpression) -> BoundResult:
 
     Alice's o^m assignments are enumerated; for each, Bob's optimal response
     decomposes per input y (exact column sums via fsum).  The reported value
-    is the fsum over the selected coefficients, which agrees exactly with
-    :func:`evaluate` on the witness's deterministic table.
+    is the fsum over the selected coefficients, which agrees exactly with the
+    fsum of the coefficients times the witness's deterministic table.
     """
     m, o = expr.m, expr.o
     if o ** (2 * m) > ENUMERATION_CAP:
@@ -548,15 +491,6 @@ def quantum_value_fixed_measurements(expr: BellExpression,
 def _is_json_int(value) -> bool:
     """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def expression_to_json_dict(expr: BellExpression) -> dict:
-    return {
-        "m": expr.m,
-        "o": expr.o,
-        "coeffs": expr.coeffs.tolist(),
-        "label": expr.label,
-    }
 
 
 def expression_from_json_dict(data: dict) -> BellExpression:
@@ -643,11 +577,6 @@ def table_to_json_chunks(table: CorrelationTable,
     yield head + '"probs": '
     yield from _probs_json_chunks(table.probs)
     yield tail + "\n"
-
-
-def table_to_json_text(table: CorrelationTable, provenance: dict | None = None) -> str:
-    """The chunks of :func:`table_to_json_chunks` joined into one string."""
-    return "".join(table_to_json_chunks(table, provenance))
 
 
 def table_from_json_dict(data: dict) -> CorrelationTable:

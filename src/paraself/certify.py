@@ -47,8 +47,8 @@ from .bell import (
     POSITIVITY_THRESHOLD,
 )
 from .errors import SchemeInputMismatch, ShapeMismatch
-from .strategies import (MAX_COPIES, SingleCopyStrategy, apply_isotropic_noise, born_tables,
-                         broadcast_product)
+from .strategies import (SingleCopyStrategy, apply_isotropic_noise, born_tables,
+                         broadcast_product, check_copies)
 
 DEFAULT_TOL = 1e-8
 
@@ -280,13 +280,12 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
 
     Rows are returned in ascending visibility.  Visibilities are evaluated as
     stacked tables in batches of at most ``_SWEEP_BATCH`` entries, so the
-    tables held at once do not grow with their number.  Rows equal those of ``j_value`` on
-    ``compose([apply_isotropic_noise(strategy, nu)] * n)`` bit for bit, and
-    the first undefined prefix (lowest visibility, then copy) raises the same
-    :class:`ZeroPrefixProbability`.
+    tables held at once do not grow with their number.  Rows equal the
+    ``conditional_mean`` values of ``compose([apply_isotropic_noise(strategy, nu)] * n)``
+    bit for bit; the first undefined prefix (lowest visibility, then copy)
+    raises the :class:`ZeroPrefixProbability` that ``conditional_mean`` names.
     """
-    if not 1 <= n <= MAX_COPIES:
-        raise SchemeInputMismatch(f"copies must be in 1..{MAX_COPIES}")
+    check_copies(n)
     nus = sorted(float(v) for v in nus)
     if any(not 0.0 <= v <= 1.0 for v in nus):
         raise ValueError("visibilities must lie in [0, 1]")

@@ -145,7 +145,9 @@ def _parse_strategy_specs(specs, copies):
     or an adversary table spec.  Returns (strategies, adversary, entries)
     where ``entries`` lists the effective per-copy presets for provenance."""
     parsed = [_parse("--strategy", strategies.parse_strategy_spec, spec) for spec in specs]
-    adversaries = [name for name, _ in parsed if name in strategies.ADVERSARY_PRESETS]
+    if copies is not None:  # before the per-copy lists are built
+        _parse("--copies", strategies.check_copies, copies)
+    adversaries = [name for name, _ in parsed if name in strategies.ADVERSARIES]
     if adversaries:
         if len(parsed) != 1:
             raise ConfigError("--strategy", "adversary presets cannot be combined")
@@ -161,11 +163,6 @@ def _parse_strategy_specs(specs, copies):
     built = [_parse("--strategy", strategies.build_preset_strategy, name, args)
              for name, args in parsed]
     if len(built) == 1 and copies is not None:
-        if copies < 1:
-            raise ConfigError("--copies", "must be >= 1")
-        if copies > strategies.MAX_COPIES:  # before the per-copy lists are built
-            raise SchemeInputMismatch(
-                f"{copies} copies exceed the cap of {strategies.MAX_COPIES}")
         built = built * copies
         parsed = parsed * copies
     elif copies is not None and copies != len(built):
@@ -177,7 +174,7 @@ def _parse_strategy_specs(specs, copies):
 def _single_copy_strategy(option: str, spec: str):
     """Build the single-copy preset ``spec`` given through ``option``."""
     name, args = _parse(option, strategies.parse_strategy_spec, spec)
-    if name in strategies.ADVERSARY_PRESETS:
+    if name in strategies.ADVERSARIES:
         raise ConfigError(option, f"{name} is a whole table, not a single-copy strategy")
     return _parse(option, strategies.build_preset_strategy, name, args)
 
@@ -207,7 +204,7 @@ def simulate(strategy_specs, copies, scheme, noise, out):
             raise ConfigError("--noise", "not applicable to adversary tables")
         if scheme != "broadcast":
             raise ConfigError("--scheme", "adversary tables are broadcast-shaped")
-        table = strategies.build_preset_table(*adversary)
+        table = strategies.ADVERSARIES[adversary[0]](adversary[1])
     else:
         if noise is not None:
             built = [strategies.apply_isotropic_noise(s, noise) for s in built]
@@ -392,6 +389,7 @@ def sweep(strategy_spec, copies, bell_spec, nus, out):
     values = _parse_nus(nus)
     expr = _load_expression(bell_spec)
     strategy = _single_copy_strategy("--strategy", strategy_spec)
+    _parse("--copies", strategies.check_copies, copies)
     rows = certify.sweep_noise(strategy, copies, expr, values)
     lines = ["nu," + ",".join(f"J{i}" for i in range(1, copies + 1))]
     for r in rows:

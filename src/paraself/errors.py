@@ -57,6 +57,11 @@ class SchemeInputMismatch(ParaselfError):
     """Strategies cannot be composed under the requested scheme."""
 
 
+class CopyCountError(SchemeInputMismatch, ValueError):
+    """Fewer copies than a construction needs; also a ``ValueError``, so the
+    CLI reports a ``--copies`` below 1 as a bad option value."""
+
+
 class TableFormatError(ParaselfError):
     """A serialized table or expression file is malformed.  ``pointer`` is a
     JSON pointer to the offending element."""

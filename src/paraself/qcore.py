@@ -1,4 +1,5 @@
-"""Dense complex linear algebra and Born-rule evaluation.
+"""Dense complex linear algebra: validated states and measurements, and
+stacked effect products.
 
 States, measurement effects and observables are plain ``numpy`` arrays of
 ``complex128``; the light dataclasses below (:class:`Ket`,
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonrealResult, NotHermitian
+from .errors import DimensionMismatch, NotHermitian
 
 # Centralized tolerances.  Dimensions in play are at most a few thousand, so
 # double precision leaves ample headroom.
@@ -49,9 +50,9 @@ def as_complex_matrix(m) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    arr = as_complex_matrix(m)
+def hermiticity_defect(arr: np.ndarray) -> float:
+    """Largest entrywise deviation of a coerced matrix from its conjugate
+    transpose."""
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
@@ -75,81 +76,6 @@ def effect_products(alice, bob) -> np.ndarray:
     (m_a, o_a, d_a, _), (m_b, o_b, d_b, _) = alice.shape, bob.shape
     products = alice[:, None, :, None, :, None, :, None] * bob[None, :, None, :, None, :, None, :]
     return products.reshape(m_a, m_b, o_a, o_b, d_a * d_b, d_a * d_b)
-
-
-def born_probability(state, effect_a, effect_b) -> float:
-    """Probability tr[(effect_a (x) effect_b) rho] of a joint measurement
-    outcome: the single-entry reference that the batched
-    :func:`~paraself.strategies.single_copy_table` must match bit for bit.
-
-    ``state`` may be a :class:`DensityMatrix` or a raw matrix whose dimension
-    equals dim(effect_a) * dim(effect_b).  An imaginary residue above
-    ``IMAG_TOL`` raises :class:`NonrealResult`; smaller residues are
-    discarded.
-    """
-    rho = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
-    ea = as_complex_matrix(effect_a)
-    eb = as_complex_matrix(effect_b)
-    if rho.shape[0] != ea.shape[0] * eb.shape[0]:
-        raise DimensionMismatch(
-            f"state dim {rho.shape[0]} != {ea.shape[0]} * {eb.shape[0]}"
-        )
-    value = complex(np.trace(np.kron(ea, eb) @ rho))
-    if abs(value.imag) > IMAG_TOL:
-        raise NonrealResult(f"probability has imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
-def max_eigenvalue(h) -> float:
-    """Largest eigenvalue of a Hermitian matrix (absolute accuracy well below
-    1e-9 via LAPACK)."""
-    arr = require_hermitian(h, what="eigenvalue input")
-    return float(np.linalg.eigvalsh(arr)[-1])
-
-
-def validate_povm(effects, tol: float = STRUCTURAL_TOL) -> list[str]:
-    """Check a candidate POVM given as a sequence of effect matrices.
-
-    Returns a list of human-readable violations (empty list means valid):
-    Hermiticity of each effect, eigenvalues within [-tol, 1 + tol], and
-    completeness (effects summing to the identity within ``tol`` entrywise).
-    Never raises on invalid input.
-    """
-    violations: list[str] = []
-    mats = []
-    for k, e in enumerate(effects):
-        try:
-            mats.append(as_complex_matrix(e))
-        except (DimensionMismatch, ValueError) as exc:
-            violations.append(f"effect {k}: {exc}")
-    if violations or not mats:
-        if not mats:
-            violations.append("no effects given")
-        return violations
-    dim = mats[0].shape[0]
-    mismatched = False
-    for k, e in enumerate(mats):
-        if e.shape[0] != dim:
-            violations.append(f"effect {k}: dimension {e.shape[0]} != {dim}")
-            mismatched = True
-            continue
-        defect = hermiticity_defect(e)
-        if defect > tol:
-            violations.append(f"effect {k}: not Hermitian (defect {defect:.3e})")
-            continue
-        eigs = np.linalg.eigvalsh((e + e.conj().T) / 2)
-        if eigs[0] < -tol:
-            violations.append(f"effect {k}: negative eigenvalue {eigs[0]:.3e}")
-        if eigs[-1] > 1 + tol:
-            violations.append(f"effect {k}: eigenvalue {eigs[-1]:.6f} exceeds 1")
-    if mismatched:
-        # The completeness sum is undefined across mismatched dimensions.
-        return violations
-    total = sum(mats)
-    defect = float(np.max(np.abs(total - np.eye(dim))))
-    if defect > tol:
-        violations.append(f"completeness: effects sum deviates from identity by {defect:.3e}")
-    return violations
 
 
 @dataclass(frozen=True)
@@ -184,10 +110,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = as_complex_matrix(self.matrix)
-        defect = hermiticity_defect(arr)
-        if defect > HERMITIAN_TOL:
-            raise NotHermitian(f"density matrix deviates from Hermiticity by {defect:.3e}")
+        arr = require_hermitian(self.matrix, what="density matrix")
         trace = complex(np.trace(arr))
         if abs(trace - 1.0) > NORM_TOL:
             raise ValueError(f"density matrix trace {trace} deviates from 1")
@@ -203,15 +126,32 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered list of measurement effects, one per outcome."""
+    """Ordered list of measurement effects, one per outcome: Hermitian
+    matrices of one dimension with eigenvalues in [-tol, 1 + tol] that sum to
+    the identity within ``tol = STRUCTURAL_TOL`` entrywise."""
 
     effects: tuple
 
     def __post_init__(self):
         effects = tuple(as_complex_matrix(e) for e in self.effects)
-        violations = validate_povm(effects)
-        if violations:
-            raise ValueError("invalid POVM: " + "; ".join(violations))
+        if not effects:
+            raise ValueError("invalid POVM: no effects given")
+        dim = effects[0].shape[0]
+        for k, e in enumerate(effects):
+            if e.shape[0] != dim:
+                raise ValueError(f"invalid POVM: effect {k}: dimension {e.shape[0]} != {dim}")
+            defect = hermiticity_defect(e)
+            if defect > STRUCTURAL_TOL:
+                raise ValueError(f"invalid POVM: effect {k}: not Hermitian (defect {defect:.3e})")
+            eigs = np.linalg.eigvalsh((e + e.conj().T) / 2)
+            if eigs[0] < -STRUCTURAL_TOL:
+                raise ValueError(f"invalid POVM: effect {k}: negative eigenvalue {eigs[0]:.3e}")
+            if eigs[-1] > 1 + STRUCTURAL_TOL:
+                raise ValueError(f"invalid POVM: effect {k}: eigenvalue {eigs[-1]:.6f} exceeds 1")
+        defect = float(np.max(np.abs(sum(effects) - np.eye(dim))))
+        if defect > STRUCTURAL_TOL:
+            raise ValueError("invalid POVM: completeness: effects sum deviates from "
+                             f"identity by {defect:.3e}")
         object.__setattr__(self, "effects", tuple(_frozen(e) for e in effects))
 
     @property

@@ -26,6 +26,7 @@ from .bell import (
     tilted_chsh_expression,
 )
 from .errors import (
+    CopyCountError,
     InvalidAngles,
     NonrealResult,
     SchemeInputMismatch,
@@ -48,6 +49,16 @@ from .qcore import (
 
 # Joint tables grow as o^(2n) m^2; six copies per party is the desk-scale cap.
 MAX_COPIES = 6
+
+
+def check_copies(n: int, least: int = 1) -> None:
+    """Reject a copy count below ``least`` (:class:`CopyCountError`) or above
+    ``MAX_COPIES`` (:class:`SchemeInputMismatch`); callers check before they
+    allocate."""
+    if n < least:
+        raise CopyCountError(f"copy count must be >= {least}, got {n}")
+    if n > MAX_COPIES:
+        raise SchemeInputMismatch(f"{n} copies exceed the cap of {MAX_COPIES}")
 
 
 @dataclass(frozen=True)
@@ -131,29 +142,6 @@ def fullstats_reference(gamma: float, delta: float) -> SingleCopyStrategy:
     )
 
 
-def local_deterministic(alice_outputs: Sequence[int], bob_outputs: Sequence[int],
-                        o: int, label: str = "deterministic") -> SingleCopyStrategy:
-    """Classical strategy answering a(x), b(y) deterministically, realized on
-    trivial one-dimensional local systems."""
-    m = len(alice_outputs)
-    if len(bob_outputs) != m:
-        raise SchemeInputMismatch("assignments must have equal length")
-    one = np.ones((1, 1))
-    zero = np.zeros((1, 1))
-
-    def povm_for(answer: int) -> Povm:
-        return Povm(tuple(one if k == answer else zero for k in range(o)))
-
-    return SingleCopyStrategy(
-        state=DensityMatrix(one),
-        alice=tuple(povm_for(int(a)) for a in alice_outputs),
-        bob=tuple(povm_for(int(b)) for b in bob_outputs),
-        m=m,
-        o=o,
-        label=label,
-    )
-
-
 def apply_isotropic_noise(s: SingleCopyStrategy, nu: float) -> SingleCopyStrategy:
     """Replace the shared state by nu * rho + (1 - nu) * I/4 for a visibility
     ``nu`` in [0, 1]; measurements are unchanged.  Only two-qubit
@@ -213,12 +201,7 @@ def compose(strategies: Sequence[SingleCopyStrategy], scheme: Scheme) -> Correla
     least significant in every joint index.
     """
     strategies = list(strategies)
-    if not strategies:
-        raise SchemeInputMismatch("need at least one strategy")
-    if len(strategies) > MAX_COPIES:
-        raise SchemeInputMismatch(
-            f"{len(strategies)} copies exceed the cap of {MAX_COPIES}"
-        )
+    check_copies(len(strategies))
     tables = [single_copy_table(s).probs for s in strategies]
     output_arities = tuple(s.o for s in strategies)
     if scheme is Scheme.BROADCAST:
@@ -245,10 +228,7 @@ def adversary_copy(n: int) -> CorrelationTable:
     perfectly correlated across copies: conditioning on the first pair makes
     every later pair deterministic.
     """
-    if n < 2:
-        raise SchemeInputMismatch("copying adversary needs n >= 2")
-    if n > MAX_COPIES:
-        raise SchemeInputMismatch(f"{n} copies exceed the cap of {MAX_COPIES}")
+    check_copies(n, 2)
     p1 = single_copy_table(chsh_reference()).probs
     size = 2 ** n
     probs = np.zeros((2, 2, size, size))
@@ -266,10 +246,7 @@ def adversary_shared_randomness(n: int) -> CorrelationTable:
     Closed form: p(a, b | x, y) = P(parity s | x, y) / 2^n whenever all pairs
     share the parity s, and 0 otherwise.
     """
-    if n < 2:
-        raise SchemeInputMismatch("shared-randomness adversary needs n >= 2")
-    if n > MAX_COPIES:
-        raise SchemeInputMismatch(f"{n} copies exceed the cap of {MAX_COPIES}")
+    check_copies(n, 2)
     p1 = single_copy_table(chsh_reference()).probs
     parity_prob = np.zeros((2, 2, 2))
     for a, b in itertools.product(range(2), repeat=2):
@@ -332,13 +309,9 @@ def parse_strategy_spec(text: str) -> tuple:
     return text, ()
 
 
-ADVERSARY_PRESETS = ("adversary-copy", "adversary-shared-randomness")
-
-
 def build_preset_strategy(name: str, args: Sequence[float]) -> SingleCopyStrategy:
     """Construct a single-copy strategy preset by name.  Adversary presets
-    are whole tables, not single-copy strategies; see
-    :func:`build_preset_table`."""
+    are whole tables, not single-copy strategies; see ``ADVERSARIES``."""
     if name == "chsh":
         if args:
             raise KeyError("chsh takes no parameters")
@@ -355,10 +328,6 @@ def build_preset_strategy(name: str, args: Sequence[float]) -> SingleCopyStrateg
     raise KeyError(f"unknown strategy preset {name!r}")
 
 
-def build_preset_table(name: str, n: int) -> CorrelationTable:
-    """Construct an adversary table preset by name."""
-    if name == "adversary-copy":
-        return adversary_copy(n)
-    if name == "adversary-shared-randomness":
-        return adversary_shared_randomness(n)
-    raise KeyError(f"unknown adversary preset {name!r}")
+# Adversary table presets by name; each takes the copy count.
+ADVERSARIES = {"adversary-copy": adversary_copy,
+               "adversary-shared-randomness": adversary_shared_randomness}

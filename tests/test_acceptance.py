@@ -20,10 +20,7 @@ from paraself.bell import (
     classical_bound,
     copy_marginal,
     correlator,
-    evaluate,
     expression_from_json_dict,
-    expression_to_json_dict,
-    j_value,
     quantum_value_fixed_measurements,
     table_from_json_dict,
     table_to_json_dict,
@@ -42,12 +39,12 @@ from paraself.strategies import (
     chsh_reference,
     compose,
     fullstats_reference,
-    local_deterministic,
     single_copy_table,
     tilted_chsh_reference,
 )
 
 from conftest import conditional_values, deterministic_table_probs, random_strategy
+from reference import evaluate, expression_to_json_dict, j_value, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 GAME_MAX = 0.8535533906  # (2 + sqrt(2)) / 4 to ten decimals

@@ -24,12 +24,7 @@ from paraself.bell import (
     conditional_mean,
     copy_marginal,
     correlator,
-    decode_joint,
-    encode_joint,
-    evaluate,
     expression_from_json_dict,
-    expression_to_json_dict,
-    j_value,
     quantum_value_fixed_measurements,
     table_from_json_dict,
     table_to_json_dict,
@@ -49,7 +44,6 @@ from paraself.strategies import (
     chsh_reference,
     compose,
     fullstats_reference,
-    local_deterministic,
     single_copy_table,
     tilted_chsh_reference,
 )
@@ -60,6 +54,15 @@ from conftest import (
     deterministic_table_probs,
     random_projective_povm,
     random_state,
+)
+from reference import (
+    decode_joint,
+    encode_joint,
+    evaluate,
+    expression_to_json_dict,
+    j_value,
+    local_deterministic,
+    scaled,
 )
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
@@ -414,9 +417,9 @@ def test_classical_bound_scaling_covariance(rng):
     expr = BellExpression(2, 2, rng.normal(size=(2, 2, 2, 2)), label="rand")
     base = classical_bound(expr)
     for factor in (0.5, 2.0, 4.0):
-        scaled = classical_bound(expr.scaled(factor))
-        assert scaled.value == factor * base.value
-        assert scaled.witness == base.witness
+        bound = classical_bound(scaled(expr, factor))
+        assert bound.value == factor * base.value
+        assert bound.witness == base.witness
 
 
 def test_classical_bound_enumeration_cap():

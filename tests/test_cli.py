@@ -13,12 +13,13 @@ from paraself import cli
 from paraself.bell import (
     Scheme,
     chsh_expression,
-    expression_to_json_dict,
     table_to_json_dict,
 )
 from paraself.certify import certify_theorem1
 from paraself.cli import main
-from paraself.strategies import chsh_reference, compose, local_deterministic
+from paraself.strategies import chsh_reference, compose
+
+from reference import expression_to_json_dict, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 
@@ -58,7 +59,8 @@ def test_simulate_adversary_copy_zero_rows(runner, tmp_path):
 def test_simulate_noise_scales_first_copy_value(runner, tmp_path):
     out, data = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "2",
                           "--noise", "0.9")
-    from paraself.bell import j_value, table_from_json_dict
+    from paraself.bell import table_from_json_dict
+    from reference import j_value
 
     table = table_from_json_dict(data)
     assert j_value(table, chsh_expression(), 1) == pytest.approx(
@@ -93,6 +95,25 @@ def test_simulate_rejects_oversized_composition(runner):
     result = runner.invoke(main, ["simulate", "--strategy", "chsh", "--copies", "7"])
     assert result.exit_code == 3
     assert result.output.startswith("error: composition:")
+
+
+COPIES_COMMANDS = {"simulate": ["simulate", "--strategy", "chsh"],
+                   "sweep": ["sweep", "--strategy", "chsh", "--nus", "0,1"]}
+
+
+@pytest.mark.parametrize("command", sorted(COPIES_COMMANDS))
+@pytest.mark.parametrize("copies, code, line", [
+    (0, 2, "error: config: --copies: copy count must be >= 1, got 0"),
+    (-3, 2, "error: config: --copies: copy count must be >= 1, got -3"),
+    (7, 3, "error: composition: 7 copies exceed the cap of 6"),
+], ids=["0", "-3", "7"])
+def test_copies_out_of_range_same_for_every_command(runner, command, copies, code, line):
+    """One copy-count check: below 1 is an option error, above the cap a
+    composition error, worded alike by every command."""
+    result = runner.invoke(main, [*COPIES_COMMANDS[command], "--copies", str(copies)])
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == line + "\n"
 
 
 def test_certify_pass_fail_exit_codes(runner, tmp_path):

@@ -21,11 +21,12 @@ from paraself.bell import (
     BellExpression,
     Scheme,
     chsh_expression,
-    expression_to_json_dict,
     table_to_json_dict,
 )
 from paraself.cli import main
 from paraself.strategies import chsh_reference, compose, fullstats_reference
+
+from reference import expression_to_json_dict
 
 VERDICT_EXITS = {"pass": 0, "fail": 1, "precondition-violated": 4}
 BETA = "2.8284271247461903"

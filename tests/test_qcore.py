@@ -1,9 +1,10 @@
-"""Linear-algebra backbone: stacked effect products, Born rule, eigen
-oracle, POVM validation."""
+"""Linear-algebra backbone: stacked effect products, the Born rule and
+eigenvalue references, POVM and state validation."""
 
 import numpy as np
 import pytest
 
+from paraself import qcore
 from paraself.errors import DimensionMismatch, NonrealResult, NotHermitian
 from paraself.qcore import (
     IDENTITY_2,
@@ -14,13 +15,12 @@ from paraself.qcore import (
     DensityMatrix,
     Ket,
     Povm,
-    born_probability,
     effect_products,
-    max_eigenvalue,
     maximally_entangled_ket,
     povm_from_observable,
-    validate_povm,
 )
+
+from reference import born_probability, max_eigenvalue
 
 PHI_PLUS = maximally_entangled_ket(2).density()
 
@@ -135,37 +135,57 @@ def test_max_eigenvalue_rejects_non_hermitian():
 
 def test_validate_povm_accepts_projective():
     effects = ((IDENTITY_2 + SIGMA_Z) / 2, (IDENTITY_2 - SIGMA_Z) / 2)
-    assert validate_povm(effects) == []
+    assert Povm(effects).n_outcomes == 2
 
 
 def test_validate_povm_flags_overcomplete():
-    violations = validate_povm((np.eye(2), np.eye(2)))
-    assert any("completeness" in v for v in violations)
+    with pytest.raises(ValueError, match="invalid POVM: completeness"):
+        Povm((np.eye(2), np.eye(2)))
 
 
 def test_validate_povm_flags_incomplete_single_effect():
-    violations = validate_povm(((IDENTITY_2 + SIGMA_Z) / 2,))
-    assert any("completeness" in v for v in violations)
+    with pytest.raises(ValueError, match="invalid POVM: completeness"):
+        Povm(((IDENTITY_2 + SIGMA_Z) / 2,))
 
 
 def test_validate_povm_flags_negative_effect():
-    violations = validate_povm((SIGMA_Z, IDENTITY_2 - SIGMA_Z))
-    assert any("negative eigenvalue" in v for v in violations)
+    with pytest.raises(ValueError, match="invalid POVM: effect 0: negative eigenvalue"):
+        Povm((SIGMA_Z, IDENTITY_2 - SIGMA_Z))
 
 
-def test_validate_povm_never_throws_on_mixed_dimensions():
-    violations = validate_povm((np.eye(2), np.eye(3)))
-    assert any("dimension" in v for v in violations)
+def test_povm_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="invalid POVM: effect 1: dimension 3 != 2"):
+        Povm((np.eye(2), np.eye(3)))
 
 
-def test_validate_povm_never_throws_on_garbage():
-    violations = validate_povm((np.full((2, 2), np.nan), "not a matrix"))
-    assert len(violations) >= 1
+def test_povm_rejects_nan_and_garbage():
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Povm((np.full((2, 2), np.nan), "not a matrix"))
+    with pytest.raises(ValueError, match="complex"):
+        Povm((np.eye(2), "not a matrix"))
+    with pytest.raises(ValueError, match="invalid POVM: no effects given"):
+        Povm(())
 
 
 def test_povm_construction_rejects_invalid():
     with pytest.raises(ValueError, match="invalid POVM"):
         Povm((np.eye(2), np.eye(2)))
+
+
+def test_each_matrix_is_coerced_once(monkeypatch):
+    calls = []
+    coerce = qcore.as_complex_matrix
+
+    def counting(m):
+        calls.append(m)
+        return coerce(m)
+
+    monkeypatch.setattr(qcore, "as_complex_matrix", counting)
+    DensityMatrix(np.eye(4) / 4)
+    assert len(calls) == 1
+    calls.clear()
+    Povm(((IDENTITY_2 + SIGMA_Z) / 2, (IDENTITY_2 - SIGMA_Z) / 2, np.zeros((2, 2))))
+    assert len(calls) == 3
 
 
 def test_ket_requires_unit_norm():

@@ -13,7 +13,6 @@ from paraself.bell import (
     classical_bound,
     copy_marginal,
     correlator,
-    evaluate,
     quantum_value_fixed_measurements,
     tilted_chsh_expression,
 )
@@ -22,7 +21,6 @@ from paraself.errors import (
     SchemeInputMismatch,
     UnsupportedDimension,
 )
-from paraself.qcore import born_probability
 from paraself.strategies import (
     MAX_COPIES,
     SingleCopyStrategy,
@@ -32,10 +30,11 @@ from paraself.strategies import (
     chsh_reference,
     compose,
     fullstats_reference,
-    local_deterministic,
     single_copy_table,
     tilted_chsh_reference,
 )
+
+from reference import born_probability, evaluate, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 GAME_MAX = (2.0 + np.sqrt(2.0)) / 4.0

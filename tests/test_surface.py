@@ -1,0 +1,65 @@
+"""The package exports what the CLI and the certifiers use; references that
+only tests call live in ``tests/reference.py`` and must not creep back."""
+
+import paraself
+from paraself import bell, qcore, strategies
+
+PUBLIC = [
+    "BellExpression",
+    "BoundResult",
+    "CertificationReport",
+    "CorrelationTable",
+    "DensityMatrix",
+    "Ket",
+    "Povm",
+    "Scheme",
+    "SingleCopyStrategy",
+    "adversary_copy",
+    "adversary_shared_randomness",
+    "apply_isotropic_noise",
+    "averaged_j_percopy",
+    "bell_operator",
+    "build_preset_strategy",
+    "builtin_expression",
+    "builtin_quantum_maximum",
+    "certify_theorem1",
+    "certify_theorem2",
+    "certify_theorem3",
+    "certify_theorem4",
+    "chsh_expression",
+    "chsh_game_expression",
+    "chsh_reference",
+    "classical_bound",
+    "compose",
+    "copy_marginal",
+    "correlator",
+    "expression_from_json_dict",
+    "fullstats_reference",
+    "parse_strategy_spec",
+    "quantum_value_fixed_measurements",
+    "single_copy_table",
+    "stack_effects",
+    "sweep_noise",
+    "table_from_json_dict",
+    "table_to_json_chunks",
+    "table_to_json_dict",
+    "tilted_chsh_expression",
+    "tilted_chsh_reference",
+]
+
+TEST_ONLY = [
+    "born_probability", "max_eigenvalue", "validate_povm", "encode_joint", "decode_joint",
+    "evaluate", "j_value", "expression_to_json_dict", "table_to_json_text",
+    "local_deterministic", "build_preset_table", "ADVERSARY_PRESETS",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(paraself.__all__) == PUBLIC
+    assert all(hasattr(paraself, name) for name in PUBLIC)
+
+
+def test_test_only_references_stay_out_of_the_package():
+    for module in (paraself, bell, qcore, strategies):
+        assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
+    assert not hasattr(bell.BellExpression, "scaled")
