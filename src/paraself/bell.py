@@ -15,16 +15,17 @@ functions give all of them:
 * ``conditional_mean`` averages the conditional values over all prefixes and
   names the first prefix where one is undefined.  Simultaneous maximality of
   these averages for every copy is the certification target of the broadcast
-  scheme.  ``conditional_means`` gives them for a stack of tables in one
-  kernel pass.
+  scheme.  ``conditional_means`` gives them for every copy of a stack of
+  tables with one row-sum call.
 
 For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
 
-``copy_marginal`` and ``averaged_j_percopy`` sum out the other copies' outputs
-in chunks, adding in exactly the order of numpy's one-shot reduction of the
-view ``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)`` over its high and low
-axes: each ``low_b`` run first, then the run sums one at a time in row-major
+Their values are row sums equal to ``math.fsum`` bit for bit, all rows at
+once.  ``copy_marginal`` and ``averaged_j_percopy`` sum out the other copies'
+outputs in chunks, adding in exactly the order of numpy's one-shot reduction of
+the view ``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)`` over its high and
+low axes: each ``low_b`` run first, then the run sums one at a time in row-major
 ``(high_a, low_a, high_b)`` order.  Tests assert ``==`` against that reduction,
 so a numpy release that changes its order turns them red instead of drifting.
 
@@ -64,6 +65,10 @@ POSITIVITY_THRESHOLD = 1e-12
 # Hard cap on deterministic-strategy enumeration (o^(2m) assignments).
 ENUMERATION_CAP = 10**8
 
+# Largest sum of absolute coefficients: below the largest double by a factor
+# 2^63 for prefix and setting counts; checked scaled, so it cannot overflow.
+COEFF_SUM_LIMIT = 2.0 ** 960
+
 _NORMALIZATION_TOL = 1e-10
 _ENTRY_TOL = 1e-12
 _MARGINAL_CHUNK = 1 << 16  # table entries summed at a time by a copy marginal
@@ -99,6 +104,8 @@ class BellExpression:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients contain NaN or Inf")
+        if not math.fsum(np.abs(arr).ravel() / COEFF_SUM_LIMIT) <= 1.0:
+            raise ValueError("absolute coefficients sum to more than 2**960")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -253,6 +260,34 @@ def _copy_split(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCA
     return math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` bit for bit, sign of zero included, as whole-array adds in
+    numpy's pairwise order: under 8 entries in sequence; up to 128, 8 accumulators, the
+    tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in sequence; above, halves."""
+    n = x.shape[-1]
+    if n == 1:
+        return x[..., 0] + 0.0  # a zero sum is +0.0, as numpy gives it
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[..., :half]) + _pairwise_sum(x[..., half:])
+    terms = x.reshape(-1, n).T  # entry axis first, so every add is one long loop
+    if n < 8:
+        total, tail = terms[0] + terms[1], 2
+    else:
+        tail = n - n % 8
+        lanes = terms[:8] if tail == 8 else np.add(terms[:8], terms[8:16],
+                                                   out=np.empty((8,) + terms.shape[1:]))
+        for k in range(16, tail, 8):
+            lanes += terms[k:k + 8]
+        pairs = lanes[0::2] + lanes[1::2]
+        total = pairs[0::2] + pairs[1::2]
+        total = total[0] + total[1]
+    for k in range(tail, n):
+        total += terms[k]
+    total += 0.0  # a zero sum is +0.0, as numpy gives it
+    return total.reshape(x.shape[:-1])
+
+
 def _copy_outputs(probs: np.ndarray, low: int, oi: int, high: int) -> np.ndarray:
     """``p(a_i, b_i | x, y)`` for every leading index and input pair of ``probs``, summed in
     numpy's one-shot order (see the module docstring) ``_MARGINAL_CHUNK`` entries at a time."""
@@ -262,13 +297,7 @@ def _copy_outputs(probs: np.ndarray, low: int, oi: int, high: int) -> np.ndarray
     out = np.empty((oi, oi, len(rows)))
     step = max(1, _MARGINAL_CHUNK // rows[0].size)
     for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
-        # numpy's pairwise sum adds runs shorter than 8 in sequence.
-        runs = chunk.sum(axis=-1) if low >= 8 else chunk[..., 0]
-        if 1 < low < 8:
-            runs = runs + chunk[..., 1]
-            for k in range(2, low):
-                runs += chunk[..., k]
+        runs = _pairwise_sum(rows[start:start + step])
         # Row index last: a long-run copy, then whole rows added in sequence.
         np.add.reduce(runs.transpose(1, 3, 4, 2, 5, 0).reshape(high * low * high, oi, oi, -1),
                       axis=0, out=out[..., start:start + step])
@@ -327,9 +356,47 @@ def _prefix_kernel(probs: np.ndarray, low: int, oi: int, high: int) -> tuple:
     return cond, prefix_prob
 
 
-def _row_fsums(products: np.ndarray, rows: int) -> np.ndarray:
-    """Exactly rounded sum of each of ``rows`` leading blocks of ``products``."""
-    return np.array([math.fsum(row) for row in products.reshape(rows, -1).tolist()])
+def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Sum of the ``2^k`` rows of ``level`` by a tree of TwoSums, adding halves.  The
+    exact errors of its additions go to ``errors`` (of the same shape, last row zero),
+    so the sum plus the sum of ``errors`` is the exact sum of ``level``."""
+    errors[-1], done = 0.0, 0
+    while len(level) > 1:
+        h = len(level) // 2
+        a, b = level[:h], level[h:]
+        level = a + b
+        virtual = level - a
+        np.add(a - (level - virtual), b - virtual, out=errors[done:done + h])
+        done += h
+    return level[0].copy()  # with no additions, level[0] is the caller's row
+
+
+def _row_fsums(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the 2-D ``rows``, bit for bit, for all rows at once.
+
+    A TwoSum tree over the term axis gives the float sum ``s`` and every exact error; a
+    second tree sums those to ``e`` and leaves a remainder (Ogita, Rump, Oishi, SIAM J.
+    Sci. Comput. 26, 1955 (2005)).  ``s + e`` is kept where the remainder cannot move it
+    across a midpoint between doubles; other rows, and rows with a term that is not finite
+    or could overflow a partial sum, go to ``math.fsum``.  A zero sum is ``+0.0``."""
+    count, n = rows.shape
+    leaves = np.empty((1 << max(n - 1, 0).bit_length(), count))
+    leaves[:n], leaves[n:] = rows.T, 0.0
+    large = ~(np.abs(leaves).max(axis=0) <= 2.0 ** 1020 / len(leaves))
+    leaves[:, large] = 0.0
+    errors, last = np.empty_like(leaves), np.empty((2, count))
+    s = _two_sum_tree(leaves, errors)
+    e = _two_sum_tree(errors, leaves)  # the leaves now hold the remainder
+    r, t = _two_sum_tree(np.array([s, e]), last), last[0]  # exact: s + e = r + t
+    rest = 2.0 * np.abs(leaves).sum(axis=0)  # bounds the remainder's sum
+    # Below 2^-1020, half the gap to the next double may not be a double.
+    up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
+    keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
+                            & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
+    out = r + 0.0  # -0.0 becomes +0.0
+    redo = np.flatnonzero(large | ~keep)
+    out[redo] = [math.fsum(row) for row in rows[redo].tolist()]
+    return out
 
 
 def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
@@ -340,37 +407,56 @@ def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> t
     defined).  For ``i = 1`` this is the expression value on the copy-1
     marginal.
 
-    A prefix's conditional value is one ``fsum`` over the expression times its
-    conditional distribution; it is undefined when the prefix probability is
-    at or below the positivity threshold at an input pair that carries a
-    nonzero coefficient.
+    A prefix's conditional value is the exactly rounded sum of the expression
+    times its conditional distribution; it is undefined when the prefix
+    probability is at or below the positivity threshold at an input pair that
+    carries a nonzero coefficient.
     """
-    return conditional_means([table], expr, i)[0]
+    return _conditional_means([table], [(i, expr)])[0][0]
 
 
-def conditional_means(tables: Sequence[CorrelationTable], expr: BellExpression,
-                      i: int) -> list:
-    """:func:`conditional_mean` of copy ``i`` of each of ``tables``, which must
-    share scheme and arities, from one kernel pass over their stacked probabilities."""
-    low, oi, high = _copy_split(tables[0], i, expr=expr)
+def conditional_means(tables: Sequence[CorrelationTable],
+                      exprs: Sequence[BellExpression]) -> list:
+    """:func:`conditional_mean` of every copy ``i`` of each of ``tables`` (which share
+    scheme and arities) with ``exprs[i - 1]``, one list per table, from one row-sum call."""
+    if len(exprs) != tables[0].n_copies:
+        raise ShapeMismatch(f"{len(exprs)} expressions given for {tables[0].n_copies} copies")
+    return _conditional_means(tables, list(enumerate(exprs, 1)))
+
+
+def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list:
+    """``[[conditional_mean(table, expr, i) for i, expr in copies] for table in tables]``."""
+    splits = [_copy_split(tables[0], i, expr=expr) for i, expr in copies]
     if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
         raise ShapeMismatch("stacked tables differ in scheme or arities")
     probs = tables[0].probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
-    if i == 1:
-        return [(math.fsum((expr.coeffs * p).ravel()), None)
-                for p in _copy_outputs(probs, 1, oi, high)]
-    cond, prefix_prob = _prefix_kernel(probs, low, oi, high)
-    # values[k, prefix]; undefined[k, prefix_a, prefix_b, x, y]
-    products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
-    values = _row_fsums(products, len(tables) * low * low).reshape(len(tables), -1)
-    undefined = np.any(expr.coeffs != 0.0, axis=(2, 3)) & (
-        prefix_prob <= POSITIVITY_THRESHOLD).transpose(0, 3, 4, 1, 2)
-    defined = ~undefined.any(axis=(3, 4)).reshape(len(tables), -1)
-    means = [(math.fsum(row) / float(low * low), None) for row in values.tolist()]
-    for k in np.flatnonzero(~defined.all(axis=1)):
-        pa, pb, x, y = (int(v) for v in np.argwhere(undefined[k])[0])
-        means[k] = (math.fsum(values[k][defined[k]].tolist()) / float(low * low),
-                    ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb])))
+    # One row per table and prefix of each copy, one term per (x, y, a_i, b_i); zeros pad
+    # the rows of copies with fewer outputs, and leave each sum as it is.
+    ends = np.cumsum([len(probs) * low * low for low, _, _ in splits])
+    rows = np.zeros((ends[-1], max(expr.coeffs.size for _, expr in copies)))
+    undefined = []
+    for (i, expr), (low, oi, high), end in zip(copies, splits, ends):
+        if i == 1:  # the copy-1 marginal: one prefix, always defined
+            cond = _copy_outputs(probs, 1, oi, high)[:, :, :, None, None]
+            prefix_prob = np.ones(cond.shape[:5])
+        else:
+            cond, prefix_prob = _prefix_kernel(probs, low, oi, high)
+        products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
+        rows[end - len(probs) * low * low:end, :expr.coeffs.size] = products.reshape(
+            len(probs) * low * low, -1)
+        bad = (prefix_prob <= POSITIVITY_THRESHOLD).transpose(0, 3, 4, 1, 2)
+        # undefined[k, prefix_a, prefix_b, x, y]
+        undefined.append((bad & np.any(expr.coeffs != 0.0, axis=(2, 3)), prefix_prob))
+    sums, means = _row_fsums(rows), [[] for _ in tables]
+    for (i, _), end, (bad, prefix_prob) in zip(copies, ends, undefined):
+        defined = ~bad.any(axis=(3, 4)).reshape(len(tables), -1)
+        values = sums[end - defined.size:end].reshape(defined.shape)
+        for k, row in enumerate(np.where(defined, values, 0.0).tolist()):
+            first = None
+            if not defined[k].all():
+                pa, pb, x, y = (int(v) for v in np.argwhere(bad[k])[0])
+                first = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb]))
+            means[k].append((math.fsum(row) / float(len(row)), first))
     return means
 
 
@@ -394,7 +480,8 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
     marg = _copy_outputs(table.probs, low, oi, high).reshape(
         high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(0, 2, 3, 5, 1, 4, 6, 7)
     settings = (low_m * high_m) ** 2
-    return math.fsum(_row_fsums(exprs[i - 1].coeffs * marg, settings).tolist()) / float(settings)
+    values = _row_fsums((exprs[i - 1].coeffs * marg).reshape(settings, -1))
+    return math.fsum(values.tolist()) / float(settings)
 
 
 @dataclass(frozen=True)

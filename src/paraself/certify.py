@@ -7,11 +7,11 @@ knob: ``tol`` is numerical slack, not noise robustness, and defaults to 1e-8.
 Every certifier raises ``ValueError`` for a ``tol`` that is negative or not
 finite, and for a target that is not finite.
 
-The conditional certifiers (theorems 1-3) make one pass of
-:func:`~paraself.bell.conditional_kernel` per copy.  Theorem 1 is theorem 3
-with the same expression and target for every copy.  The noise sweep stacks
-the tables of a batch of visibilities: one Born rule, one product and one
-kernel pass per copy serve the whole batch, and every table is validated.
+Theorem 1 is theorem 3 with the same expression and target for every copy;
+theorem 3 evaluates all copies with one :func:`~paraself.bell.conditional_means`
+call (one kernel pass per copy, one row-sum call).  The noise sweep stacks the
+tables of a batch of visibilities: one Born rule, one product and one
+``conditional_means`` call serve the whole batch, and every table is validated.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
@@ -40,7 +40,6 @@ from .bell import (
     Scheme,
     averaged_j_percopy,
     conditional_kernel,
-    conditional_mean,
     conditional_means,
     copy_marginal,
     correlator,
@@ -137,12 +136,10 @@ def certify_theorem3(table: CorrelationTable, exprs: Sequence[BellExpression],
     if table.scheme is not Scheme.BROADCAST:
         raise SchemeInputMismatch("conditional certification requires a broadcast table")
     exprs, betas = _check_targets(table, exprs, betas, tol)
-    n = table.n_copies
     checks: list[CopyCheck] = []
     diagnostics: list[str] = []
-    for i in range(1, n + 1):
-        target = betas[i - 1]
-        value, first = conditional_mean(table, exprs[i - 1], i)
+    means = conditional_means([table], exprs)[0]
+    for i, ((value, first), target) in enumerate(zip(means, betas), 1):
         ok = first is None
         if not ok:
             diagnostics.append(
@@ -298,8 +295,7 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
         states = np.array([apply_isotropic_noise(strategy, nu).state.matrix for nu in batch])
         tables = [CorrelationTable(Scheme.BROADCAST, (m,) * n, (o,) * n, probs)
                   for probs in broadcast_product([born_tables(strategy, states)] * n)]
-        means = [conditional_means(tables, expr, i) for i in range(1, n + 1)]
-        for nu, copies in zip(batch, zip(*means)):
+        for nu, copies in zip(batch, conditional_means(tables, [expr] * n)):
             errors = [error for _, error in copies if error is not None]
             if errors:
                 raise errors[0]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from paraself.bell import (
+    COEFF_SUM_LIMIT,
     BellExpression,
     CorrelationTable,
     Scheme,
@@ -496,6 +497,22 @@ def test_expression_json_rejects_unknown_keys():
     data["extra"] = 1
     with pytest.raises(TableFormatError, match="/extra"):
         expression_from_json_dict(data)
+
+
+def test_expression_coefficients_are_bounded_in_sum():
+    # The absolute coefficients may sum to 2^960 and no more, so that no sum
+    # over prefixes or settings of the conditional values can overflow.
+    at_bound = np.full((2, 2, 2, 2), COEFF_SUM_LIMIT / 16)
+    at_bound[0, 0, 0, 0] *= -1.0
+    assert BellExpression(2, 2, at_bound).coeffs.sum() == COEFF_SUM_LIMIT * 7 / 8
+    for coeffs in (np.nextafter(at_bound, np.inf), np.full((2, 2, 2, 2), 1.7e308)):
+        with pytest.raises(ValueError, match="coefficients"):
+            BellExpression(2, 2, coeffs)
+    data = expression_to_json_dict(chsh_expression())
+    data["coeffs"] = (chsh_expression().coeffs * 1.7e308).tolist()
+    with pytest.raises(TableFormatError) as info:
+        expression_from_json_dict(data)
+    assert info.value.pointer == "/coeffs"
 
 
 @pytest.mark.parametrize("key,value", [("m", 2.7), ("m", "2"), ("o", True), ("o", 2.0)])

@@ -498,15 +498,16 @@ def test_sweep_noise_raises_the_loops_first_undefined_prefix(monkeypatch, strate
 
 
 def test_sweep_noise_memory_does_not_grow_with_visibilities(monkeypatch):
-    # The per-prefix fsums of 2,001 visibilities at n = 6 take seconds (a
-    # minute under tracemalloc), so the kernel is replaced by a stub that
+    # The kernel passes of 2,001 visibilities at n = 6 take seconds (about
+    # 20 s under tracemalloc), so the kernel is replaced by a stub that
     # records how many tables it is handed at once; what is traced is the
     # sweep's own batching: states, Born rule, product, validated tables, rows.
     stacks = []
 
-    def means(tables, expr, i):
+    def means(tables, exprs):
         stacks.append(len(tables))
-        return [(float(k + i), None) for k in range(len(tables))]
+        return [[(float(k + i), None) for i in range(1, len(exprs) + 1)]
+                for k in range(len(tables))]
 
     monkeypatch.setattr(certify, "conditional_means", means)
     peaks, largest = [], []

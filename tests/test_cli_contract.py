@@ -75,6 +75,10 @@ def files(tmp_path_factory):
     for key, m, o in (("m2o3", 2, 3), ("m3", 3, 2)):
         expr = BellExpression(m, o, np.ones((m, m, o, o)), label=key)
         paths[key].write_text(json.dumps(expression_to_json_dict(expr)))
+    # CHSH signs at 1.7e308: finite, but their sums overflow.
+    paths["huge_coeffs"] = root / "huge_coeffs.json"
+    paths["huge_coeffs"].write_text(json.dumps(
+        {"m": 2, "o": 2, "coeffs": (chsh_expression().coeffs * 1.7e308).tolist()}))
     # One-copy chsh tables edited by hand.
     for key, edit in (("float_arities", {"input_arities": [2.9], "output_arities": [2.5]}),
                       ("string_n_copies", {"n_copies": "1"}),
@@ -129,6 +133,13 @@ ESCAPED_INPUTS = [
     pytest.param(_certify_theorem1("{bool_arity}"), 2, "input: /input_arities",
                  id="certify-bool-arity"),
     pytest.param(_certify_theorem1("{huge_entry}"), 2, "input: /probs", id="certify-huge-entry"),
+    pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem1",
+                  "--bell", "{huge_coeffs}", "--beta", BETA],
+                 2, "input: /coeffs", id="certify-coefficients-overflow"),
+    pytest.param(["sweep", "--copies", "2", "--bell", "{huge_coeffs}", "--nus", "0,1"],
+                 2, "input: /coeffs", id="sweep-coefficients-overflow"),
+    pytest.param(["bounds", "--bell", "{huge_coeffs}"], 2, "input: /coeffs",
+                 id="bounds-coefficients-overflow"),
     pytest.param(["bounds"], 2, "config", id="bounds-without-bell"),
     pytest.param(["simulate", "--strategy", "chsh", "--copies", "x"], 2, "config",
                  id="simulate-non-integer-copies"),
