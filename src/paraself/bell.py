@@ -22,12 +22,12 @@ For per-copy-input tables, ``averaged_j_percopy`` instead averages the
 expression value of copy ``i`` over all settings of the other copies' inputs.
 
 Their values are row sums equal to ``math.fsum`` bit for bit, all rows at
-once.  ``copy_marginal`` and ``averaged_j_percopy`` sum out the other copies'
-outputs in chunks, adding in exactly the order of numpy's one-shot reduction of
-the view ``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)`` over its high and
-low axes: each ``low_b`` run first, then the run sums one at a time in row-major
-``(high_a, low_a, high_b)`` order.  Tests assert ``==`` against that reduction,
-so a numpy release that changes its order turns them red instead of drifting.
+once.  ``copy_marginal``, ``averaged_j_percopy`` and the kernel (keeping
+``(a_i, prefix)`` as one output) sum out other copies with ``_copy_outputs``,
+in exactly the order of numpy's one-shot reduction over the high and low axes of
+``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)``: each ``low_b`` run, then the
+run sums in row-major ``(high_a, low_a, high_b)`` order; tests pin it with ``==``.
+Prefix probabilities are ``_pairwise_sum``s; ``reachable`` alone judges them.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Prefixes with probability at or below this floor make conditional values
 # undefined; certification demands strict positivity but fixes no numeric
-# floor, so one is pinned here.
+# floor, so one is pinned here.  Only ``reachable`` compares against it.
 POSITIVITY_THRESHOLD = 1e-12
 
 # Hard cap on deterministic-strategy enumeration (o^(2m) assignments).
@@ -342,15 +342,20 @@ def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
     return cond[0], prefix_prob[0]
 
 
+def reachable(prob: np.ndarray) -> np.ndarray:
+    """Where a probability is above the positivity floor, so conditioning on it is defined."""
+    return prob > POSITIVITY_THRESHOLD
+
+
 def _prefix_kernel(probs: np.ndarray, low: int, oi: int, high: int) -> tuple:
     """:func:`conditional_kernel` of each table ``probs[k]`` of a stack, with
     ``k`` leading both results."""
-    r = probs.reshape(probs.shape[:3] + (high, oi, low, high, oi, low))
+    joint = _copy_outputs(probs, 1, oi * low, high).reshape(probs.shape[:3] + (oi, low, oi, low))
     # A contiguous (a_i, b_i) block per prefix makes each prefix probability
     # the same pairwise sum that marginalizing one prefix at a time yields.
-    block = np.ascontiguousarray(r.sum(axis=(3, 6)).transpose(0, 1, 2, 4, 6, 3, 5))
-    prefix_prob = block.sum(axis=(5, 6))
-    positive = prefix_prob > POSITIVITY_THRESHOLD
+    block = np.ascontiguousarray(joint.transpose(0, 1, 2, 4, 6, 3, 5))
+    prefix_prob = _pairwise_sum(block.reshape(block.shape[:5] + (oi * oi,)))
+    positive = reachable(prefix_prob)
     safe = np.where(positive, prefix_prob, 1.0)
     cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
     return cond, prefix_prob
@@ -444,7 +449,7 @@ def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list
         products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
         rows[end - len(probs) * low * low:end, :expr.coeffs.size] = products.reshape(
             len(probs) * low * low, -1)
-        bad = (prefix_prob <= POSITIVITY_THRESHOLD).transpose(0, 3, 4, 1, 2)
+        bad = ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2)
         # undefined[k, prefix_a, prefix_b, x, y]
         undefined.append((bad & np.any(expr.coeffs != 0.0, axis=(2, 3)), prefix_prob))
     sums, means = _row_fsums(rows), [[] for _ in tables]

@@ -43,7 +43,7 @@ from .bell import (
     conditional_means,
     copy_marginal,
     correlator,
-    POSITIVITY_THRESHOLD,
+    reachable,
 )
 from .errors import SchemeInputMismatch, ShapeMismatch
 from .strategies import (SingleCopyStrategy, apply_isotropic_noise, born_tables,
@@ -180,9 +180,8 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
         raise ShapeMismatch("table copies do not match the reference arities")
     checks: list[CopyCheck] = []
     diagnostics: list[str] = []
-    if float(reference.probs.min()) <= POSITIVITY_THRESHOLD:
-        x, y, a, b = (int(v) for v in np.argwhere(
-            reference.probs <= POSITIVITY_THRESHOLD)[0])
+    if not reachable(reference.probs).all():
+        x, y, a, b = (int(v) for v in np.argwhere(~reachable(reference.probs))[0])
         diagnostics.append(
             f"reference entry p({a},{b}|{x},{y}) is not strictly positive; "
             f"conditional comparisons are ill-posed"
@@ -204,7 +203,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     parity_signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     for i in range(2, table.n_copies + 1):
         cond, prefix_prob = conditional_kernel(table, i)
-        unreachable = (prefix_prob <= POSITIVITY_THRESHOLD).any(axis=(0, 1))
+        unreachable = (~reachable(prefix_prob)).any(axis=(0, 1))
         # deviation[prefix_a, prefix_b]: largest entrywise deviation from the
         # reference, 0 on unreachable prefixes.  argmax keeps the first
         # worst prefix in row-major order.

@@ -115,9 +115,10 @@ def _json_text(data: dict) -> str:
 
 
 def _read_json(path: Path):
+    text = path.read_text()  # its UnicodeDecodeError, also a ValueError, is an io error
     try:
-        return json.loads(path.read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep a nesting, too long an int
         raise TableFormatError("", f"invalid JSON in {path}: {exc}") from None
 
 

@@ -79,6 +79,9 @@ def files(tmp_path_factory):
     paths["huge_coeffs"] = root / "huge_coeffs.json"
     paths["huge_coeffs"].write_text(json.dumps(
         {"m": 2, "o": 2, "coeffs": (chsh_expression().coeffs * 1.7e308).tolist()}))
+    # A JSON integer of 4,301 digits: json.loads refuses to convert it.
+    paths["long_int"] = root / "long_int.json"
+    paths["long_int"].write_text('{"m": ' + "1" * 4301 + "}")
     # One-copy chsh tables edited by hand.
     for key, edit in (("float_arities", {"input_arities": [2.9], "output_arities": [2.5]}),
                       ("string_n_copies", {"n_copies": "1"}),
@@ -126,6 +129,8 @@ ESCAPED_INPUTS = [
                  2, "config", id="bounds-strategy-unbalanced"),
     pytest.param(["certify", "--table", "{deep}", "--protocol", "theorem1", "--bell", "chsh",
                   "--beta", BETA], 2, "input", id="certify-table-nested-too-deep"),
+    pytest.param(_certify_theorem1("{long_int}"), 2, "input", id="certify-table-long-integer"),
+    pytest.param(["bounds", "--bell", "{long_int}"], 2, "input", id="bounds-bell-long-integer"),
     pytest.param(_certify_theorem1("{float_arities}"), 2, "input: /input_arities",
                  id="certify-float-arities"),
     pytest.param(_certify_theorem1("{string_n_copies}"), 2, "input: /n_copies",

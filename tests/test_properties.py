@@ -334,6 +334,22 @@ def _signed_zero_table(rng, scheme, ma, oa):
     return table
 
 
+# Four-outcome copies make 16-term (a_i, b_i) blocks, whose prefix probabilities
+# take the pairwise sum's eight-lane path; signed zeros check the sign of every
+# zero sum.
+@pytest.mark.parametrize("oa", [(2, 4, 2), (3, 1, 4, 2)])
+@pytest.mark.parametrize("make", [_random_table, _signed_zero_table], ids=["random", "signed-zeros"])
+def test_kernel_matches_oracle_bytes_on_four_outcome_copies(oa, make):
+    rng = np.random.default_rng(7400 + len(oa))
+    table = make(rng, Scheme.BROADCAST, (2,) * len(oa), oa)
+    for i in range(1, len(oa) + 1):
+        cond, prefix_prob = conditional_kernel(table, i)
+        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
+            want_cond, want_prob = _oracle_slice(table, i, pa, pb)
+            assert cond[:, :, pa, pb].tobytes() == want_cond.tobytes(), (i, pa, pb)
+            assert prefix_prob[:, :, pa, pb].tobytes() == want_prob.tobytes(), (i, pa, pb)
+
+
 # The copy marginal runs in chunks; these tables reach its sequential (< 8),
 # unrolled pairwise (8..128) and recursive pairwise (243 terms) run sums.
 @pytest.mark.parametrize("ma, oa, make", [
