@@ -3,28 +3,26 @@ for parallel certification.
 
 A linear Bell expression is a coefficient tensor ``coeffs[x, y, a, b]`` over a
 single-copy scenario with ``m`` inputs and ``o`` outputs per party; its value
-on a table is ``sum coeffs * p(a,b|x,y)``.  For a broadcast multi-copy table
-the *conditional value* of copy ``i`` at a prefix is the expression evaluated
-on the distribution of copy ``i`` conditioned on the joint outputs of copies
-``1..i-1`` (outputs of copies beyond ``i`` are marginalized first).  Two
-functions give all of them:
+on a table is ``sum coeffs * p(a,b|x,y)``.  A multi-copy table scores each
+copy ``i`` on its own: its value is the expression's value on one row of copy
+``i``'s distributions, averaged over the rows.
 
-* ``conditional_kernel`` sums out the copies beyond ``i`` once and returns
-  the conditional distribution of copy ``i`` and the prefix probability for
-  every prefix at once; the full-statistics certifier reads it directly;
-* ``conditional_mean`` averages the conditional values over all prefixes and
-  names the first prefix where one is undefined.  Simultaneous maximality of
-  these averages for every copy is the certification target of the broadcast
-  scheme.  ``conditional_means`` gives them for every copy of a stack of
-  tables with one row-sum call.
+* Broadcast rows are the prefixes, the joint outputs of copies ``1..i-1``: a
+  row is copy ``i``'s distribution conditioned on one (later copies summed
+  out first).  ``conditional_kernel`` gives every row and prefix probability
+  at once; ``conditional_mean`` gives the average and names the first prefix
+  where a value is undefined.  Simultaneous maximality of these averages for
+  every copy is the certification target of the broadcast scheme.
+* Per-copy rows are the settings of the other copies' inputs: a row is copy
+  ``i``'s marginal at one setting, always defined.  ``averaged_j_percopy``
+  gives the average.
 
-For per-copy-input tables, ``averaged_j_percopy`` instead averages the
-expression value of copy ``i`` over all settings of the other copies' inputs.
-
-Their values are row sums equal to ``math.fsum`` bit for bit, all rows at
-once.  ``copy_marginal``, ``averaged_j_percopy`` and the kernel (keeping
-``(a_i, prefix)`` as one output) sum out other copies with ``_copy_outputs``,
-in exactly the order of numpy's one-shot reduction over the high and low axes of
+``conditional_means`` gives the averages of every copy of a stack of tables
+of either scheme with one row-sum call; theorems 1, 3 and 4 and the noise
+sweep each make one such call.  Row sums equal ``math.fsum`` bit for bit.
+``copy_marginal`` and the rows (the kernel keeping ``(a_i, prefix)`` as one
+output) sum out other copies with ``_copy_outputs``, in exactly the order of
+numpy's one-shot reduction over the high and low axes of
 ``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)``: each ``low_b`` run, then the
 run sums in row-major ``(high_a, low_a, high_b)`` order; tests pin it with ``==``.
 Prefix probabilities are ``_pairwise_sum``s; ``reachable`` alone judges them.
@@ -404,6 +402,25 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _copy_rows(probs: np.ndarray, table: CorrelationTable, i: int) -> tuple:
+    """``(cond, prefix_prob)`` of copy ``i`` of each table ``probs[k]`` of a stack like ``table``,
+    indexed ``[k, x_i, y_i, row_a, row_b]`` (``cond`` then ``[a_i, b_i]``).  Broadcast rows are
+    :func:`conditional_kernel`'s prefixes (copy 1 has one, its marginal); per-copy rows are the
+    other copies' inputs ``(high, low)``, with probability 1."""
+    low, oi, high = _copy_split(table, i, table.scheme)
+    if table.scheme is Scheme.PER_COPY:
+        ma = table.input_arities
+        low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
+        cond = _copy_outputs(probs, low, oi, high).reshape(
+            -1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(0, 2, 5, 1, 3, 4, 6, 7, 8)
+        cond = cond.reshape(len(probs), mi, mi, high_m * low_m, high_m * low_m, oi, oi)
+    elif i == 1:
+        cond = _copy_outputs(probs, 1, oi, high)[:, :, :, None, None]
+    else:
+        return _prefix_kernel(probs, low, oi, high)
+    return cond, np.ones(cond.shape[:5])
+
+
 def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
     """Sum of the defined conditional values of copy ``i`` over all prefixes,
     divided by the full prefix count ``prod(o_j, j < i)**2``, together with
@@ -417,13 +434,25 @@ def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> t
     probability is at or below the positivity threshold at an input pair that
     carries a nonzero coefficient.
     """
+    _copy_split(table, i)
     return _conditional_means([table], [(i, expr)])[0][0]
+
+
+def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
+                       i: int) -> float:
+    """Expression value of copy ``i`` of a per-copy-input table, averaged uniformly over all
+    settings of the other copies' inputs (one row each): the per-copy :func:`conditional_mean`."""
+    if len(exprs) != table.n_copies:
+        raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
+    _copy_split(table, i, Scheme.PER_COPY)
+    return _conditional_means([table], [(i, exprs[i - 1])])[0][0][0]
 
 
 def conditional_means(tables: Sequence[CorrelationTable],
                       exprs: Sequence[BellExpression]) -> list:
-    """:func:`conditional_mean` of every copy ``i`` of each of ``tables`` (which share
-    scheme and arities) with ``exprs[i - 1]``, one list per table, from one row-sum call."""
+    """:func:`conditional_mean` (per-copy tables: :func:`averaged_j_percopy`) of every copy
+    ``i`` of each of ``tables`` (which share scheme and arities) with ``exprs[i - 1]``, one
+    list per table, from one row-sum call."""
     if len(exprs) != tables[0].n_copies:
         raise ShapeMismatch(f"{len(exprs)} expressions given for {tables[0].n_copies} copies")
     return _conditional_means(tables, list(enumerate(exprs, 1)))
@@ -431,26 +460,26 @@ def conditional_means(tables: Sequence[CorrelationTable],
 
 def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list:
     """``[[conditional_mean(table, expr, i) for i, expr in copies] for table in tables]``."""
-    splits = [_copy_split(tables[0], i, expr=expr) for i, expr in copies]
+    table = tables[0]
+    for i, expr in copies:
+        _copy_split(table, i, table.scheme, expr)
     if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
         raise ShapeMismatch("stacked tables differ in scheme or arities")
-    probs = tables[0].probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
-    # One row per table and prefix of each copy, one term per (x, y, a_i, b_i); zeros pad
-    # the rows of copies with fewer outputs, and leave each sum as it is.
-    ends = np.cumsum([len(probs) * low * low for low, _, _ in splits])
+    probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
+    # One row per table and _copy_rows row of each copy, one term per (x_i, y_i, a_i, b_i);
+    # zeros pad the rows of copies with fewer terms, and leave each sum as it is.
+    sides = [len(table.probs) // table.input_arities[i - 1] if table.scheme is Scheme.PER_COPY
+             else math.prod(table.output_arities[:i - 1]) for i, _ in copies]
+    ends = np.cumsum([len(probs) * side * side for side in sides])
     rows = np.zeros((ends[-1], max(expr.coeffs.size for _, expr in copies)))
     undefined = []
-    for (i, expr), (low, oi, high), end in zip(copies, splits, ends):
-        if i == 1:  # the copy-1 marginal: one prefix, always defined
-            cond = _copy_outputs(probs, 1, oi, high)[:, :, :, None, None]
-            prefix_prob = np.ones(cond.shape[:5])
-        else:
-            cond, prefix_prob = _prefix_kernel(probs, low, oi, high)
+    for (i, expr), side, end in zip(copies, sides, ends):
+        cond, prefix_prob = _copy_rows(probs, table, i)
         products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
-        rows[end - len(probs) * low * low:end, :expr.coeffs.size] = products.reshape(
-            len(probs) * low * low, -1)
+        rows[end - len(probs) * side * side:end, :expr.coeffs.size] = products.reshape(
+            -1, expr.coeffs.size)
         bad = ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2)
-        # undefined[k, prefix_a, prefix_b, x, y]
+        # undefined[k, row_a, row_b, x, y]
         undefined.append((bad & np.any(expr.coeffs != 0.0, axis=(2, 3)), prefix_prob))
     sums, means = _row_fsums(rows), [[] for _ in tables]
     for (i, _), end, (bad, prefix_prob) in zip(copies, ends, undefined):
@@ -463,30 +492,6 @@ def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list
                 first = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb]))
             means[k].append((math.fsum(row) / float(len(row)), first))
     return means
-
-
-def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
-                       i: int) -> float:
-    """Expression value of copy ``i`` of a per-copy-input table, averaged
-    uniformly over all settings of the other copies' inputs.
-
-    For each fixed setting of the other inputs, the value is
-    ``sum over (x_i, y_i, a_i, b_i)`` of the copy-``i`` coefficient times the
-    copy-``i`` marginal probability (other copies' outputs summed out in
-    numpy's one-shot order; see the module docstring).
-    """
-    if len(exprs) != table.n_copies:
-        raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
-    # Slicing never raises; _copy_split checks i before it reads the expression.
-    low, oi, high = _copy_split(table, i, Scheme.PER_COPY, *exprs[i - 1:i])
-    ma = table.input_arities
-    low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
-    # One row per setting (hx, lx, hy, ly) of the other copies' inputs.
-    marg = _copy_outputs(table.probs, low, oi, high).reshape(
-        high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(0, 2, 3, 5, 1, 4, 6, 7)
-    settings = (low_m * high_m) ** 2
-    values = _row_fsums((exprs[i - 1].coeffs * marg).reshape(settings, -1))
-    return math.fsum(values.tolist()) / float(settings)
 
 
 @dataclass(frozen=True)

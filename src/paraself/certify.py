@@ -7,11 +7,13 @@ knob: ``tol`` is numerical slack, not noise robustness, and defaults to 1e-8.
 Every certifier raises ``ValueError`` for a ``tol`` that is negative or not
 finite, and for a target that is not finite.
 
-Theorem 1 is theorem 3 with the same expression and target for every copy;
-theorem 3 evaluates all copies with one :func:`~paraself.bell.conditional_means`
-call (one kernel pass per copy, one row-sum call).  The noise sweep stacks the
-tables of a batch of visibilities: one Born rule, one product and one
-``conditional_means`` call serve the whole batch, and every table is validated.
+Theorem 1 is theorem 3 with one expression and target for every copy.
+Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
+call (one pass per copy, one row-sum call); its rows are the prefixes of
+earlier outputs (broadcast) or the other copies' input settings (per-copy).
+The noise sweep stacks the tables of a batch of visibilities: one Born rule,
+one product and one ``conditional_means`` call serve the whole batch, and
+every table is validated.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
@@ -38,7 +40,6 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
-    averaged_j_percopy,
     conditional_kernel,
     conditional_means,
     copy_marginal,
@@ -135,7 +136,14 @@ def certify_theorem3(table: CorrelationTable, exprs: Sequence[BellExpression],
     must share the table's input arity; output arities may differ per copy."""
     if table.scheme is not Scheme.BROADCAST:
         raise SchemeInputMismatch("conditional certification requires a broadcast table")
+    return _certify_means(table, exprs, betas, tol)
+
+
+def _certify_means(table: CorrelationTable, exprs: Sequence[BellExpression],
+                   betas: Sequence[float], tol: float) -> CertificationReport:
+    """Theorem 3's or 4's report: each copy's conditional or averaged value against its target."""
     exprs, betas = _check_targets(table, exprs, betas, tol)
+    kind = "value" if table.scheme is Scheme.BROADCAST else "averaged value"
     checks: list[CopyCheck] = []
     diagnostics: list[str] = []
     means = conditional_means([table], exprs)[0]
@@ -151,7 +159,7 @@ def certify_theorem3(table: CorrelationTable, exprs: Sequence[BellExpression],
         margin = abs(value - target)
         if ok and margin > tol:
             diagnostics.append(
-                f"copy {i}: value {value!r} deviates from target {target!r} "
+                f"copy {i}: {kind} {value!r} deviates from target {target!r} "
                 f"by {margin:.3e} (tol {tol:.1e})"
             )
         checks.append(CopyCheck(i, value, target, margin, precondition_ok=ok))
@@ -252,21 +260,7 @@ def certify_theorem4(table: CorrelationTable, exprs: Sequence[BellExpression],
     every copy must equal its target."""
     if table.scheme is not Scheme.PER_COPY:
         raise SchemeInputMismatch("averaged certification requires a per-copy table")
-    exprs, betas = _check_targets(table, exprs, betas, tol)
-    n = table.n_copies
-    checks: list[CopyCheck] = []
-    diagnostics: list[str] = []
-    for i in range(1, n + 1):
-        value = averaged_j_percopy(table, exprs, i)
-        target = betas[i - 1]
-        margin = abs(value - target)
-        if margin > tol:
-            diagnostics.append(
-                f"copy {i}: averaged value {value!r} deviates from target "
-                f"{target!r} by {margin:.3e} (tol {tol:.1e})"
-            )
-        checks.append(CopyCheck(i, value, target, margin))
-    return _finish_report(checks, diagnostics, tol)
+    return _certify_means(table, exprs, betas, tol)
 
 
 def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,

@@ -64,11 +64,11 @@ class CopyCountError(SchemeInputMismatch, ValueError):
 
 class TableFormatError(ParaselfError):
     """A serialized table or expression file is malformed.  ``pointer`` is a
-    JSON pointer to the offending element."""
+    JSON pointer to the offending element, left out when empty (the root)."""
 
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)
 
 
 class TableEntryError(ParaselfError, ValueError):

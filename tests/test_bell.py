@@ -31,6 +31,7 @@ from paraself.bell import (
     table_to_json_dict,
     tilted_chsh_expression,
 )
+from paraself.certify import certify_theorem4
 from paraself.errors import (
     EnumerationTooLarge,
     ShapeMismatch,
@@ -301,17 +302,20 @@ def test_averaged_j_percopy_deterministic_is_classical():
 
 def test_averaged_j_percopy_holds_no_table_sized_temporary():
     # The copy marginal sums the table a chunk at a time; one temporary of the
-    # whole table (8.4 MB here) would push the traced peak far past the bound.
+    # whole table (8.4 MB here) would push the traced peak far past the bound,
+    # for one copy or for a whole theorem 4 certification of every copy.
     table = compose([chsh_reference()] * 5, Scheme.PER_COPY)
     exprs = [chsh_expression()] * 5
-    for i in range(1, 6):
+    runs = [lambda i=i: averaged_j_percopy(table, exprs, i) for i in range(1, 6)]
+    runs.append(lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5))
+    for k, run in enumerate(runs, 1):
         tracemalloc.start()
         try:
-            averaged_j_percopy(table, exprs, i)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table.probs.nbytes / 4, (i, peak)
+        assert peak < table.probs.nbytes / 4, (k, peak)
 
 
 def test_averaged_j_percopy_requires_percopy_table():

@@ -13,6 +13,7 @@ from paraself.bell import (
     CorrelationTable,
     Scheme,
     builtin_expression,
+    builtin_quantum_maximum,
     chsh_expression,
     quantum_value_fixed_measurements,
     table_from_json_dict,
@@ -274,6 +275,49 @@ def test_theorem3_swapped_copies_fail_both():
                               tol=1e-6)
     assert report.verdict == "fail"
     assert all(c.margin > 1e-2 for c in report.per_copy)
+    # Copies composed in every other order than the expressions at n = 3 and
+    # 4: each misplaced copy fails its expression, each copy in place passes.
+    names = ["chsh", "tilted-chsh(0.5)", "tilted-chsh(1)", "tilted-chsh(1.5)"]
+    strategies = [build_preset_strategy(*parse_strategy_spec(name)) for name in names]
+    for n in (3, 4):
+        exprs = [builtin_expression(name) for name in names[:n]]
+        betas = [builtin_quantum_maximum(name) for name in names[:n]]
+        for order in itertools.permutations(range(n)):
+            if order == tuple(range(n)):
+                continue
+            table = compose([strategies[k] for k in order], Scheme.BROADCAST)
+            report = certify_theorem3(table, exprs, betas)
+            assert report.verdict == "fail", order
+            for k, check in zip(order, report.per_copy):
+                misplaced = k != check.index - 1
+                assert (check.margin > 1e-2) if misplaced else (check.margin < 1e-12), \
+                    (order, check)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_theorem4_honest_percopy_passes_over_n(n):
+    table = compose([chsh_reference()] * n, Scheme.PER_COPY)
+    report = certify_theorem4(table, [chsh_expression()] * n, [CHSH_MAX] * n)
+    assert report.verdict == "pass"
+    assert all(c.margin < 1e-12 for c in report.per_copy)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_COPIES + 1))
+def test_white_noise_fails_with_numeric_target_over_n(n):
+    # A visibility just below 1 lowers every copy's value to nu * 2 sqrt(2):
+    # theorem 1 fails at every supported n, theorem 4 up to n = 5 (a per-copy
+    # table holds 8.4 MB at n = 5 and 134 MB at n = 6).
+    for nu in (0.99, 0.999):
+        noisy = [apply_isotropic_noise(chsh_reference(), nu)] * n
+        reports = [certify_theorem1(compose(noisy, Scheme.BROADCAST), chsh_expression(),
+                                    CHSH_MAX)]
+        if n <= 5:
+            reports.append(certify_theorem4(compose(noisy, Scheme.PER_COPY),
+                                            [chsh_expression()] * n, [CHSH_MAX] * n))
+        for report in reports:
+            assert report.verdict == "fail", (nu, report)
+            assert all(c.value == pytest.approx(nu * CHSH_MAX, abs=1e-9)
+                       for c in report.per_copy), (nu, report)
 
 
 def test_theorem4_honest_pair_passes():

@@ -82,6 +82,11 @@ def files(tmp_path_factory):
     # A JSON integer of 4,301 digits: json.loads refuses to convert it.
     paths["long_int"] = root / "long_int.json"
     paths["long_int"].write_text('{"m": ' + "1" * 4301 + "}")
+    # Files blamed at their root: cut off mid-object, and an array.
+    paths["truncated"] = root / "truncated.json"
+    paths["truncated"].write_text('{"m": ')
+    paths["array"] = root / "array.json"
+    paths["array"].write_text("[1, 2]")
     # One-copy chsh tables edited by hand.
     for key, edit in (("float_arities", {"input_arities": [2.9], "output_arities": [2.5]}),
                       ("string_n_copies", {"n_copies": "1"}),
@@ -164,6 +169,25 @@ def test_escaped_inputs_give_one_error_line(files, args, code, category):
     assert result.exit_code == code
     assert result.stderr.startswith(f"error: {category}: ")
     assert '"' not in result.stderr
+
+
+TRUNCATED = "error: input: invalid JSON in {truncated}: Expecting value: line 1 column 7 (char 6)"
+
+
+# The root of a file has the empty JSON pointer, which the message leaves out.
+@pytest.mark.parametrize("args,line", [
+    pytest.param(_certify_theorem1("{truncated}"), TRUNCATED, id="certify-table-invalid-json"),
+    pytest.param(_certify_theorem1("{array}"), "error: input: table must be a JSON object",
+                 id="certify-table-array"),
+    pytest.param(["bounds", "--bell", "{truncated}"], TRUNCATED, id="bounds-bell-invalid-json"),
+    pytest.param(["bounds", "--bell", "{array}"], "error: input: expression must be a JSON object",
+                 id="bounds-bell-array"),
+])
+def test_root_errors_name_no_pointer(files, args, line):
+    result = _run([a.format(**files) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line.format(**files)]
 
 
 # ---------------------------------------------------------------------------

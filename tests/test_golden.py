@@ -17,7 +17,8 @@ repository root
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list every golden that changed, and why, with the change.
+which prints the name of every golden whose bytes changed; list each, and
+why, with the change.
 """
 
 import hashlib
@@ -207,17 +208,20 @@ def test_report_golden(report_calls, name):
 
 
 def record() -> None:
-    """Write every golden from the current code."""
+    """Write every golden from the current code, and print the name of each
+    one whose bytes changed."""
     import tempfile
 
-    (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
-    (GOLDEN / "reports").mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        results = _run_cases(Path(workdir))
-    for name, record_ in results.items():
-        (GOLDEN / "cli" / f"{name}.json").write_text(json.dumps(record_, indent=2) + "\n")
-    for name, call in _reports().items():
-        (GOLDEN / "reports" / f"{name}.json").write_text(_report_text(call()))
+        texts = {f"cli/{name}": json.dumps(record_, indent=2) + "\n"
+                 for name, record_ in _run_cases(Path(workdir)).items()}
+    texts.update({f"reports/{name}": _report_text(call()) for name, call in _reports().items()})
+    for name, text in texts.items():
+        path = GOLDEN / f"{name}.json"
+        if not path.exists() or path.read_bytes() != text.encode():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(text.encode())
+            print(name)
 
 
 if __name__ == "__main__":

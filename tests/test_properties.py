@@ -22,6 +22,7 @@ from paraself.bell import (
     chsh_expression,
     conditional_kernel,
     conditional_mean,
+    conditional_means,
     copy_marginal,
     table_to_json_dict,
 )
@@ -365,6 +366,11 @@ def test_averaged_percopy_matches_oracle(ma, oa, make):
     exprs = _random_expressions(rng, ma, oa)
     for i in range(1, len(ma) + 1):
         assert averaged_j_percopy(table, exprs, i) == _oracle_averaged(table, exprs[i - 1], i)
+    # A stack of per-copy tables goes through conditional_means, never undefined.
+    other = _random_table(rng, Scheme.PER_COPY, ma, oa)
+    assert conditional_means([table, other], exprs) == [
+        [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(exprs, 1)]
+        for t in (table, other)]
 
 
 def _one_shot_marginal(table, i):

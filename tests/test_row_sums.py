@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paraself import bell
 from paraself.bell import (
     COEFF_SUM_LIMIT,
     Scheme,
@@ -18,7 +19,8 @@ from paraself.bell import (
     _row_fsums,
     chsh_expression,
 )
-from paraself.certify import certify_theorem1, certify_theorem4, sweep_noise
+from paraself.certify import (certify_theorem1, certify_theorem3, certify_theorem4,
+                              sweep_noise)
 from paraself.strategies import chsh_reference, compose
 
 CHSH_MAX = math.sqrt(8.0)
@@ -169,3 +171,23 @@ def test_certifiers_make_few_python_fsum_calls(monkeypatch):
     calls.clear()
     assert certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5).verdict == "pass"
     assert len(calls) <= 5
+
+
+def test_certifiers_make_one_row_sum_call(monkeypatch):
+    # Every copy's rows, broadcast prefixes or per-copy input settings, go to
+    # one row-sum call per certification, not one call per copy.
+    ce = chsh_expression()
+    broadcast = compose([chsh_reference()] * 6, Scheme.BROADCAST)
+    percopy = compose([chsh_reference()] * 5, Scheme.PER_COPY)
+    certifications = {
+        "theorem1": lambda: certify_theorem1(broadcast, ce, CHSH_MAX),
+        "theorem3": lambda: certify_theorem3(broadcast, [ce] * 6, [CHSH_MAX] * 6),
+        "theorem4": lambda: certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5),
+    }
+    calls = []
+    real = bell._row_fsums
+    monkeypatch.setattr(bell, "_row_fsums", lambda rows: calls.append(len(rows)) or real(rows))
+    for name, certify in certifications.items():
+        calls.clear()
+        assert certify().verdict == "pass", name
+        assert len(calls) == 1, (name, calls)
