@@ -18,14 +18,14 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
   gives the average.
 
 ``conditional_means`` gives the averages of every copy of a stack of tables
-of either scheme with one row-sum call; theorems 1, 3 and 4 and the noise
-sweep each make one such call.  Row sums equal ``math.fsum`` bit for bit.
-``copy_marginal`` and the rows (the kernel keeping ``(a_i, prefix)`` as one
-output) sum out other copies with ``_copy_outputs``, in exactly the order of
-numpy's one-shot reduction over the high and low axes of
-``(x, y, high_a, a_i, low_a, high_b, b_i, low_b)``: each ``low_b`` run, then the
-run sums in row-major ``(high_a, low_a, high_b)`` order; tests pin it with ``==``.
-Prefix probabilities are ``_pairwise_sum``s; ``reachable`` alone judges them.
+of either scheme from one walk over the stack and one row-sum call; theorems
+1, 3 and 4 and the noise sweep each make one such call.  Row sums equal
+``math.fsum`` bit for bit.  The walk sums out one copy at a time, the last
+first, each by adding its ``(a_j, b_j)`` slabs in row-major order, so rounding
+grows with the number of copies, not of entries; tests pin the order with
+``==``.  Copy ``i``'s rows come from the joint of copies ``1..i`` and their
+prefix probabilities from that of ``1..i-1``, so each is the sum of its block;
+``reachable`` alone judges them.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
@@ -240,13 +240,10 @@ class CorrelationTable:
         return len(self.output_arities)
 
 
-def _copy_split(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCAST,
-                expr: BellExpression | None = None) -> tuple:
-    """``(low, o_i, high)``: the joint output arity of the copies before copy
-    ``i``, that of copy ``i`` and that of the copies after it.  Raises
-    :class:`ShapeMismatch` unless ``table`` has ``scheme`` and a copy ``i``,
-    and, given ``expr``, that copy has the expression's input and output
-    arities."""
+def _check_copy(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCAST,
+                expr: BellExpression | None = None) -> None:
+    """Raise :class:`ShapeMismatch` unless ``table`` has ``scheme`` and a copy ``i``, and,
+    given ``expr``, that copy has the expression's input and output arities."""
     if table.scheme is not scheme:
         raise ShapeMismatch(f"this functional is defined for {scheme.value} tables")
     if not 1 <= i <= table.n_copies:
@@ -255,59 +252,53 @@ def _copy_split(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCA
     if expr is not None and (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
         raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
                             f"copy has ({ia[i - 1]}, {oa[i - 1]})")
-    return math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)`` bit for bit, sign of zero included, as whole-array adds in
-    numpy's pairwise order: under 8 entries in sequence; up to 128, 8 accumulators, the
-    tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in sequence; above, halves."""
-    n = x.shape[-1]
-    if n == 1:
-        return x[..., 0] + 0.0  # a zero sum is +0.0, as numpy gives it
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[..., :half]) + _pairwise_sum(x[..., half:])
-    terms = x.reshape(-1, n).T  # entry axis first, so every add is one long loop
-    if n < 8:
-        total, tail = terms[0] + terms[1], 2
-    else:
-        tail = n - n % 8
-        lanes = terms[:8] if tail == 8 else np.add(terms[:8], terms[8:16],
-                                                   out=np.empty((8,) + terms.shape[1:]))
-        for k in range(16, tail, 8):
-            lanes += terms[k:k + 8]
-        pairs = lanes[0::2] + lanes[1::2]
-        total = pairs[0::2] + pairs[1::2]
-        total = total[0] + total[1]
-    for k in range(tail, n):
-        total += terms[k]
-    total += 0.0  # a zero sum is +0.0, as numpy gives it
-    return total.reshape(x.shape[:-1])
+def _sum_out(joint: np.ndarray, oj: int, low: int) -> np.ndarray:
+    """``joint[r, a, b]`` with the outputs of the copy of arity ``oj`` above ``low`` joint
+    outputs summed out: its ``(a_j, b_j)`` slabs added one by one in row-major order."""
+    side = joint.shape[1] // (oj * low)
+    split = joint.reshape(len(joint), side, oj, low, side, oj, low)
+    slabs = [split[:, :, a, :, :, b] for a, b in itertools.product(range(oj), repeat=2)]
+    total = slabs[0] + slabs[1] if oj > 1 else slabs[0].copy()
+    for slab in slabs[2:]:
+        total += slab
+    return total.reshape(len(joint), side * low, side * low)
 
 
-def _copy_outputs(probs: np.ndarray, low: int, oi: int, high: int) -> np.ndarray:
-    """``p(a_i, b_i | x, y)`` for every leading index and input pair of ``probs``, summed in
-    numpy's one-shot order (see the module docstring) ``_MARGINAL_CHUNK`` entries at a time."""
-    if oi == 1:  # nothing is kept, so numpy sums each row as one run
-        return probs.sum(axis=(-2, -1), keepdims=True)
-    rows = probs.reshape(-1, high, oi, low, high, oi, low)
-    out = np.empty((oi, oi, len(rows)))
+def _copy_joints(probs: np.ndarray, oa: tuple, last: int, own: bool) -> list:
+    """Entry ``j <= last`` is the joint ``p(a_1..a_j, b_1..b_j | x, y)`` of copies ``1..j`` of
+    each table ``probs[k]`` of a stack with output arities ``oa`` (entry 0 holds each total), or
+    with ``own`` copy ``j``'s own marginal; indexed ``[k, x, y, a, b]``.  Copies are summed out
+    one at a time from the last by :func:`_sum_out`, each joint from the one above it, over
+    ``_MARGINAL_CHUNK`` table entries of leading rows at a time."""
+    n = len(oa)
+    lows = [math.prod(oa[:j]) for j in range(n + 1)]
+    rows = probs.reshape(-1, lows[n], lows[n])
+    # Without ``own``, the joint of every copy is the table itself.
+    out = [rows if j == n and not own else
+           np.empty((len(rows),) + (oa[j - 1] if own and j else lows[j],) * 2)
+           for j in range(last + 1)]
     step = max(1, _MARGINAL_CHUNK // rows[0].size)
     for start in range(0, len(rows), step):
-        runs = _pairwise_sum(rows[start:start + step])
-        # Row index last: a long-run copy, then whole rows added in sequence.
-        np.add.reduce(runs.transpose(1, 3, 4, 2, 5, 0).reshape(high * low * high, oi, oi, -1),
-                      axis=0, out=out[..., start:start + step])
-    return out.transpose(2, 0, 1).reshape(probs.shape[:-2] + (oi, oi))
+        joint = rows[start:start + step]
+        for j in range(n, -1, -1):
+            if j <= last and out[j] is not rows:
+                kept = joint
+                for c in range(j - 1, 0, -1) if own else ():
+                    kept = _sum_out(kept, oa[c - 1], lows[c - 1])
+                out[j][start:start + step] = kept
+            if j:
+                joint = _sum_out(joint, oa[j - 1], lows[j - 1])
+    return [kept.reshape(probs.shape[:3] + kept.shape[1:]) for kept in out]
 
 
 def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
-    """Single-copy marginal of copy ``i`` of a broadcast table (other copies'
-    outputs summed out in numpy's one-shot order; see the module docstring)."""
-    low, oi, high = _copy_split(table, i)
-    probs = _copy_outputs(table.probs, low, oi, high)
-    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1], (oi,), probs)
+    """Single-copy marginal of copy ``i`` of a broadcast table: the other copies' outputs
+    summed out one copy at a time, the last first (see the module docstring)."""
+    _check_copy(table, i)
+    probs = _copy_joints(table.probs[None], table.output_arities, i, own=True)[i][0]
+    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1], probs.shape[-1:], probs)
 
 
 def correlator(table: CorrelationTable, x: int, y: int) -> float:
@@ -334,9 +325,11 @@ def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
     marginalized out.  ``cond[x, y, prefix_a, prefix_b, a_i, b_i]`` is the
     distribution of copy ``i`` conditioned on that prefix, normalized wherever
     the prefix probability exceeds the positivity threshold and zero
-    elsewhere.  The table is reshaped and summed once for all prefixes.
+    elsewhere.  One walk gives the joints of copies ``1..i`` and ``1..i-1``.
     """
-    cond, prefix_prob = _prefix_kernel(table.probs[None], *_copy_split(table, i))
+    _check_copy(table, i)
+    cond, prefix_prob = _conditioned(_copy_joints(table.probs[None], table.output_arities, i,
+                                                  own=False), i)
     return cond[0], prefix_prob[0]
 
 
@@ -345,14 +338,15 @@ def reachable(prob: np.ndarray) -> np.ndarray:
     return prob > POSITIVITY_THRESHOLD
 
 
-def _prefix_kernel(probs: np.ndarray, low: int, oi: int, high: int) -> tuple:
-    """:func:`conditional_kernel` of each table ``probs[k]`` of a stack, with
-    ``k`` leading both results."""
-    joint = _copy_outputs(probs, 1, oi * low, high).reshape(probs.shape[:3] + (oi, low, oi, low))
-    # A contiguous (a_i, b_i) block per prefix makes each prefix probability
-    # the same pairwise sum that marginalizing one prefix at a time yields.
-    block = np.ascontiguousarray(joint.transpose(0, 1, 2, 4, 6, 3, 5))
-    prefix_prob = _pairwise_sum(block.reshape(block.shape[:5] + (oi * oi,)))
+def _conditioned(joints: list, i: int) -> tuple:
+    """:func:`conditional_kernel` of each table of a stack, with ``k`` leading both results,
+    from its :func:`_copy_joints`: the ``(a_i, b_i)`` blocks of joint ``i`` divided by their
+    sums, joint ``i - 1``."""
+    prefix_prob = joints[i - 1]
+    low = prefix_prob.shape[-1]
+    oi = joints[i].shape[-1] // low
+    block = joints[i].reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
+        0, 1, 2, 4, 6, 3, 5)
     positive = reachable(prefix_prob)
     safe = np.where(positive, prefix_prob, 1.0)
     cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
@@ -402,22 +396,20 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _copy_rows(probs: np.ndarray, table: CorrelationTable, i: int) -> tuple:
-    """``(cond, prefix_prob)`` of copy ``i`` of each table ``probs[k]`` of a stack like ``table``,
-    indexed ``[k, x_i, y_i, row_a, row_b]`` (``cond`` then ``[a_i, b_i]``).  Broadcast rows are
-    :func:`conditional_kernel`'s prefixes (copy 1 has one, its marginal); per-copy rows are the
-    other copies' inputs ``(high, low)``, with probability 1."""
-    low, oi, high = _copy_split(table, i, table.scheme)
-    if table.scheme is Scheme.PER_COPY:
-        ma = table.input_arities
-        low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
-        cond = _copy_outputs(probs, low, oi, high).reshape(
-            -1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(0, 2, 5, 1, 3, 4, 6, 7, 8)
-        cond = cond.reshape(len(probs), mi, mi, high_m * low_m, high_m * low_m, oi, oi)
-    elif i == 1:
-        cond = _copy_outputs(probs, 1, oi, high)[:, :, :, None, None]
+def _copy_rows(joints: list, table: CorrelationTable, i: int) -> tuple:
+    """``(cond, prefix_prob)`` of copy ``i`` of each table of a stack like ``table`` from its
+    :func:`_copy_joints`, indexed ``[k, x_i, y_i, row_a, row_b]`` (``cond`` then ``[a_i, b_i]``).
+    Broadcast rows are :func:`conditional_kernel`'s prefixes (copy 1 has one, its marginal);
+    per-copy rows are the other copies' inputs ``(high, low)``, with probability 1."""
+    if table.scheme is Scheme.BROADCAST:
+        if i > 1:
+            return _conditioned(joints, i)
+        cond = joints[1][:, :, :, None, None]
     else:
-        return _prefix_kernel(probs, low, oi, high)
+        ma, oi = table.input_arities, table.output_arities[i - 1]
+        low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
+        cond = joints[i].reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
+            0, 2, 5, 1, 3, 4, 6, 7, 8).reshape(-1, mi, mi, high_m * low_m, high_m * low_m, oi, oi)
     return cond, np.ones(cond.shape[:5])
 
 
@@ -434,7 +426,7 @@ def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> t
     probability is at or below the positivity threshold at an input pair that
     carries a nonzero coefficient.
     """
-    _copy_split(table, i)
+    _check_copy(table, i)
     return _conditional_means([table], [(i, expr)])[0][0]
 
 
@@ -444,7 +436,7 @@ def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
     settings of the other copies' inputs (one row each): the per-copy :func:`conditional_mean`."""
     if len(exprs) != table.n_copies:
         raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
-    _copy_split(table, i, Scheme.PER_COPY)
+    _check_copy(table, i, Scheme.PER_COPY)
     return _conditional_means([table], [(i, exprs[i - 1])])[0][0][0]
 
 
@@ -452,7 +444,9 @@ def conditional_means(tables: Sequence[CorrelationTable],
                       exprs: Sequence[BellExpression]) -> list:
     """:func:`conditional_mean` (per-copy tables: :func:`averaged_j_percopy`) of every copy
     ``i`` of each of ``tables`` (which share scheme and arities) with ``exprs[i - 1]``, one
-    list per table, from one row-sum call."""
+    list per table, from one walk over the stack and one row-sum call."""
+    if not tables:
+        raise ShapeMismatch("no tables given")
     if len(exprs) != tables[0].n_copies:
         raise ShapeMismatch(f"{len(exprs)} expressions given for {tables[0].n_copies} copies")
     return _conditional_means(tables, list(enumerate(exprs, 1)))
@@ -462,10 +456,12 @@ def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list
     """``[[conditional_mean(table, expr, i) for i, expr in copies] for table in tables]``."""
     table = tables[0]
     for i, expr in copies:
-        _copy_split(table, i, table.scheme, expr)
+        _check_copy(table, i, table.scheme, expr)
     if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
         raise ShapeMismatch("stacked tables differ in scheme or arities")
     probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
+    joints = _copy_joints(probs, table.output_arities, max(i for i, _ in copies),
+                          own=table.scheme is Scheme.PER_COPY)
     # One row per table and _copy_rows row of each copy, one term per (x_i, y_i, a_i, b_i);
     # zeros pad the rows of copies with fewer terms, and leave each sum as it is.
     sides = [len(table.probs) // table.input_arities[i - 1] if table.scheme is Scheme.PER_COPY
@@ -474,7 +470,7 @@ def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list
     rows = np.zeros((ends[-1], max(expr.coeffs.size for _, expr in copies)))
     undefined = []
     for (i, expr), side, end in zip(copies, sides, ends):
-        cond, prefix_prob = _copy_rows(probs, table, i)
+        cond, prefix_prob = _copy_rows(joints, table, i)
         products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
         rows[end - len(probs) * side * side:end, :expr.coeffs.size] = products.reshape(
             -1, expr.coeffs.size)

@@ -23,6 +23,7 @@ from paraself.bell import (
     classical_bound,
     conditional_kernel,
     conditional_mean,
+    conditional_means,
     copy_marginal,
     correlator,
     expression_from_json_dict,
@@ -43,6 +44,7 @@ from paraself.strategies import (
     adversary_copy,
     adversary_shared_randomness,
     apply_isotropic_noise,
+    broadcast_product,
     chsh_reference,
     compose,
     fullstats_reference,
@@ -300,6 +302,18 @@ def test_averaged_j_percopy_deterministic_is_classical():
         assert averaged_j_percopy(table, exprs, i) <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_copy_marginal_error_does_not_grow_with_the_copy_count(n):
+    # n - 1 products per entry and n - 1 levels of o^2 = 4-slab sums give a
+    # first-order bound linear in n; an order that adds the o^(2(n-1)) terms
+    # in sequence grows about 3.4x per copy instead.
+    single = single_copy_table(fullstats_reference(0.1, 0.2))
+    probs = broadcast_product([single.probs] * n)
+    table = CorrelationTable(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
+    deviation = float(np.max(np.abs(copy_marginal(table, 1).probs - single.probs)))
+    assert deviation <= 4 * (n - 1) * 2.0 ** -53, deviation
+
+
 def test_averaged_j_percopy_holds_no_table_sized_temporary():
     # The copy marginal sums the table a chunk at a time; one temporary of the
     # whole table (8.4 MB here) would push the traced peak far past the bound,
@@ -343,6 +357,7 @@ SHAPE_ERRORS = {
     "mean-inputs": lambda: conditional_mean(BROADCAST2, M3O2, 2),
     "averaged-outputs": lambda: averaged_j_percopy(PERCOPY2, [chsh_expression(), M2O3], 2),
     "averaged-expression-count": lambda: averaged_j_percopy(PERCOPY2, CHSH2[:1], 1),
+    "means-no-tables": lambda: conditional_means([], []),
 }
 
 

@@ -213,26 +213,27 @@ def test_certify_theorem3_oracle_betas_from_expressions(runner, tmp_path):
     assert targets == [np.sqrt(8.0), np.sqrt(8.5)]
 
 
-def _lying_provenance_table(runner, tmp_path):
-    """A noisy chsh^3 table whose provenance names, for every copy, the tilted
+def _lying_provenance_table(runner, tmp_path, n=3):
+    """A noisy chsh^n table whose provenance names, for every copy, the tilted
     strategy whose CHSH value with those measurements is the noisy value."""
-    table, data = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3",
+    table, data = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", str(n),
                             "--noise", "0.9")
     lie = {"name": "tilted-chsh", "params": [1.7715550342423128]}
-    data["provenance"] = {"strategies": [lie] * 3, "noise": None}
+    data["provenance"] = {"strategies": [lie] * n, "noise": None}
     table.write_text(json.dumps(data, indent=2))
     return table, data
 
 
-def test_certify_oracle_ignores_lying_provenance(runner, tmp_path):
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_certify_oracle_ignores_lying_provenance(runner, tmp_path, n):
     # The file being judged must not choose its own target.
-    table, _ = _lying_provenance_table(runner, tmp_path)
+    table, _ = _lying_provenance_table(runner, tmp_path, n)
     result = runner.invoke(main, ["certify", "--table", str(table), "--protocol", "theorem1",
                                   "--bell", "chsh", "--beta", "oracle"])
     assert result.exit_code == 1, result.output
     report = json.loads(result.stdout)
     assert report["verdict"] == "fail"
-    assert [c["target"] for c in report["copies"]] == [2.8284271247461903] * 3
+    assert [c["target"] for c in report["copies"]] == [2.8284271247461903] * n
 
 
 def test_certify_output_does_not_depend_on_provenance(runner, tmp_path):

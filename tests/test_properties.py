@@ -5,13 +5,16 @@ large-batch versions demanded by the acceptance gate live in
 test_acceptance.py.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from paraself import bell
 from paraself.bell import (
     POSITIVITY_THRESHOLD,
     BellExpression,
@@ -209,16 +212,33 @@ def test_averaged_percopy_matches_bruteforce_on_mixed_inputs():
 
 # Oracle for the conditional kernel: the per-prefix loop it replaced.  Each
 # prefix gets its own marginalization and normalization, and one fsum.  The
-# marginal sums use the same numpy reductions as the library, so the kernel
-# must agree exactly, not merely to a tolerance.
+# marginals sum out one copy at a time, the last first, each as a plain
+# reduction over the copy's (a, b) slabs in row-major order: the library's
+# order, so the kernel must agree exactly, not merely to a tolerance.
+
+def _sum_out_copy(probs, oa, c):
+    """``probs[..., a, b]`` over copies ``oa`` with copy ``c`` (from 0) summed out."""
+    high, oc, low = math.prod(oa[c + 1:]), oa[c], math.prod(oa[:c])
+    split = probs.reshape(probs.shape[:-2] + (high, oc, low, high, oc, low))
+    slabs = (split[..., :, a, :, :, b, :].reshape(probs.shape[:-2] + (high * low,) * 2)
+             for a, b in itertools.product(range(oc), repeat=2))
+    return functools.reduce(operator.add, slabs), oa[:c] + oa[c + 1:]
+
+
+def _oracle_joint(table, i):
+    """The joint of copies ``1..i``: copies ``n..i+1`` summed out, the last first."""
+    probs, oa = table.probs, table.output_arities
+    for c in reversed(range(i, table.n_copies)):
+        probs, oa = _sum_out_copy(probs, oa, c)
+    return probs
+
 
 def _oracle_slice(table, i, pa, pb):
-    oa = table.output_arities
-    low, oi, high = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
+    low, oi = math.prod(table.output_arities[: i - 1]), table.output_arities[i - 1]
+    joint = _oracle_joint(table, i)
     m = table.input_arities[0]
-    r = table.probs.reshape(m, m, high, oi, low, high, oi, low)
-    block = r.sum(axis=(2, 5))[:, :, :, pa, :, pb]
-    prefix_prob = block.sum(axis=(2, 3))
+    block = joint.reshape(m, m, oi, low, oi, low)[:, :, :, pa, :, pb]
+    prefix_prob = _sum_out_copy(joint, table.output_arities[:i], i - 1)[0][:, :, pa, pb]
     positive = prefix_prob > POSITIVITY_THRESHOLD
     safe = np.where(positive, prefix_prob, 1.0)
     return np.where(positive[:, :, None, None], block / safe[:, :, None, None], 0.0), prefix_prob
@@ -257,13 +277,20 @@ def _oracle_theorem2_values(table, reference):
     return values
 
 
+def _oracle_marginal(table, i):
+    """Copy ``i``'s own marginal ``[x, y, a_i, b_i]``: the other copies summed out, last first."""
+    probs, oa = table.probs, table.output_arities
+    for c in reversed(range(table.n_copies)):
+        if c != i - 1:
+            probs, oa = _sum_out_copy(probs, oa, c)
+    return probs
+
+
 def _oracle_averaged(table, expr, i):
-    ma, oa = table.input_arities, table.output_arities
+    ma = table.input_arities
     low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
-    low_o, oi, high_o = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
-    r = table.probs.reshape(
-        high_m, mi, low_m, high_m, mi, low_m, high_o, oi, low_o, high_o, oi, low_o)
-    marg = r.sum(axis=(6, 8, 9, 11))
+    marg = _oracle_marginal(table, i).reshape(
+        high_m, mi, low_m, high_m, mi, low_m, *expr.coeffs.shape[2:])
     values = [
         math.fsum((expr.coeffs * marg[hx, :, lx, hy, :, ly]).ravel())
         for hx, lx, hy, ly in itertools.product(
@@ -335,9 +362,8 @@ def _signed_zero_table(rng, scheme, ma, oa):
     return table
 
 
-# Four-outcome copies make 16-term (a_i, b_i) blocks, whose prefix probabilities
-# take the pairwise sum's eight-lane path; signed zeros check the sign of every
-# zero sum.
+# Four-outcome copies make 16-slab (a_i, b_i) sums; signed zeros check the sign
+# of every zero sum.
 @pytest.mark.parametrize("oa", [(2, 4, 2), (3, 1, 4, 2)])
 @pytest.mark.parametrize("make", [_random_table, _signed_zero_table], ids=["random", "signed-zeros"])
 def test_kernel_matches_oracle_bytes_on_four_outcome_copies(oa, make):
@@ -351,8 +377,8 @@ def test_kernel_matches_oracle_bytes_on_four_outcome_copies(oa, make):
             assert prefix_prob[:, :, pa, pb].tobytes() == want_prob.tobytes(), (i, pa, pb)
 
 
-# The copy marginal runs in chunks; these tables reach its sequential (< 8),
-# unrolled pairwise (8..128) and recursive pairwise (243 terms) run sums.
+# The per-copy marginals sum out copies above and below copy i, and copies
+# with one, two and three outcomes; low243 has 243 joint outputs below copy 6.
 @pytest.mark.parametrize("ma, oa, make", [
     pytest.param((2, 3), (2, 2), _random_table, id="ma0-oa0"),
     pytest.param((3, 2, 2), (2, 3, 2), _random_table, id="ma1-oa1"),
@@ -373,13 +399,6 @@ def test_averaged_percopy_matches_oracle(ma, oa, make):
         for t in (table, other)]
 
 
-def _one_shot_marginal(table, i):
-    """The copy marginal as one numpy reduction over the eight-axis view."""
-    oa, m = table.output_arities, table.input_arities[0]
-    low, oi, high = math.prod(oa[: i - 1]), oa[i - 1], math.prod(oa[i:])
-    return table.probs.reshape(m, m, high, oi, low, high, oi, low).sum(axis=(2, 4, 5, 7))
-
-
 @pytest.mark.parametrize("name", ["chsh6", "adversary-copy6", "adversary-shared6",
                                   "mixed-arity", "signed-zeros"])
 def test_copy_marginal_matches_one_shot_reduction(name):
@@ -393,9 +412,32 @@ def test_copy_marginal_matches_one_shot_reduction(name):
         "signed-zeros": lambda: _signed_zero_table(rng, Scheme.BROADCAST, *mixed),
     }[name]()
     for i in range(1, table.n_copies + 1):
+        # The oracle sums the whole table in one shot; the library walks it in chunks.
         got = copy_marginal(table, i).probs
-        want = _one_shot_marginal(table, i)
+        want = _oracle_marginal(table, i)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 16, 1 << 30])
+def test_walk_bytes_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # Chunks split the walk over leading rows only, so every chunk size gives
+    # the oracle's bytes: one row at a time, uneven chunks, or the whole stack.
+    rng = np.random.default_rng(7500)
+    broadcast = _signed_zero_table(rng, Scheme.BROADCAST, (2,) * 4, (2, 3, 2, 2))
+    percopy = [_signed_zero_table(rng, Scheme.PER_COPY, (2, 2, 2), (2, 3, 2)) for _ in range(2)]
+    exprs = _random_expressions(rng, (2, 2, 2), (2, 3, 2))
+    monkeypatch.setattr(bell, "_MARGINAL_CHUNK", chunk)
+    for i in range(1, broadcast.n_copies + 1):
+        want = _oracle_marginal(broadcast, i)
+        assert copy_marginal(broadcast, i).probs.tobytes() == want.tobytes(), i
+        cond, prefix_prob = conditional_kernel(broadcast, i)
+        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
+            want_cond, want_prob = _oracle_slice(broadcast, i, pa, pb)
+            assert cond[:, :, pa, pb].tobytes() == want_cond.tobytes(), (i, pa, pb)
+            assert prefix_prob[:, :, pa, pb].tobytes() == want_prob.tobytes(), (i, pa, pb)
+    assert conditional_means(percopy, exprs) == [
+        [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(exprs, 1)]
+        for t in percopy]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,8 +1,8 @@
 """Exactness of the vectorized sums in ``paraself.bell``.
 
-``_row_fsums`` must equal ``math.fsum`` of every row bit for bit, and
-``_pairwise_sum`` must equal ``np.sum(axis=-1)`` bit for bit; the certifiers
-must make only a few Python ``fsum`` calls, not one per row.
+``_row_fsums`` must equal ``math.fsum`` of every row bit for bit; the
+certifiers must make only a few Python ``fsum`` calls, not one per row, and
+one walk over the table and one row-sum call per certification or batch.
 """
 
 import math
@@ -15,7 +15,6 @@ from paraself import bell
 from paraself.bell import (
     COEFF_SUM_LIMIT,
     Scheme,
-    _pairwise_sum,
     _row_fsums,
     chsh_expression,
 )
@@ -144,17 +143,6 @@ def test_row_fsums_give_positive_zero():
     assert _row_fsums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
 
 
-def test_pairwise_sum_matches_numpy_for_every_length():
-    rng = np.random.default_rng(300)
-    for n in range(1, 301):
-        x = rng.normal(size=(3, 4, n)) * np.exp(rng.normal(size=(3, 4, n)) * 20)
-        x[0, 0] = -0.0
-        x[0, 1] = rng.choice([0.0, -0.0], size=n)
-        x[0, 2, rng.random(n) < 0.5] = -0.0
-        for view in (x, x[:, ::2], x.transpose(1, 0, 2)):
-            _assert_same_bits(_pairwise_sum(view), view.sum(axis=-1))
-
-
 def test_certifiers_make_few_python_fsum_calls(monkeypatch):
     # One fsum per copy's prefix average (per table in a sweep) and none per
     # row: the parent implementation made 1,370, 1,848 and 1,285 calls here.
@@ -173,9 +161,18 @@ def test_certifiers_make_few_python_fsum_calls(monkeypatch):
     assert len(calls) <= 5
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(bell, name)
+    monkeypatch.setattr(bell, name, lambda first, *args, **kwargs: calls.append(len(first))
+                        or real(first, *args, **kwargs))
+    return calls
+
+
 def test_certifiers_make_one_row_sum_call(monkeypatch):
-    # Every copy's rows, broadcast prefixes or per-copy input settings, go to
-    # one row-sum call per certification, not one call per copy.
+    # Every copy's rows, broadcast prefixes or per-copy input settings, come
+    # from one walk over the table and go to one row-sum call per
+    # certification, not one of each per copy.
     ce = chsh_expression()
     broadcast = compose([chsh_reference()] * 6, Scheme.BROADCAST)
     percopy = compose([chsh_reference()] * 5, Scheme.PER_COPY)
@@ -184,10 +181,15 @@ def test_certifiers_make_one_row_sum_call(monkeypatch):
         "theorem3": lambda: certify_theorem3(broadcast, [ce] * 6, [CHSH_MAX] * 6),
         "theorem4": lambda: certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5),
     }
-    calls = []
-    real = bell._row_fsums
-    monkeypatch.setattr(bell, "_row_fsums", lambda rows: calls.append(len(rows)) or real(rows))
+    calls, walks = _counting(monkeypatch, "_row_fsums"), _counting(monkeypatch, "_copy_joints")
     for name, certify in certifications.items():
         calls.clear()
+        walks.clear()
         assert certify().verdict == "pass", name
         assert len(calls) == 1, (name, calls)
+        assert len(walks) == 1, (name, walks)
+    # The sweep walks each batch of stacked visibilities once: 16,384-entry
+    # tables at n = 6 make four visibilities per 65,536-entry batch.
+    walks.clear()
+    assert len(sweep_noise(chsh_reference(), 6, ce, [k / 10 for k in range(11)])) == 11
+    assert walks == [4, 4, 3]
