@@ -18,13 +18,16 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
   gives the average.
 
 ``conditional_means`` gives the averages of every copy of a stack of tables
-of either scheme from one walk over the stack and one row-sum call; theorems
-1, 3 and 4 and the noise sweep each make one such call.  Row sums equal
-``math.fsum`` bit for bit.  The walk sums out one copy at a time, the last
-first, each by adding its ``(a_j, b_j)`` slabs in row-major order, so rounding
-grows with the number of copies, not of entries; tests pin the order with
-``==``.  Copy ``i``'s rows come from the joint of copies ``1..i`` and their
-prefix probabilities from that of ``1..i-1``, so each is the sum of its block;
+of either scheme from one walk over the stack; theorems 1, 3 and 4 and the
+noise sweep each make one such call, and theorem 2 takes every copy's kernel
+from one walk.  Row sums equal ``math.fsum`` bit for bit and go in blocks of
+at most ``_MARGINAL_CHUNK`` terms.  A walk sums out one copy at a time, the
+last first, each by adding its ``(a_j, b_j)`` slabs in row-major order, so
+rounding grows with the number of copies, not of entries; tests pin the order
+with ``==``.  Broadcast walks keep the rows first; per-copy walks, which keep
+each copy's own marginal, move them last, so every slab add is contiguous.
+Copy ``i``'s rows come from the joint of copies ``1..i`` and their prefix
+probabilities from that of ``1..i-1``, so each is the sum of its block;
 ``reachable`` alone judges them.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
@@ -255,41 +258,54 @@ def _check_copy(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCA
 
 
 def _sum_out(joint: np.ndarray, oj: int, low: int) -> np.ndarray:
-    """``joint[r, a, b]`` with the outputs of the copy of arity ``oj`` above ``low`` joint
-    outputs summed out: its ``(a_j, b_j)`` slabs added one by one in row-major order."""
-    side = joint.shape[1] // (oj * low)
-    split = joint.reshape(len(joint), side, oj, low, side, oj, low)
+    """``joint[l, a, b, t]`` (``l`` and ``t`` ride along) with the outputs of the copy of arity
+    ``oj`` above ``low`` joint outputs summed out: its ``(a_j, b_j)`` slabs added one by one in
+    row-major order."""
+    lead, size, _, trail = joint.shape
+    side = size // (oj * low)
+    split = joint.reshape(lead, side, oj, low, side, oj, low, trail)
     slabs = [split[:, :, a, :, :, b] for a, b in itertools.product(range(oj), repeat=2)]
     total = slabs[0] + slabs[1] if oj > 1 else slabs[0].copy()
     for slab in slabs[2:]:
         total += slab
-    return total.reshape(len(joint), side * low, side * low)
+    return total.reshape(lead, side * low, side * low, trail)
 
 
 def _copy_joints(probs: np.ndarray, oa: tuple, last: int, own: bool) -> list:
     """Entry ``j <= last`` is the joint ``p(a_1..a_j, b_1..b_j | x, y)`` of copies ``1..j`` of
     each table ``probs[k]`` of a stack with output arities ``oa`` (entry 0 holds each total), or
     with ``own`` copy ``j``'s own marginal; indexed ``[k, x, y, a, b]``.  Copies are summed out
-    one at a time from the last by :func:`_sum_out`, each joint from the one above it, over
-    ``_MARGINAL_CHUNK`` table entries of leading rows at a time."""
+    one at a time from the last by :func:`_sum_out`, over ``_MARGINAL_CHUNK`` table entries of
+    leading rows at a time.  With ``own`` a chunk is laid out ``[a_n, b_n, ..., a_1, b_1, rows]``
+    once, and each copy is one sum over a stack of the joint and the marginals in progress; the
+    joint of copies ``1..c``, its ``(a_c, b_c)`` leading, joins the stack as copy ``c``'s."""
     n = len(oa)
     lows = [math.prod(oa[:j]) for j in range(n + 1)]
     rows = probs.reshape(-1, lows[n], lows[n])
-    # Without ``own``, the joint of every copy is the table itself.
-    out = [rows if j == n and not own else
-           np.empty((len(rows),) + (oa[j - 1] if own and j else lows[j],) * 2)
-           for j in range(last + 1)]
     step = max(1, _MARGINAL_CHUNK // rows[0].size)
+    if own:
+        arities = (1,) + oa[:last]  # of the total, then of each own marginal
+        stacked = np.empty((sum(o * o for o in arities), len(rows)))
+        interleave = [axis for c in range(1, n + 1) for axis in (c, n + c)] + [0]
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            work = chunk.reshape((len(chunk),) + oa[::-1] * 2).transpose(interleave).reshape(1, -1)
+            for c in range(n, 0, -1):  # work: [joint of 1..c, own marginals of c+1..last]
+                oc = oa[c - 1]
+                summed = _sum_out(work.reshape(len(work), oc, oc, -1), oc, 1)[:, 0, 0]
+                joined = [work[0].reshape(oc * oc, -1)] if c <= last else []
+                work = np.concatenate([summed[:1]] + joined + [summed[1:]])
+            stacked[:, start:start + step] = work
+        parts = np.split(stacked, np.cumsum([o * o for o in arities])[:-1])
+        return [part.T.reshape(probs.shape[:3] + (o, o)) for part, o in zip(parts, arities)]
+    # Without ``own``, the joint of every copy is the table itself.
+    out = [rows if j == n else np.empty((len(rows), lows[j], lows[j])) for j in range(last + 1)]
     for start in range(0, len(rows), step):
-        joint = rows[start:start + step]
-        for j in range(n, -1, -1):
-            if j <= last and out[j] is not rows:
-                kept = joint
-                for c in range(j - 1, 0, -1) if own else ():
-                    kept = _sum_out(kept, oa[c - 1], lows[c - 1])
-                out[j][start:start + step] = kept
-            if j:
-                joint = _sum_out(joint, oa[j - 1], lows[j - 1])
+        joint = rows[start:start + step, :, :, None]
+        for j in range(n, 0, -1):
+            joint = _sum_out(joint, oa[j - 1], lows[j - 1])
+            if j <= last + 1:
+                out[j - 1][start:start + step] = joint[..., 0]
     return [kept.reshape(probs.shape[:3] + kept.shape[1:]) for kept in out]
 
 
@@ -328,9 +344,18 @@ def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
     elsewhere.  One walk gives the joints of copies ``1..i`` and ``1..i-1``.
     """
     _check_copy(table, i)
-    cond, prefix_prob = _conditioned(_copy_joints(table.probs[None], table.output_arities, i,
-                                                  own=False), i)
-    return cond[0], prefix_prob[0]
+    joints = _copy_joints(table.probs[None], table.output_arities, i, own=False)
+    return tuple(part[0] for part in _conditioned(joints, i))
+
+
+def _copy_kernels(table: CorrelationTable) -> tuple:
+    """``(copy_marginal(table, 1), kernels)`` of a broadcast table from one walk, where
+    ``kernels`` yields :func:`conditional_kernel` of copies ``2..n`` in turn."""
+    joints = _copy_joints(table.probs[None], table.output_arities, table.n_copies, own=False)
+    marginal = CorrelationTable(Scheme.BROADCAST, table.input_arities[:1],
+                                table.output_arities[:1], joints[1][0])
+    return marginal, (tuple(part[0] for part in _conditioned(joints, i))
+                      for i in range(2, table.n_copies + 1))
 
 
 def reachable(prob: np.ndarray) -> np.ndarray:
@@ -444,7 +469,7 @@ def conditional_means(tables: Sequence[CorrelationTable],
                       exprs: Sequence[BellExpression]) -> list:
     """:func:`conditional_mean` (per-copy tables: :func:`averaged_j_percopy`) of every copy
     ``i`` of each of ``tables`` (which share scheme and arities) with ``exprs[i - 1]``, one
-    list per table, from one walk over the stack and one row-sum call."""
+    list per table, from one walk over the stack and row sums in blocks."""
     if not tables:
         raise ShapeMismatch("no tables given")
     if len(exprs) != tables[0].n_copies:
@@ -468,7 +493,7 @@ def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list
              else math.prod(table.output_arities[:i - 1]) for i, _ in copies]
     ends = np.cumsum([len(probs) * side * side for side in sides])
     rows = np.zeros((ends[-1], max(expr.coeffs.size for _, expr in copies)))
-    undefined = []
+    undefined, means = [], [[] for _ in tables]
     for (i, expr), side, end in zip(copies, sides, ends):
         cond, prefix_prob = _copy_rows(joints, table, i)
         products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
@@ -477,7 +502,8 @@ def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list
         bad = ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2)
         # undefined[k, row_a, row_b, x, y]
         undefined.append((bad & np.any(expr.coeffs != 0.0, axis=(2, 3)), prefix_prob))
-    sums, means = _row_fsums(rows), [[] for _ in tables]
+    step = max(1, _MARGINAL_CHUNK // rows.shape[1])  # row sums in blocks of bounded size
+    sums = np.concatenate([_row_fsums(rows[s:s + step]) for s in range(0, len(rows), step)])
     for (i, _), end, (bad, prefix_prob) in zip(copies, ends, undefined):
         defined = ~bad.any(axis=(3, 4)).reshape(len(tables), -1)
         values = sums[end - defined.size:end].reshape(defined.shape)

@@ -9,8 +9,8 @@ finite, and for a target that is not finite.
 
 Theorem 1 is theorem 3 with one expression and target for every copy.
 Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
-call (one pass per copy, one row-sum call); its rows are the prefixes of
-earlier outputs (broadcast) or the other copies' input settings (per-copy).
+call (one walk, row sums in blocks); its rows are the prefixes of earlier outputs
+(broadcast) or the other copies' input settings (per-copy).  Theorem 2 walks once too.
 The noise sweep stacks the tables of a batch of visibilities: one Born rule,
 one product and one ``conditional_means`` call serve the whole batch, and
 every table is validated.
@@ -40,9 +40,8 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
-    conditional_kernel,
+    _copy_kernels,
     conditional_means,
-    copy_marginal,
     correlator,
     reachable,
 )
@@ -182,8 +181,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
         raise SchemeInputMismatch("full-statistics certification requires a broadcast table")
     if reference.n_copies != 1:
         raise ShapeMismatch("reference must be a single-copy table")
-    m = reference.input_arities[0]
-    o = reference.output_arities[0]
+    m, o = reference.input_arities[0], reference.output_arities[0]
     if table.input_arities[0] != m or any(v != o for v in table.output_arities):
         raise ShapeMismatch("table copies do not match the reference arities")
     checks: list[CopyCheck] = []
@@ -197,20 +195,16 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
         checks.append(CopyCheck(1, 0.0, 0.0, 0.0, precondition_ok=False))
         return _finish_report(checks, diagnostics, tol)
 
-    marginal = copy_marginal(table, 1)
+    marginal, kernels = _copy_kernels(table)
     dev1 = float(np.max(np.abs(marginal.probs - reference.probs)))
     checks.append(CopyCheck(1, dev1, 0.0, dev1))
     if o == 2:
-        for x in range(m):
-            for y in range(m):
-                diagnostics.append(
-                    f"correlator({x},{y}): copy-1 {correlator(marginal, x, y)!r}, "
-                    f"reference {correlator(reference, x, y)!r}"
-                )
+        diagnostics += [f"correlator({x},{y}): copy-1 {correlator(marginal, x, y)!r}, "
+                        f"reference {correlator(reference, x, y)!r}"
+                        for x in range(m) for y in range(m)]
 
     parity_signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for i in range(2, table.n_copies + 1):
-        cond, prefix_prob = conditional_kernel(table, i)
+    for i, (cond, prefix_prob) in enumerate(kernels, 2):
         unreachable = (~reachable(prefix_prob)).any(axis=(0, 1))
         # deviation[prefix_a, prefix_b]: largest entrywise deviation from the
         # reference, 0 on unreachable prefixes.  argmax keeps the first
@@ -224,12 +218,9 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
             ref_corr = (reference.probs * parity_signs).sum(axis=(2, 3))
             cond_corr = (cond * parity_signs).sum(axis=(4, 5))
             corr_dev = np.abs(cond_corr - ref_corr[:, :, None, None]).max(axis=(2, 3))
-            for x in range(m):
-                for y in range(m):
-                    diagnostics.append(
-                        f"conditional correlator({x},{y}) copy {i}: max deviation "
-                        f"{corr_dev[x, y]:.3e} over all prefixes"
-                    )
+            diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
+                            f"{corr_dev[x, y]:.3e} over all prefixes"
+                            for x in range(m) for y in range(m)]
         if unreachable.any():
             # A strictly positive reference makes every prefix reachable in
             # the honest experiment, so unreachable prefixes are a failure in
@@ -248,9 +239,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
             )
         checks.append(CopyCheck(i, worst, 0.0, worst))
     if checks[0].margin > tol:
-        diagnostics.append(
-            f"copy 1: max marginal deviation {checks[0].margin:.6e}"
-        )
+        diagnostics.append(f"copy 1: max marginal deviation {checks[0].margin:.6e}")
     return _finish_report(checks, diagnostics, tol)
 
 

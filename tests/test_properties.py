@@ -438,6 +438,30 @@ def test_walk_bytes_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     assert conditional_means(percopy, exprs) == [
         [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(exprs, 1)]
         for t in percopy]
+    # 324 rows of 144 entries per table: a chunk of 2^10 takes 7 rows, and the
+    # chunks of a per-copy walk (rows last) split unevenly.
+    uneven = [_signed_zero_table(rng, Scheme.PER_COPY, (3, 2, 3), (2, 3, 2)) for _ in range(2)]
+    uneven_exprs = _random_expressions(rng, (3, 2, 3), (2, 3, 2))
+    assert conditional_means(uneven, uneven_exprs) == [
+        [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(uneven_exprs, 1)]
+        for t in uneven]
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 16, 1 << 30])
+def test_row_sum_blocks_do_not_change_the_means(monkeypatch, chunk):
+    # Two tables of 185 prefix rows each, of at most 36 terms: below 2^16
+    # entries per block, the row sums of one call go in several blocks.
+    rng = np.random.default_rng(7600)
+    stack = [_random_table(rng, Scheme.BROADCAST, (2,) * 4, (2, 3, 2, 2)) for _ in range(2)]
+    exprs = _random_expressions(rng, (2,) * 4, (2, 3, 2, 2))
+    monkeypatch.setattr(bell, "_MARGINAL_CHUNK", 1 << 30)
+    whole = conditional_means(stack, exprs)
+    monkeypatch.setattr(bell, "_MARGINAL_CHUNK", chunk)
+    blocks, row_fsums = [], bell._row_fsums
+    monkeypatch.setattr(bell, "_row_fsums",
+                        lambda rows: blocks.append(len(rows)) or row_fsums(rows))
+    assert conditional_means(stack, exprs) == whole
+    assert sum(blocks) == 370 and (len(blocks) > 1) == (chunk < 1 << 16), blocks
 
 
 @pytest.mark.parametrize("seed", range(6))

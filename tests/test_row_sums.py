@@ -2,7 +2,8 @@
 
 ``_row_fsums`` must equal ``math.fsum`` of every row bit for bit; the
 certifiers must make only a few Python ``fsum`` calls, not one per row, and
-one walk over the table and one row-sum call per certification or batch.
+one walk over the table per certification or batch, with one row-sum call
+per block of rows.
 """
 
 import math
@@ -18,9 +19,10 @@ from paraself.bell import (
     _row_fsums,
     chsh_expression,
 )
-from paraself.certify import (certify_theorem1, certify_theorem3, certify_theorem4,
-                              sweep_noise)
-from paraself.strategies import chsh_reference, compose
+from paraself.certify import (certify_theorem1, certify_theorem2, certify_theorem3,
+                              certify_theorem4, sweep_noise)
+from paraself.strategies import (chsh_reference, compose, fullstats_reference,
+                                 single_copy_table)
 
 CHSH_MAX = math.sqrt(8.0)
 
@@ -172,21 +174,26 @@ def _counting(monkeypatch, name):
 def test_certifiers_make_one_row_sum_call(monkeypatch):
     # Every copy's rows, broadcast prefixes or per-copy input settings, come
     # from one walk over the table and go to one row-sum call per
-    # certification, not one of each per copy.
+    # certification, not one of each per copy.  Theorem 2 compares whole
+    # distributions, so it makes no row sums, and takes copy 1's marginal and
+    # every later copy's kernel from one walk.
     ce = chsh_expression()
     broadcast = compose([chsh_reference()] * 6, Scheme.BROADCAST)
     percopy = compose([chsh_reference()] * 5, Scheme.PER_COPY)
+    fullstats = fullstats_reference(0.1, 0.2)
     certifications = {
-        "theorem1": lambda: certify_theorem1(broadcast, ce, CHSH_MAX),
-        "theorem3": lambda: certify_theorem3(broadcast, [ce] * 6, [CHSH_MAX] * 6),
-        "theorem4": lambda: certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5),
+        "theorem1": (lambda: certify_theorem1(broadcast, ce, CHSH_MAX), 1),
+        "theorem2": (lambda: certify_theorem2(compose([fullstats] * 5, Scheme.BROADCAST),
+                                              single_copy_table(fullstats)), 0),
+        "theorem3": (lambda: certify_theorem3(broadcast, [ce] * 6, [CHSH_MAX] * 6), 1),
+        "theorem4": (lambda: certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5), 1),
     }
     calls, walks = _counting(monkeypatch, "_row_fsums"), _counting(monkeypatch, "_copy_joints")
-    for name, certify in certifications.items():
+    for name, (certify, row_sums) in certifications.items():
         calls.clear()
         walks.clear()
         assert certify().verdict == "pass", name
-        assert len(calls) == 1, (name, calls)
+        assert len(calls) == row_sums, (name, calls)
         assert len(walks) == 1, (name, walks)
     # The sweep walks each batch of stacked visibilities once: 16,384-entry
     # tables at n = 6 make four visibilities per 65,536-entry batch.
