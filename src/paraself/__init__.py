@@ -11,14 +11,12 @@ from .bell import (
     BoundResult,
     CorrelationTable,
     Scheme,
-    averaged_j_percopy,
     bell_operator,
     builtin_expression,
     builtin_quantum_maximum,
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    copy_marginal,
     correlator,
     expression_from_json_dict,
     quantum_value_fixed_measurements,
@@ -70,7 +68,6 @@ __all__ = [
     "adversary_copy",
     "adversary_shared_randomness",
     "apply_isotropic_noise",
-    "averaged_j_percopy",
     "bell_operator",
     "build_preset_strategy",
     "builtin_expression",
@@ -84,7 +81,6 @@ __all__ = [
     "chsh_reference",
     "classical_bound",
     "compose",
-    "copy_marginal",
     "correlator",
     "expression_from_json_dict",
     "fullstats_reference",

@@ -9,20 +9,19 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
 
 * Broadcast rows are the prefixes, the joint outputs of copies ``1..i-1``: a
   row is copy ``i``'s distribution conditioned on one (later copies summed
-  out first).  ``conditional_kernel`` gives every row and prefix probability
-  at once; ``conditional_mean`` gives the average and names the first prefix
-  where a value is undefined.  Simultaneous maximality of these averages for
-  every copy is the certification target of the broadcast scheme.
+  out first), and copy 1's one row is its marginal.  Simultaneous maximality
+  of these averages for every copy is the certification target of the
+  broadcast scheme.
 * Per-copy rows are the settings of the other copies' inputs: a row is copy
-  ``i``'s marginal at one setting, always defined.  ``averaged_j_percopy``
-  gives the average.
+  ``i``'s marginal at one setting, always defined.
 
 ``conditional_means`` gives the averages of every copy of a stack of tables
-of either scheme from one walk over the stack; theorems 1, 3 and 4 and the
-noise sweep each make one such call, and theorem 2 takes every copy's kernel
-from one walk.  Row sums equal ``math.fsum`` bit for bit and go in blocks of
-at most ``_MARGINAL_CHUNK`` terms.  A walk sums out one copy at a time, the
-last first, each by adding its ``(a_j, b_j)`` slabs in row-major order, so
+of either scheme, and names the first row where a value is undefined;
+theorems 1, 3 and 4 and the noise sweep each make one such call.  It and
+theorem 2 read every copy's rows from ``_copy_kernels``, one walk over the
+stack.  Row sums equal ``math.fsum`` bit for bit and go in blocks of at most
+``_MARGINAL_CHUNK`` terms.  A walk sums out one copy at a time, the last
+first, each by adding its ``(a_j, b_j)`` slabs in row-major order, so
 rounding grows with the number of copies, not of entries; tests pin the order
 with ``==``.  Broadcast walks keep the rows first; per-copy walks, which keep
 each copy's own marginal, move them last, so every slab add is contiguous.
@@ -243,20 +242,6 @@ class CorrelationTable:
         return len(self.output_arities)
 
 
-def _check_copy(table: CorrelationTable, i: int, scheme: Scheme = Scheme.BROADCAST,
-                expr: BellExpression | None = None) -> None:
-    """Raise :class:`ShapeMismatch` unless ``table`` has ``scheme`` and a copy ``i``, and,
-    given ``expr``, that copy has the expression's input and output arities."""
-    if table.scheme is not scheme:
-        raise ShapeMismatch(f"this functional is defined for {scheme.value} tables")
-    if not 1 <= i <= table.n_copies:
-        raise ShapeMismatch(f"copy index {i} out of range 1..{table.n_copies}")
-    ia, oa = table.input_arities, table.output_arities
-    if expr is not None and (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
-        raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
-                            f"copy has ({ia[i - 1]}, {oa[i - 1]})")
-
-
 def _sum_out(joint: np.ndarray, oj: int, low: int) -> np.ndarray:
     """``joint[l, a, b, t]`` (``l`` and ``t`` ride along) with the outputs of the copy of arity
     ``oj`` above ``low`` joint outputs summed out: its ``(a_j, b_j)`` slabs added one by one in
@@ -271,50 +256,40 @@ def _sum_out(joint: np.ndarray, oj: int, low: int) -> np.ndarray:
     return total.reshape(lead, side * low, side * low, trail)
 
 
-def _copy_joints(probs: np.ndarray, oa: tuple, last: int, own: bool) -> list:
-    """Entry ``j <= last`` is the joint ``p(a_1..a_j, b_1..b_j | x, y)`` of copies ``1..j`` of
-    each table ``probs[k]`` of a stack with output arities ``oa`` (entry 0 holds each total), or
-    with ``own`` copy ``j``'s own marginal; indexed ``[k, x, y, a, b]``.  Copies are summed out
-    one at a time from the last by :func:`_sum_out`, over ``_MARGINAL_CHUNK`` table entries of
-    leading rows at a time.  With ``own`` a chunk is laid out ``[a_n, b_n, ..., a_1, b_1, rows]``
-    once, and each copy is one sum over a stack of the joint and the marginals in progress; the
-    joint of copies ``1..c``, its ``(a_c, b_c)`` leading, joins the stack as copy ``c``'s."""
+def _copy_joints(probs: np.ndarray, oa: tuple, own: bool) -> list:
+    """Entry ``j`` is the joint ``p(a_1..a_j, b_1..b_j | x, y)`` of copies ``1..j`` of each
+    table ``probs[k]`` of a stack with output arities ``oa`` (entry 0 holds each total), or with
+    ``own`` copy ``j``'s own marginal; indexed ``[k, x, y, a, b]``.  Copies are summed out one at
+    a time from the last by :func:`_sum_out`, over ``_MARGINAL_CHUNK`` table entries of leading
+    rows at a time.  With ``own`` a chunk is laid out ``[a_n, b_n, ..., a_1, b_1, rows]`` once,
+    and each copy is one sum over a stack of the joint and the marginals in progress; the joint
+    of copies ``1..c``, its ``(a_c, b_c)`` leading, joins the stack as copy ``c``'s."""
     n = len(oa)
     lows = [math.prod(oa[:j]) for j in range(n + 1)]
     rows = probs.reshape(-1, lows[n], lows[n])
     step = max(1, _MARGINAL_CHUNK // rows[0].size)
     if own:
-        arities = (1,) + oa[:last]  # of the total, then of each own marginal
+        arities = (1,) + oa  # of the total, then of each own marginal
         stacked = np.empty((sum(o * o for o in arities), len(rows)))
         interleave = [axis for c in range(1, n + 1) for axis in (c, n + c)] + [0]
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             work = chunk.reshape((len(chunk),) + oa[::-1] * 2).transpose(interleave).reshape(1, -1)
-            for c in range(n, 0, -1):  # work: [joint of 1..c, own marginals of c+1..last]
+            for c in range(n, 0, -1):  # work: [joint of 1..c, own marginals of c+1..n]
                 oc = oa[c - 1]
                 summed = _sum_out(work.reshape(len(work), oc, oc, -1), oc, 1)[:, 0, 0]
-                joined = [work[0].reshape(oc * oc, -1)] if c <= last else []
-                work = np.concatenate([summed[:1]] + joined + [summed[1:]])
+                work = np.concatenate([summed[:1], work[0].reshape(oc * oc, -1), summed[1:]])
             stacked[:, start:start + step] = work
         parts = np.split(stacked, np.cumsum([o * o for o in arities])[:-1])
         return [part.T.reshape(probs.shape[:3] + (o, o)) for part, o in zip(parts, arities)]
     # Without ``own``, the joint of every copy is the table itself.
-    out = [rows if j == n else np.empty((len(rows), lows[j], lows[j])) for j in range(last + 1)]
+    out = [rows if j == n else np.empty((len(rows), lows[j], lows[j])) for j in range(n + 1)]
     for start in range(0, len(rows), step):
         joint = rows[start:start + step, :, :, None]
         for j in range(n, 0, -1):
             joint = _sum_out(joint, oa[j - 1], lows[j - 1])
-            if j <= last + 1:
-                out[j - 1][start:start + step] = joint[..., 0]
+            out[j - 1][start:start + step] = joint[..., 0]
     return [kept.reshape(probs.shape[:3] + kept.shape[1:]) for kept in out]
-
-
-def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
-    """Single-copy marginal of copy ``i`` of a broadcast table: the other copies' outputs
-    summed out one copy at a time, the last first (see the module docstring)."""
-    _check_copy(table, i)
-    probs = _copy_joints(table.probs[None], table.output_arities, i, own=True)[i][0]
-    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1], probs.shape[-1:], probs)
 
 
 def correlator(table: CorrelationTable, x: int, y: int) -> float:
@@ -331,51 +306,9 @@ def correlator(table: CorrelationTable, x: int, y: int) -> float:
     )
 
 
-def conditional_kernel(table: CorrelationTable, i: int) -> tuple:
-    """Conditional distributions of copy ``i`` of a broadcast table for every
-    prefix at once.
-
-    Returns ``(cond, prefix_prob)``.  ``prefix_prob[x, y, prefix_a, prefix_b]``
-    is the probability of the joint outputs ``prefix_a``, ``prefix_b`` of
-    copies ``1..i-1`` at inputs ``(x, y)``, with copies beyond ``i``
-    marginalized out.  ``cond[x, y, prefix_a, prefix_b, a_i, b_i]`` is the
-    distribution of copy ``i`` conditioned on that prefix, normalized wherever
-    the prefix probability exceeds the positivity threshold and zero
-    elsewhere.  One walk gives the joints of copies ``1..i`` and ``1..i-1``.
-    """
-    _check_copy(table, i)
-    joints = _copy_joints(table.probs[None], table.output_arities, i, own=False)
-    return tuple(part[0] for part in _conditioned(joints, i))
-
-
-def _copy_kernels(table: CorrelationTable) -> tuple:
-    """``(copy_marginal(table, 1), kernels)`` of a broadcast table from one walk, where
-    ``kernels`` yields :func:`conditional_kernel` of copies ``2..n`` in turn."""
-    joints = _copy_joints(table.probs[None], table.output_arities, table.n_copies, own=False)
-    marginal = CorrelationTable(Scheme.BROADCAST, table.input_arities[:1],
-                                table.output_arities[:1], joints[1][0])
-    return marginal, (tuple(part[0] for part in _conditioned(joints, i))
-                      for i in range(2, table.n_copies + 1))
-
-
 def reachable(prob: np.ndarray) -> np.ndarray:
     """Where a probability is above the positivity floor, so conditioning on it is defined."""
     return prob > POSITIVITY_THRESHOLD
-
-
-def _conditioned(joints: list, i: int) -> tuple:
-    """:func:`conditional_kernel` of each table of a stack, with ``k`` leading both results,
-    from its :func:`_copy_joints`: the ``(a_i, b_i)`` blocks of joint ``i`` divided by their
-    sums, joint ``i - 1``."""
-    prefix_prob = joints[i - 1]
-    low = prefix_prob.shape[-1]
-    oi = joints[i].shape[-1] // low
-    block = joints[i].reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
-        0, 1, 2, 4, 6, 3, 5)
-    positive = reachable(prefix_prob)
-    safe = np.where(positive, prefix_prob, 1.0)
-    cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
-    return cond, prefix_prob
 
 
 def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
@@ -421,90 +354,81 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _copy_rows(joints: list, table: CorrelationTable, i: int) -> tuple:
-    """``(cond, prefix_prob)`` of copy ``i`` of each table of a stack like ``table`` from its
-    :func:`_copy_joints`, indexed ``[k, x_i, y_i, row_a, row_b]`` (``cond`` then ``[a_i, b_i]``).
-    Broadcast rows are :func:`conditional_kernel`'s prefixes (copy 1 has one, its marginal);
-    per-copy rows are the other copies' inputs ``(high, low)``, with probability 1."""
-    if table.scheme is Scheme.BROADCAST:
-        if i > 1:
-            return _conditioned(joints, i)
-        cond = joints[1][:, :, :, None, None]
-    else:
-        ma, oi = table.input_arities, table.output_arities[i - 1]
-        low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
-        cond = joints[i].reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
-            0, 2, 5, 1, 3, 4, 6, 7, 8).reshape(-1, mi, mi, high_m * low_m, high_m * low_m, oi, oi)
-    return cond, np.ones(cond.shape[:5])
-
-
-def conditional_mean(table: CorrelationTable, expr: BellExpression, i: int) -> tuple:
-    """Sum of the defined conditional values of copy ``i`` over all prefixes,
-    divided by the full prefix count ``prod(o_j, j < i)**2``, together with
-    the :class:`ZeroPrefixProbability` of the first undefined prefix in
-    row-major ``(prefix_a, prefix_b)`` order (``None`` when every prefix is
-    defined).  For ``i = 1`` this is the expression value on the copy-1
-    marginal.
-
-    A prefix's conditional value is the exactly rounded sum of the expression
-    times its conditional distribution; it is undefined when the prefix
-    probability is at or below the positivity threshold at an input pair that
-    carries a nonzero coefficient.
-    """
-    _check_copy(table, i)
-    return _conditional_means([table], [(i, expr)])[0][0]
-
-
-def averaged_j_percopy(table: CorrelationTable, exprs: Sequence[BellExpression],
-                       i: int) -> float:
-    """Expression value of copy ``i`` of a per-copy-input table, averaged uniformly over all
-    settings of the other copies' inputs (one row each): the per-copy :func:`conditional_mean`."""
-    if len(exprs) != table.n_copies:
-        raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
-    _check_copy(table, i, Scheme.PER_COPY)
-    return _conditional_means([table], [(i, exprs[i - 1])])[0][0][0]
+def _copy_kernels(tables: Sequence[CorrelationTable]) -> Iterator[tuple]:
+    """``(cond, prefix_prob)`` of copies ``1..n`` in turn of each table of a stack (which share
+    scheme and arities) from one walk, indexed ``[k, x_i, y_i, row_a, row_b]`` (``cond`` then
+    ``[a_i, b_i]``).  Broadcast rows are the prefixes: ``cond`` is copy ``i``'s distribution
+    conditioned on one, normalized where the prefix probability is :func:`reachable` and zero
+    elsewhere; copy 1's one row is its marginal.  Per-copy rows are the other copies' inputs
+    ``(high, low)``, each with probability 1 and copy ``i``'s marginal at that setting."""
+    table = tables[0]
+    if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
+        raise ShapeMismatch("stacked tables differ in scheme or arities")
+    probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
+    ma, oa = table.input_arities, table.output_arities
+    joints = _copy_joints(probs, oa, own=table.scheme is Scheme.PER_COPY)
+    for i, oi in enumerate(oa, 1):
+        if table.scheme is Scheme.BROADCAST and i > 1:
+            prefix_prob = joints[i - 1]
+            low = prefix_prob.shape[-1]
+            block = joints[i].reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
+                0, 1, 2, 4, 6, 3, 5)
+            positive = reachable(prefix_prob)
+            safe = np.where(positive, prefix_prob, 1.0)
+            cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
+            yield cond, prefix_prob
+            continue
+        if table.scheme is Scheme.BROADCAST:
+            cond = joints[1][:, :, :, None, None]
+        else:
+            low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
+            side = high_m * low_m
+            cond = joints[i].reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
+                0, 2, 5, 1, 3, 4, 6, 7, 8).reshape(-1, mi, mi, side, side, oi, oi)
+        yield cond, np.ones(cond.shape[:5])
 
 
 def conditional_means(tables: Sequence[CorrelationTable],
                       exprs: Sequence[BellExpression]) -> list:
-    """:func:`conditional_mean` (per-copy tables: :func:`averaged_j_percopy`) of every copy
-    ``i`` of each of ``tables`` (which share scheme and arities) with ``exprs[i - 1]``, one
-    list per table, from one walk over the stack and row sums in blocks."""
+    """``(mean, first)`` of every copy ``i`` of each of ``tables`` (which share scheme and
+    arities) with ``exprs[i - 1]``, one list per table, from one walk over the stack and row
+    sums in blocks.
+
+    A row's value is the exactly rounded sum of the expression times copy ``i``'s distribution
+    on that row (see :func:`_copy_kernels`).  ``mean`` is the sum of the defined values over
+    the rows divided by the full row count: the ``prod(o_j, j < i)**2`` prefixes (broadcast;
+    copy 1's mean is its marginal's value) or the other copies' input settings (per-copy).  A
+    prefix's value is undefined when its probability is not :func:`reachable` at an input pair
+    that carries a nonzero coefficient; ``first`` is the :class:`ZeroPrefixProbability` of the
+    first undefined prefix in row-major ``(prefix_a, prefix_b)`` order, or ``None``.
+    """
     if not tables:
         raise ShapeMismatch("no tables given")
-    if len(exprs) != tables[0].n_copies:
-        raise ShapeMismatch(f"{len(exprs)} expressions given for {tables[0].n_copies} copies")
-    return _conditional_means(tables, list(enumerate(exprs, 1)))
-
-
-def _conditional_means(tables: Sequence[CorrelationTable], copies: list) -> list:
-    """``[[conditional_mean(table, expr, i) for i, expr in copies] for table in tables]``."""
     table = tables[0]
-    for i, expr in copies:
-        _check_copy(table, i, table.scheme, expr)
-    if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
-        raise ShapeMismatch("stacked tables differ in scheme or arities")
-    probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
-    joints = _copy_joints(probs, table.output_arities, max(i for i, _ in copies),
-                          own=table.scheme is Scheme.PER_COPY)
-    # One row per table and _copy_rows row of each copy, one term per (x_i, y_i, a_i, b_i);
+    if len(exprs) != table.n_copies:
+        raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
+    ia, oa = table.input_arities, table.output_arities
+    for i, expr in enumerate(exprs, 1):
+        if (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
+            raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
+                                f"copy has ({ia[i - 1]}, {oa[i - 1]})")
+    # One row per table and _copy_kernels row of each copy, one term per (x_i, y_i, a_i, b_i);
     # zeros pad the rows of copies with fewer terms, and leave each sum as it is.
-    sides = [len(table.probs) // table.input_arities[i - 1] if table.scheme is Scheme.PER_COPY
-             else math.prod(table.output_arities[:i - 1]) for i, _ in copies]
-    ends = np.cumsum([len(probs) * side * side for side in sides])
-    rows = np.zeros((ends[-1], max(expr.coeffs.size for _, expr in copies)))
+    sides = [len(table.probs) // m if table.scheme is Scheme.PER_COPY else math.prod(oa[:i])
+             for i, m in enumerate(ia)]
+    ends = np.cumsum([len(tables) * side * side for side in sides])
+    rows = np.zeros((ends[-1], max(expr.coeffs.size for expr in exprs)))
     undefined, means = [], [[] for _ in tables]
-    for (i, expr), side, end in zip(copies, sides, ends):
-        cond, prefix_prob = _copy_rows(joints, table, i)
+    for (cond, prefix_prob), expr, end in zip(_copy_kernels(tables), exprs, ends):
         products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
-        rows[end - len(probs) * side * side:end, :expr.coeffs.size] = products.reshape(
-            -1, expr.coeffs.size)
+        flat = products.reshape(-1, expr.coeffs.size)
+        rows[end - len(flat):end, :expr.coeffs.size] = flat
         bad = ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2)
         # undefined[k, row_a, row_b, x, y]
         undefined.append((bad & np.any(expr.coeffs != 0.0, axis=(2, 3)), prefix_prob))
     step = max(1, _MARGINAL_CHUNK // rows.shape[1])  # row sums in blocks of bounded size
     sums = np.concatenate([_row_fsums(rows[s:s + step]) for s in range(0, len(rows), step)])
-    for (i, _), end, (bad, prefix_prob) in zip(copies, ends, undefined):
+    for i, (end, (bad, prefix_prob)) in enumerate(zip(ends, undefined), 1):
         defined = ~bad.any(axis=(3, 4)).reshape(len(tables), -1)
         values = sums[end - defined.size:end].reshape(defined.shape)
         for k, row in enumerate(np.where(defined, values, 0.0).tolist()):

@@ -195,7 +195,8 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
         checks.append(CopyCheck(1, 0.0, 0.0, 0.0, precondition_ok=False))
         return _finish_report(checks, diagnostics, tol)
 
-    marginal, kernels = _copy_kernels(table)
+    kernels = _copy_kernels([table])
+    marginal = CorrelationTable(Scheme.BROADCAST, (m,), (o,), next(kernels)[0][0, :, :, 0, 0])
     dev1 = float(np.max(np.abs(marginal.probs - reference.probs)))
     checks.append(CopyCheck(1, dev1, 0.0, dev1))
     if o == 2:
@@ -205,6 +206,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
 
     parity_signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     for i, (cond, prefix_prob) in enumerate(kernels, 2):
+        cond, prefix_prob = cond[0], prefix_prob[0]
         unreachable = (~reachable(prefix_prob)).any(axis=(0, 1))
         # deviation[prefix_a, prefix_b]: largest entrywise deviation from the
         # reference, 0 on unreachable prefixes.  argmax keeps the first
@@ -260,9 +262,9 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
     Rows are returned in ascending visibility.  Visibilities are evaluated as
     stacked tables in batches of at most ``_SWEEP_BATCH`` entries, so the
     tables held at once do not grow with their number.  Rows equal the
-    ``conditional_mean`` values of ``compose([apply_isotropic_noise(strategy, nu)] * n)``
+    ``conditional_means`` values of ``compose([apply_isotropic_noise(strategy, nu)] * n)``
     bit for bit; the first undefined prefix (lowest visibility, then copy)
-    raises the :class:`ZeroPrefixProbability` that ``conditional_mean`` names.
+    raises the :class:`ZeroPrefixProbability` that ``conditional_means`` names.
     """
     check_copies(n)
     nus = sorted(float(v) for v in nus)

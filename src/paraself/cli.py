@@ -272,9 +272,10 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
     if protocol == "theorem2":
         if reference_path is None:
             raise ConfigError("--reference", "required for theorem2")
-        if bell_specs or beta_specs:
-            raise ConfigError("--bell", "theorem2 compares against --reference, "
-                                        "not expressions/targets")
+        for option, specs in (("--bell", bell_specs), ("--beta", beta_specs)):
+            if specs:
+                raise ConfigError(option, "theorem2 compares against --reference, "
+                                          "not expressions/targets")
         reference = _load_table(reference_path, "--reference")
         report = certify.certify_theorem2(table, reference, tol)
     else:

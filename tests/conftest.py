@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from paraself.bell import conditional_kernel
+from paraself.bell import _copy_kernels
 from paraself.qcore import DensityMatrix, Povm
 from paraself.strategies import SingleCopyStrategy
 
@@ -79,11 +79,19 @@ def deterministic_table_probs(m: int, o: int, alice, bob) -> np.ndarray:
     return probs
 
 
+def copy_kernel(table, i: int) -> tuple:
+    """``(cond, prefix_prob)`` of copy ``i`` of one table, indexed ``[x, y,
+    prefix_a, prefix_b]`` (``cond`` then ``[a_i, b_i]``), read from the walk
+    over every copy."""
+    cond, prefix_prob = next(itertools.islice(_copy_kernels([table]), i - 1, None))
+    return cond[0], prefix_prob[0]
+
+
 def conditional_values(table, expr, i: int) -> np.ndarray:
     """``values[prefix_a, prefix_b]``: one ``fsum`` of the expression times
-    each conditional distribution of copy ``i`` from the kernel (zero on a
-    prefix at or below the positivity threshold)."""
-    cond, _ = conditional_kernel(table, i)
+    each conditional distribution of copy ``i > 1`` from the kernel (zero on
+    a prefix at or below the positivity threshold)."""
+    cond, _ = copy_kernel(table, i)
     low = cond.shape[2]
     return np.array([[math.fsum((expr.coeffs * cond[:, :, pa, pb]).ravel())
                       for pb in range(low)] for pa in range(low)])

@@ -3,8 +3,9 @@
 Each is a plain single-entry or per-call form of something the package
 computes in bulk: the Born rule of one outcome pair, the largest eigenvalue
 of a Hermitian matrix, mixed-radix joint indices, the value of an expression
-on a single-copy table, the raising form of ``conditional_mean``, the
-expression and text writers, and a local deterministic strategy.
+on a single-copy table, one copy's marginal in one numpy sum, the raising
+form of one copy's ``conditional_means`` entry, the expression and text
+writers, and a local deterministic strategy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from paraself.bell import (
     BellExpression,
     CorrelationTable,
-    conditional_mean,
+    Scheme,
+    conditional_means,
     table_to_json_chunks,
 )
 from paraself.errors import (
@@ -102,13 +104,24 @@ def evaluate(expr: BellExpression, table: CorrelationTable) -> float:
     return math.fsum((expr.coeffs * table.probs).ravel())
 
 
-def j_value(table: CorrelationTable, expr: BellExpression, i: int) -> float:
-    """Uniform average of the conditional values of copy ``i`` over all
-    ``o^(2(i-1))`` prefixes; for ``i = 1`` this is exactly the expression
-    value on the copy-1 marginal.  Any undefined prefix raises
+def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:
+    """Single-copy marginal of copy ``i`` of a broadcast table: the other
+    copies' outputs summed out by one ``numpy.sum``, in its own order."""
+    n, oa = table.n_copies, table.output_arities
+    probs = table.probs.reshape(table.probs.shape[:2] + oa[::-1] * 2)  # [x, y, a_n..a_1, b_n..b_1]
+    others = tuple(2 + k for k in range(2 * n) if k % n != n - i)
+    return CorrelationTable(Scheme.BROADCAST, table.input_arities[:1], oa[i - 1:i],
+                            probs.sum(axis=others))
+
+
+def j_value(table: CorrelationTable, exprs: Sequence[BellExpression], i: int) -> float:
+    """Uniform average of the conditional values of copy ``i`` with
+    ``exprs[i - 1]`` (one expression per copy) over all ``o^(2(i-1))``
+    prefixes; for ``i = 1`` this is exactly the expression value on the
+    copy-1 marginal.  Any undefined prefix raises
     :class:`ZeroPrefixProbability` (the certification condition quantifies
     over every prefix)."""
-    value, error = conditional_mean(table, expr, i)
+    value, error = conditional_means([table], exprs)[0][i - 1]
     if error is not None:
         raise error
     return value

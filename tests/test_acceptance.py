@@ -18,7 +18,6 @@ from paraself.bell import (
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    copy_marginal,
     correlator,
     expression_from_json_dict,
     quantum_value_fixed_measurements,
@@ -44,7 +43,8 @@ from paraself.strategies import (
 )
 
 from conftest import conditional_values, deterministic_table_probs, random_strategy
-from reference import evaluate, expression_to_json_dict, j_value, local_deterministic
+from reference import (copy_marginal, evaluate, expression_to_json_dict, j_value,
+                       local_deterministic)
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 GAME_MAX = 0.8535533906  # (2 + sqrt(2)) / 4 to ten decimals
@@ -89,7 +89,7 @@ def test_criterion_3_honest_broadcast_values():
     for n in (2, 3, 4):
         table = compose([chsh_reference()] * n, Scheme.BROADCAST)
         for i in range(1, n + 1):
-            value = j_value(table, chsh_expression(), i)
+            value = j_value(table, [chsh_expression()] * n, i)
             conditions.append(
                 (f"n={n} i={i} within 1e-8", abs(value - CHSH_MAX) <= 1e-8)
             )
@@ -148,7 +148,7 @@ def test_criterion_4_adversary_rejection():
                     abs(reported) <= 1e-9 and abs(expected) <= 1e-15,
                 ))
             # Where all prefixes are reachable the strict average must agree.
-            strict = j_value(table, chsh_expression(), 2)
+            strict = j_value(table, [chsh_expression()] * n, 2)
             conditions.append((f"{kind} n={n} strict J2 = 0", abs(strict) <= 1e-9))
     _check(4, "adversary rejection", conditions)
 

@@ -14,17 +14,14 @@ from paraself.bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
-    averaged_j_percopy,
+    _copy_kernels,
     bell_operator,
     builtin_expression,
     builtin_quantum_maximum,
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    conditional_kernel,
-    conditional_mean,
     conditional_means,
-    copy_marginal,
     correlator,
     expression_from_json_dict,
     quantum_value_fixed_measurements,
@@ -55,6 +52,7 @@ from paraself.qcore import SIGMA_Z, povm_from_observable, stack_effects
 
 from conftest import (
     conditional_values,
+    copy_kernel,
     deterministic_table_probs,
     random_projective_povm,
     random_state,
@@ -150,10 +148,10 @@ def test_conditional_value_zero_prefix_raises_with_location():
     # first in row-major order is (0, 1).
     det = local_deterministic([0, 0], [0, 0], o=2)
     table = compose([det, chsh_reference()], Scheme.BROADCAST)
-    _, prefix_prob = conditional_kernel(table, 2)
+    _, prefix_prob = copy_kernel(table, 2)
     assert np.all(prefix_prob[:, :, 1, 1] == 0.0)
     with pytest.raises(ZeroPrefixProbability) as err:
-        j_value(table, chsh_expression(), 2)
+        j_value(table, [chsh_expression()] * 2, 2)
     assert err.value.copy_index == 2
     assert (err.value.prefix_a, err.value.prefix_b, err.value.x, err.value.y) == (0, 1, 0, 0)
 
@@ -172,7 +170,7 @@ def test_conditional_value_ignores_inputs_without_coefficients():
     single = single_copy_table(chsh_reference())
     expected = math.fsum((expr.coeffs * single.probs).ravel())
     assert value == pytest.approx(expected, abs=1e-12)
-    mean, first = conditional_mean(table, expr, 2)
+    mean, first = conditional_means([table], [chsh_expression(), expr])[0][1]
     assert mean == value / 4.0
     assert (first.prefix_a, first.prefix_b, first.x, first.y) == (0, 0, 1, 1)
 
@@ -182,19 +180,21 @@ def test_j_value_honest_copies(n):
     table = compose([chsh_reference()] * n, Scheme.BROADCAST)
     expr = chsh_expression()
     for i in range(1, n + 1):
-        assert j_value(table, expr, i) == pytest.approx(CHSH_MAX, abs=1e-8)
+        assert j_value(table, [expr] * n, i) == pytest.approx(CHSH_MAX, abs=1e-8)
 
 
 def test_j_value_copy1_equals_marginal_evaluation():
+    # Copy 1's one prefix row is its marginal, taken from the same walk.
     table = compose([chsh_reference()] * 3, Scheme.BROADCAST)
     expr = chsh_expression()
-    assert j_value(table, expr, 1) == evaluate(expr, copy_marginal(table, 1))
+    marginal = CorrelationTable(Scheme.BROADCAST, (2,), (2,), copy_kernel(table, 1)[0][:, :, 0, 0])
+    assert j_value(table, [expr] * 3, 1) == evaluate(expr, marginal)
 
 
 def test_j_value_adversaries_vanish_at_second_copy():
     expr = chsh_expression()
-    assert j_value(adversary_copy(2), expr, 2) == pytest.approx(0.0, abs=1e-9)
-    assert j_value(adversary_shared_randomness(2), expr, 2) == pytest.approx(
+    assert j_value(adversary_copy(2), [expr] * 2, 2) == pytest.approx(0.0, abs=1e-9)
+    assert j_value(adversary_shared_randomness(2), [expr] * 2, 2) == pytest.approx(
         0.0, abs=1e-9
     )
 
@@ -202,7 +202,7 @@ def test_j_value_adversaries_vanish_at_second_copy():
 def test_j_value_noisy_first_copy_scales_linearly():
     noisy = apply_isotropic_noise(chsh_reference(), 0.9)
     table = compose([noisy] * 2, Scheme.BROADCAST)
-    assert j_value(table, chsh_expression(), 1) == pytest.approx(
+    assert j_value(table, [chsh_expression()] * 2, 1) == pytest.approx(
         0.9 * CHSH_MAX, abs=1e-9
     )
 
@@ -211,18 +211,18 @@ def test_j_value_strict_propagates_zero_prefix_and_skip_mode_averages():
     expr = chsh_expression()
     table = adversary_copy(3)
     with pytest.raises(ZeroPrefixProbability) as err:
-        j_value(table, expr, 3)
+        j_value(table, [expr] * 3, 3)
     assert err.value.copy_index == 3
     # Averaging the well-defined prefixes (divisor stays the full count)
     # gives 0: the four reachable prefixes contribute (2, -2, -2, 2).
-    assert conditional_mean(table, expr, 3)[0] == pytest.approx(0.0, abs=1e-9)
+    assert conditional_means([table], [expr] * 3)[0][2][0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_j_value_bounded_by_conditional_extremes():
     table = adversary_shared_randomness(2)
     expr = chsh_expression()
     values = conditional_values(table, expr, 2)
-    j = j_value(table, expr, 2)
+    j = j_value(table, [expr] * 2, 2)
     assert values.min() - 1e-12 <= j <= values.max() + 1e-12
 
 
@@ -243,7 +243,7 @@ def test_generalized_three_copy_product_is_inert():
     s_b = tilted_chsh_reference(0.7, tilted_b)
     table = compose([s_a, s_b, chsh_reference()], Scheme.BROADCAST)
     exprs = [tilted_a, tilted_b, chsh_expression()]
-    assert j_value(table, exprs[2], 3) == pytest.approx(CHSH_MAX, abs=1e-9)
+    assert j_value(table, exprs, 3) == pytest.approx(CHSH_MAX, abs=1e-9)
 
 
 def _qutrit_strategy(seed: int) -> SingleCopyStrategy:
@@ -266,18 +266,19 @@ def test_generalized_prefix_radix_uses_output_arities():
     expr3 = BellExpression(2, 3, rng.normal(size=(2, 2, 3, 3)), label="rand3")
     table = compose([s3, chsh_reference()], Scheme.BROADCAST)
     exprs = [expr3, chsh_expression()]
-    value = j_value(table, exprs[1], 2)
+    value = j_value(table, exprs, 2)
     assert value == pytest.approx(CHSH_MAX, abs=1e-9)
     assert value * 9.0 / 4.0 != pytest.approx(CHSH_MAX, abs=0.1)
 
 
+def _averages(table, exprs):
+    return [value for value, _ in conditional_means([table], exprs)[0]]
+
+
 def test_averaged_j_percopy_honest_pair():
     table = compose([chsh_reference()] * 2, Scheme.PER_COPY)
-    exprs = [chsh_expression()] * 2
-    for i in (1, 2):
-        assert averaged_j_percopy(table, exprs, i) == pytest.approx(
-            CHSH_MAX, abs=1e-9
-        )
+    for value in _averages(table, [chsh_expression()] * 2):
+        assert value == pytest.approx(CHSH_MAX, abs=1e-9)
 
 
 def test_averaged_j_percopy_heterogeneous_copies():
@@ -288,7 +289,7 @@ def test_averaged_j_percopy_heterogeneous_copies():
     exprs = [chsh_expression(), chsh_game_expression()]
     # The product structure makes the first marginal independent of the
     # other copy's inputs.
-    assert averaged_j_percopy(table, exprs, 1) == pytest.approx(CHSH_MAX, abs=1e-9)
+    assert _averages(table, exprs)[0] == pytest.approx(CHSH_MAX, abs=1e-9)
 
 
 def test_averaged_j_percopy_deterministic_is_classical():
@@ -297,9 +298,8 @@ def test_averaged_j_percopy_deterministic_is_classical():
         local_deterministic([1, 1], [0, 1], o=2),
     ]
     table = compose(dets, Scheme.PER_COPY)
-    exprs = [chsh_expression()] * 2
-    for i in (1, 2):
-        assert averaged_j_percopy(table, exprs, i) <= 2.0 + 1e-12
+    for value in _averages(table, [chsh_expression()] * 2):
+        assert value <= 2.0 + 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -310,18 +310,20 @@ def test_copy_marginal_error_does_not_grow_with_the_copy_count(n):
     single = single_copy_table(fullstats_reference(0.1, 0.2))
     probs = broadcast_product([single.probs] * n)
     table = CorrelationTable(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
-    deviation = float(np.max(np.abs(copy_marginal(table, 1).probs - single.probs)))
+    marginal = copy_kernel(table, 1)[0][:, :, 0, 0]
+    deviation = float(np.max(np.abs(marginal - single.probs)))
     assert deviation <= 4 * (n - 1) * 2.0 ** -53, deviation
 
 
 def test_averaged_j_percopy_holds_no_table_sized_temporary():
-    # The copy marginal sums the table a chunk at a time; one temporary of the
-    # whole table (8.4 MB here) would push the traced peak far past the bound,
-    # for one copy or for a whole theorem 4 certification of every copy.
+    # The walk sums the table a chunk at a time; one temporary of the whole
+    # table (8.4 MB here) would push the traced peak far past the bound, for
+    # the walk over every copy, their averages or a theorem 4 certification.
     table = compose([chsh_reference()] * 5, Scheme.PER_COPY)
     exprs = [chsh_expression()] * 5
-    runs = [lambda i=i: averaged_j_percopy(table, exprs, i) for i in range(1, 6)]
-    runs.append(lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5))
+    runs = [lambda: sum(cond.size for cond, _ in _copy_kernels([table])),
+            lambda: conditional_means([table], exprs),
+            lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5)]
     for k, run in enumerate(runs, 1):
         tracemalloc.start()
         try:
@@ -332,39 +334,25 @@ def test_averaged_j_percopy_holds_no_table_sized_temporary():
         assert peak < table.probs.nbytes / 4, (k, peak)
 
 
-def test_averaged_j_percopy_requires_percopy_table():
-    table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
-    with pytest.raises(ShapeMismatch):
-        averaged_j_percopy(table, [chsh_expression()] * 2, 1)
-
-
 BROADCAST2 = compose([chsh_reference()] * 2, Scheme.BROADCAST)
 PERCOPY2 = compose([chsh_reference()] * 2, Scheme.PER_COPY)
 CHSH2 = [chsh_expression()] * 2
 M2O3 = BellExpression(2, 3, np.ones((2, 2, 3, 3)))
 M3O2 = BellExpression(3, 2, np.ones((3, 3, 2, 2)))
 SHAPE_ERRORS = {
-    "marginal-percopy": lambda: copy_marginal(PERCOPY2, 1),
-    "kernel-percopy": lambda: conditional_kernel(PERCOPY2, 2),
-    "mean-percopy": lambda: conditional_mean(PERCOPY2, chsh_expression(), 2),
-    **{f"marginal-copy{i}": lambda i=i: copy_marginal(BROADCAST2, i) for i in (0, 3)},
-    **{f"kernel-copy{i}": lambda i=i: conditional_kernel(BROADCAST2, i) for i in (0, 3)},
-    **{f"mean-copy{i}": lambda i=i: conditional_mean(BROADCAST2, chsh_expression(), i)
-       for i in (0, 3)},
-    **{f"averaged-copy{i}": lambda i=i: averaged_j_percopy(PERCOPY2, CHSH2, i)
-       for i in (-1, 0, 3)},
-    "mean-outputs": lambda: conditional_mean(BROADCAST2, M2O3, 2),
-    "mean-inputs": lambda: conditional_mean(BROADCAST2, M3O2, 2),
-    "averaged-outputs": lambda: averaged_j_percopy(PERCOPY2, [chsh_expression(), M2O3], 2),
-    "averaged-expression-count": lambda: averaged_j_percopy(PERCOPY2, CHSH2[:1], 1),
+    "mean-outputs": lambda: conditional_means([BROADCAST2], [chsh_expression(), M2O3]),
+    "mean-inputs": lambda: conditional_means([BROADCAST2], [chsh_expression(), M3O2]),
+    "averaged-outputs": lambda: conditional_means([PERCOPY2], [chsh_expression(), M2O3]),
+    "averaged-expression-count": lambda: conditional_means([PERCOPY2], CHSH2[:1]),
     "means-no-tables": lambda: conditional_means([], []),
+    "means-mixed-stack": lambda: conditional_means([BROADCAST2, PERCOPY2], CHSH2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHAPE_ERRORS))
 def test_copy_functionals_share_one_shape_check(name):
-    # Scheme, copy index and the copy's arities are checked in one place for
-    # the marginal, the conditional kernel and mean and the per-copy average.
+    # The expression count, each copy's arities and the stack are checked
+    # before the walk, for either scheme.
     with pytest.raises(ShapeMismatch):
         SHAPE_ERRORS[name]()
 

@@ -469,7 +469,8 @@ def _sweep_loop(strategy, n, expr, nus):
     rows = []
     for nu in sorted(float(v) for v in nus):
         table = compose([apply_isotropic_noise(strategy, nu)] * n, Scheme.BROADCAST)
-        rows.append({"nu": nu, "j_values": [j_value(table, expr, i) for i in range(1, n + 1)]})
+        rows.append({"nu": nu, "j_values": [j_value(table, [expr] * n, i)
+                                            for i in range(1, n + 1)]})
     return rows
 
 

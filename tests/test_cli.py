@@ -63,7 +63,7 @@ def test_simulate_noise_scales_first_copy_value(runner, tmp_path):
     from reference import j_value
 
     table = table_from_json_dict(data)
-    assert j_value(table, chsh_expression(), 1) == pytest.approx(
+    assert j_value(table, [chsh_expression()] * 2, 1) == pytest.approx(
         0.9 * CHSH_MAX, abs=1e-9
     )
     assert data["provenance"]["noise"] == 0.9

@@ -69,6 +69,8 @@ def files(tmp_path_factory):
     paths = {"dir": root, "chsh2": root / "chsh2.json", "non_utf8": root / "latin1.json",
              "m2o3": root / "m2o3.json", "m3": root / "m3.json"}
     paths["chsh2"].write_text(json.dumps(_table_doc([chsh_reference()] * 2)))
+    paths["chsh1"] = root / "chsh1.json"
+    paths["chsh1"].write_text(json.dumps(_table_doc([chsh_reference()])))
     paths["non_utf8"].write_bytes(b'{"m": 2, "label": "\xe9"}')
     paths["deep"] = root / "deep.json"
     paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
@@ -188,6 +190,19 @@ def test_root_errors_name_no_pointer(files, args, line):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [line.format(**files)]
+
+
+# Theorem 2 compares against a reference table and takes neither expressions
+# nor targets; the error names the option that was given.
+@pytest.mark.parametrize("option,value", [("--bell", "chsh"), ("--beta", "1")])
+def test_theorem2_names_the_option_it_refuses(files, option, value):
+    result = _run(["certify", "--table", files["chsh2"], "--protocol", "theorem2",
+                   "--reference", files["chsh1"], option, value])
+    _assert_contract(result, "certify")
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: config: {option}: theorem2 compares against --reference, "
+        f"not expressions/targets"]
 
 
 # ---------------------------------------------------------------------------

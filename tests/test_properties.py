@@ -20,13 +20,9 @@ from paraself.bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
-    averaged_j_percopy,
     bell_operator,
     chsh_expression,
-    conditional_kernel,
-    conditional_mean,
     conditional_means,
-    copy_marginal,
     table_to_json_dict,
 )
 from paraself.certify import certify_theorem2
@@ -42,12 +38,13 @@ from paraself.qcore import Povm, stack_effects
 
 from conftest import (
     conditional_values,
+    copy_kernel,
     random_general_povm,
     random_projective_povm,
     random_state,
     random_strategy,
 )
-from reference import born_probability, evaluate, j_value, table_to_json_text
+from reference import born_probability, copy_marginal, evaluate, j_value, table_to_json_text
 
 
 def _table_checks(table, tol=1e-10):
@@ -105,7 +102,7 @@ def test_conditional_slices_are_normalized(seed):
     rng = np.random.default_rng(2000 + seed)
     copies = [random_strategy(rng, m=2, projective=True) for _ in range(2)]
     table = compose(copies, Scheme.BROADCAST)
-    cond, prefix_prob = conditional_kernel(table, 2)
+    cond, prefix_prob = copy_kernel(table, 2)
     for pa, pb in itertools.product(range(copies[0].o), repeat=2):
         sums = cond[:, :, pa, pb].sum(axis=(2, 3))
         defined = prefix_prob[:, :, pa, pb] > 1e-12
@@ -142,7 +139,7 @@ def test_j_value_between_conditional_extremes(seed):
     )
     expr = BellExpression(2, 2, rng.normal(size=(2, 2, 2, 2)), label="probe")
     values = conditional_values(table, expr, 2)
-    j = j_value(table, expr, 2)
+    j = j_value(table, [expr] * 2, 2)
     assert values.min() - 1e-12 <= j <= values.max() + 1e-12
 
 
@@ -162,7 +159,7 @@ def test_conditional_slice_matches_bruteforce_on_mixed_arities():
     rng = np.random.default_rng(7000)
     table = _random_table(rng, Scheme.BROADCAST, (2, 2), (3, 2))
     oa = table.output_arities
-    cond, prefix_prob = conditional_kernel(table, 2)
+    cond, prefix_prob = copy_kernel(table, 2)
     for pa, pb in itertools.product(range(3), repeat=2):
         for x, y in itertools.product(range(2), repeat=2):
             block = np.zeros((2, 2))
@@ -175,7 +172,6 @@ def test_conditional_slice_matches_bruteforce_on_mixed_arities():
 
 
 def test_averaged_percopy_matches_bruteforce_on_mixed_inputs():
-    from paraself.bell import averaged_j_percopy
     from reference import decode_joint, encode_joint
 
     rng = np.random.default_rng(7001)
@@ -186,6 +182,7 @@ def test_averaged_percopy_matches_bruteforce_on_mixed_inputs():
                        rng.normal(size=(ma[k], ma[k], oa[k], oa[k])), label=f"e{k}")
         for k in range(2)
     ]
+    means = conditional_means([table], exprs)[0]
     for i in (1, 2):
         expr = exprs[i - 1]
         other = 1 if i == 1 else 0
@@ -205,9 +202,7 @@ def test_averaged_percopy_matches_bruteforce_on_mixed_inputs():
                               * table.probs[x_joint, y_joint, a, b])
             total += value
             count += 1
-        assert averaged_j_percopy(table, exprs, i) == pytest.approx(
-            total / count, abs=1e-10
-        )
+        assert means[i - 1][0] == pytest.approx(total / count, abs=1e-10)
 
 
 # Oracle for the conditional kernel: the per-prefix loop it replaced.  Each
@@ -248,7 +243,7 @@ def _oracle_j_value(table, expr, i):
     """(mean over the defined prefixes with the full divisor, first undefined
     (prefix_a, prefix_b, x, y) or None)."""
     if i == 1:
-        return evaluate(expr, copy_marginal(table, 1)), None
+        return math.fsum((expr.coeffs * _oracle_marginal(table, 1)).ravel()), None
     low = math.prod(table.output_arities[: i - 1])
     relevant = np.any(expr.coeffs != 0.0, axis=(2, 3))
     values, first = [], None
@@ -263,7 +258,7 @@ def _oracle_j_value(table, expr, i):
 
 
 def _oracle_theorem2_values(table, reference):
-    values = [float(np.max(np.abs(copy_marginal(table, 1).probs - reference.probs)))]
+    values = [float(np.max(np.abs(_oracle_marginal(table, 1) - reference.probs)))]
     for i in range(2, table.n_copies + 1):
         low = math.prod(table.output_arities[: i - 1])
         worst, unreachable = 0.0, False
@@ -299,6 +294,34 @@ def _oracle_averaged(table, expr, i):
     return math.fsum(values) / float((low_m * high_m) ** 2)
 
 
+def _oracle_rows(table, i):
+    """Copy ``i``'s rows of a per-copy table, ``[x_i, y_i, row_a, row_b, a_i, b_i]``: its own
+    marginal at each setting ``(high, low)`` of the other copies' inputs."""
+    ma, oi = table.input_arities, table.output_arities[i - 1]
+    low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
+    marg = _oracle_marginal(table, i).reshape(high_m, mi, low_m, high_m, mi, low_m, oi, oi)
+    side = high_m * low_m
+    return marg.transpose(1, 4, 0, 2, 3, 5, 6, 7).reshape(mi, mi, side, side, oi, oi)
+
+
+def _assert_kernels_match_oracle(table):
+    """Every copy that one walk yields has the oracle's bytes: copy 1's marginal (broadcast) or
+    each copy's rows (per-copy) with probability 1, then each later broadcast copy's
+    conditionals and prefix probabilities, prefix by prefix."""
+    for i, (cond, prefix_prob) in enumerate(bell._copy_kernels([table]), 1):
+        cond, prefix_prob = cond[0], prefix_prob[0]
+        if table.scheme is Scheme.PER_COPY or i == 1:
+            want = (_oracle_rows(table, i) if table.scheme is Scheme.PER_COPY
+                    else _oracle_marginal(table, 1)[:, :, None, None])
+            assert cond.shape == want.shape and cond.tobytes() == want.tobytes(), i
+            assert np.all(prefix_prob == 1.0), i
+            continue
+        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
+            want_cond, want_prob = _oracle_slice(table, i, pa, pb)
+            assert cond[:, :, pa, pb].tobytes() == want_cond.tobytes(), (i, pa, pb)
+            assert prefix_prob[:, :, pa, pb].tobytes() == want_prob.tobytes(), (i, pa, pb)
+
+
 def _random_expressions(rng, ma, oa):
     return [BellExpression(m, o, rng.normal(size=(m, m, o, o)), label="probe")
             for m, o in zip(ma, oa)]
@@ -313,12 +336,8 @@ def test_kernel_matches_oracle_on_random_tables(oa):
     for i in range(1, len(oa) + 1):
         value, first = _oracle_j_value(table, exprs[i - 1], i)
         assert first is None
-        assert j_value(table, exprs[i - 1], i) == value
-        cond, prefix_prob = conditional_kernel(table, i)
-        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
-            want_cond, want_prob = _oracle_slice(table, i, pa, pb)
-            assert np.array_equal(cond[:, :, pa, pb], want_cond)
-            assert np.array_equal(prefix_prob[:, :, pa, pb], want_prob)
+        assert j_value(table, exprs, i) == value
+    _assert_kernels_match_oracle(table)
     reference = _random_table(rng, Scheme.BROADCAST, (2,), (2,))
     product = compose([random_strategy(rng, m=2, o=2)] * 4, Scheme.BROADCAST)
     for t in (table, product):
@@ -330,14 +349,15 @@ def test_kernel_matches_oracle_on_random_tables(oa):
 def test_kernel_matches_oracle_on_zero_prefixes():
     table = adversary_copy(4)
     expr = chsh_expression()
+    means = conditional_means([table], [expr] * 4)[0]
     for i in range(1, 5):
         value, first = _oracle_j_value(table, expr, i)
-        assert conditional_mean(table, expr, i)[0] == value
+        assert means[i - 1][0] == value
         if first is None:
-            assert j_value(table, expr, i) == value
+            assert j_value(table, [expr] * 4, i) == value
         else:
             with pytest.raises(ZeroPrefixProbability) as err:
-                j_value(table, expr, i)
+                j_value(table, [expr] * 4, i)
             got = err.value
             assert (got.prefix_a, got.prefix_b, got.x, got.y) == first
     reference = single_copy_table(chsh_reference())
@@ -368,13 +388,7 @@ def _signed_zero_table(rng, scheme, ma, oa):
 @pytest.mark.parametrize("make", [_random_table, _signed_zero_table], ids=["random", "signed-zeros"])
 def test_kernel_matches_oracle_bytes_on_four_outcome_copies(oa, make):
     rng = np.random.default_rng(7400 + len(oa))
-    table = make(rng, Scheme.BROADCAST, (2,) * len(oa), oa)
-    for i in range(1, len(oa) + 1):
-        cond, prefix_prob = conditional_kernel(table, i)
-        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
-            want_cond, want_prob = _oracle_slice(table, i, pa, pb)
-            assert cond[:, :, pa, pb].tobytes() == want_cond.tobytes(), (i, pa, pb)
-            assert prefix_prob[:, :, pa, pb].tobytes() == want_prob.tobytes(), (i, pa, pb)
+    _assert_kernels_match_oracle(make(rng, Scheme.BROADCAST, (2,) * len(oa), oa))
 
 
 # The per-copy marginals sum out copies above and below copy i, and copies
@@ -390,9 +404,10 @@ def test_averaged_percopy_matches_oracle(ma, oa, make):
     rng = np.random.default_rng(7200 + len(ma))
     table = make(rng, Scheme.PER_COPY, ma, oa)
     exprs = _random_expressions(rng, ma, oa)
-    for i in range(1, len(ma) + 1):
-        assert averaged_j_percopy(table, exprs, i) == _oracle_averaged(table, exprs[i - 1], i)
-    # A stack of per-copy tables goes through conditional_means, never undefined.
+    _assert_kernels_match_oracle(table)
+    # One table or a stack goes through conditional_means, never undefined.
+    assert conditional_means([table], exprs) == [
+        [(_oracle_averaged(table, expr, i), None) for i, expr in enumerate(exprs, 1)]]
     other = _random_table(rng, Scheme.PER_COPY, ma, oa)
     assert conditional_means([table, other], exprs) == [
         [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(exprs, 1)]
@@ -411,10 +426,11 @@ def test_copy_marginal_matches_one_shot_reduction(name):
         "mixed-arity": lambda: _random_table(rng, Scheme.BROADCAST, *mixed),
         "signed-zeros": lambda: _signed_zero_table(rng, Scheme.BROADCAST, *mixed),
     }[name]()
-    for i in range(1, table.n_copies + 1):
-        # The oracle sums the whole table in one shot; the library walks it in chunks.
-        got = copy_marginal(table, i).probs
-        want = _oracle_marginal(table, i)
+    # The oracle sums the whole table in one shot; the library walks it in chunks.  Copy i's
+    # prefix probabilities are the joint of copies 1..i-1, and copy 1's row its marginal.
+    for i, (cond, prefix_prob) in enumerate(bell._copy_kernels([table]), 1):
+        got = cond[0, :, :, 0, 0] if i == 1 else prefix_prob[0]
+        want = _oracle_marginal(table, 1) if i == 1 else _oracle_joint(table, i - 1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
 
 
@@ -427,14 +443,8 @@ def test_walk_bytes_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     percopy = [_signed_zero_table(rng, Scheme.PER_COPY, (2, 2, 2), (2, 3, 2)) for _ in range(2)]
     exprs = _random_expressions(rng, (2, 2, 2), (2, 3, 2))
     monkeypatch.setattr(bell, "_MARGINAL_CHUNK", chunk)
-    for i in range(1, broadcast.n_copies + 1):
-        want = _oracle_marginal(broadcast, i)
-        assert copy_marginal(broadcast, i).probs.tobytes() == want.tobytes(), i
-        cond, prefix_prob = conditional_kernel(broadcast, i)
-        for pa, pb in itertools.product(range(cond.shape[2]), repeat=2):
-            want_cond, want_prob = _oracle_slice(broadcast, i, pa, pb)
-            assert cond[:, :, pa, pb].tobytes() == want_cond.tobytes(), (i, pa, pb)
-            assert prefix_prob[:, :, pa, pb].tobytes() == want_prob.tobytes(), (i, pa, pb)
+    for table in [broadcast] + percopy:
+        _assert_kernels_match_oracle(table)
     assert conditional_means(percopy, exprs) == [
         [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(exprs, 1)]
         for t in percopy]
@@ -442,6 +452,7 @@ def test_walk_bytes_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # chunks of a per-copy walk (rows last) split unevenly.
     uneven = [_signed_zero_table(rng, Scheme.PER_COPY, (3, 2, 3), (2, 3, 2)) for _ in range(2)]
     uneven_exprs = _random_expressions(rng, (3, 2, 3), (2, 3, 2))
+    _assert_kernels_match_oracle(uneven[0])
     assert conditional_means(uneven, uneven_exprs) == [
         [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(uneven_exprs, 1)]
         for t in uneven]
