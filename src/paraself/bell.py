@@ -18,16 +18,15 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
 ``conditional_means`` gives the averages of every copy of a stack of tables
 of either scheme, and names the first row where a value is undefined;
 theorems 1, 3 and 4 and the noise sweep each make one such call.  It and
-theorem 2 read every copy's rows from ``_copy_kernels``, one walk over the
-stack.  Row sums equal ``math.fsum`` bit for bit and go in blocks of at most
-``_MARGINAL_CHUNK`` terms.  A walk sums out one copy at a time, the last
-first, each by adding its ``(a_j, b_j)`` slabs in row-major order, so
-rounding grows with the number of copies, not of entries; tests pin the order
-with ``==``.  Broadcast walks keep the rows first; per-copy walks, which keep
-each copy's own marginal, move them last, so every slab add is contiguous.
-Copy ``i``'s rows come from the joint of copies ``1..i`` and their prefix
-probabilities from that of ``1..i-1``, so each is the sum of its block;
-``reachable`` alone judges them.
+theorem 2 condition (``_conditioned``) every copy's blocks from one walk over
+the stack (``_copy_kernels``), which sums out one copy at a time, the last
+first, adding its ``(a_j, b_j)`` slabs in row-major order into the array the
+next sum reads; so rounding grows with the number of copies, not of entries,
+and tests pin the order with ``==``.  Per-copy walks keep each copy's own
+marginal and move the rows last once, so every slab add is contiguous.  The
+means' terms are conditioned and weighted where their row sums, equal to
+``math.fsum`` bit for bit, read them.  A prefix probability is the sum of its
+block, and ``reachable`` alone judges it.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
@@ -242,53 +241,57 @@ class CorrelationTable:
         return len(self.output_arities)
 
 
-def _sum_out(joint: np.ndarray, oj: int, low: int) -> np.ndarray:
-    """``joint[l, a, b, t]`` (``l`` and ``t`` ride along) with the outputs of the copy of arity
-    ``oj`` above ``low`` joint outputs summed out: its ``(a_j, b_j)`` slabs added one by one in
-    row-major order."""
-    lead, size, _, trail = joint.shape
-    side = size // (oj * low)
-    split = joint.reshape(lead, side, oj, low, side, oj, low, trail)
-    slabs = [split[:, :, a, :, :, b] for a, b in itertools.product(range(oj), repeat=2)]
-    total = slabs[0] + slabs[1] if oj > 1 else slabs[0].copy()
+def _add_slabs(slabs: list, out: np.ndarray) -> None:
+    """Write the sum of ``slabs`` into ``out``, adding them one by one in order."""
+    if len(slabs) > 1:
+        np.add(slabs[0], slabs[1], out=out)
+    else:
+        np.copyto(out, slabs[0])
     for slab in slabs[2:]:
-        total += slab
-    return total.reshape(lead, side * low, side * low, trail)
+        out += slab
 
 
 def _copy_joints(probs: np.ndarray, oa: tuple, own: bool) -> list:
-    """Entry ``j`` is the joint ``p(a_1..a_j, b_1..b_j | x, y)`` of copies ``1..j`` of each
-    table ``probs[k]`` of a stack with output arities ``oa`` (entry 0 holds each total), or with
-    ``own`` copy ``j``'s own marginal; indexed ``[k, x, y, a, b]``.  Copies are summed out one at
-    a time from the last by :func:`_sum_out`, over ``_MARGINAL_CHUNK`` table entries of leading
-    rows at a time.  With ``own`` a chunk is laid out ``[a_n, b_n, ..., a_1, b_1, rows]`` once,
-    and each copy is one sum over a stack of the joint and the marginals in progress; the joint
-    of copies ``1..c``, its ``(a_c, b_c)`` leading, joins the stack as copy ``c``'s."""
+    """Entry ``j - 1`` is the joint ``p(a_1..a_j, b_1..b_j | x, y)`` of copies ``1..j`` of each
+    table ``probs[k]`` of a stack with output arities ``oa``, or with ``own`` copy ``j``'s own
+    marginal; indexed ``[k, x, y, a, b]``.  Copies are summed out from the last, one at a time,
+    ``_MARGINAL_CHUNK`` table entries at a time, by :func:`_add_slabs` into what the next reads.
+    With ``own``, stage ``c`` holds the own marginals in progress of copies ``n..c+1`` as
+    ``[a_j, b_j, a_c, b_c, ..., a_1, b_1, rows]``, the last one the joint of copies ``1..c+1``.
+    A chunk is transposed once into stage ``n - 1`` (stage 0 is copied out); summing out copy
+    ``c`` fills the head of stage ``c - 1``, summing copy ``c + 1`` out of that joint its tail."""
     n = len(oa)
     lows = [math.prod(oa[:j]) for j in range(n + 1)]
     rows = probs.reshape(-1, lows[n], lows[n])
-    step = max(1, _MARGINAL_CHUNK // rows[0].size)
+    step = min(len(rows), max(1, _MARGINAL_CHUNK // rows[0].size))
     if own:
-        arities = (1,) + oa  # of the total, then of each own marginal
-        stacked = np.empty((sum(o * o for o in arities), len(rows)))
+        heads = [sum(o * o for o in oa[c:]) for c in range(n)]  # entries of each stage
+        stacked = np.empty((heads[0], len(rows)))  # stage 0 of every chunk
         interleave = [axis for c in range(1, n + 1) for axis in (c, n + c)] + [0]
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
-            work = chunk.reshape((len(chunk),) + oa[::-1] * 2).transpose(interleave).reshape(1, -1)
-            for c in range(n, 0, -1):  # work: [joint of 1..c, own marginals of c+1..n]
-                oc = oa[c - 1]
-                summed = _sum_out(work.reshape(len(work), oc, oc, -1), oc, 1)[:, 0, 0]
-                work = np.concatenate([summed[:1], work[0].reshape(oc * oc, -1), summed[1:]])
-            stacked[:, start:start + step] = work
-        parts = np.split(stacked, np.cumsum([o * o for o in arities])[:-1])
-        return [part.T.reshape(probs.shape[:3] + (o, o)) for part, o in zip(parts, arities)]
+            if start == 0 or len(chunk) < step:  # the stages of a chunk and the sums between
+                stages = [np.empty((heads[c], lows[c] ** 2 * len(chunk))) for c in range(n)]
+                sums = []
+                for c in range(n - 1, 0, -1):  # sum out copy c from stage c into stage c - 1
+                    oc, above, head = oa[c - 1], oa[c], heads[c]
+                    stage, below = stages[c].reshape(head, oc * oc, -1), stages[c - 1]
+                    sums += [([stage[:, ab] for ab in range(oc * oc)], below[:head]),
+                             (list(stage[head - above * above:]), below[head:])]
+            layout = chunk.reshape((len(chunk),) + oa[::-1] * 2).transpose(interleave)
+            np.copyto(stages[-1].reshape(layout.shape, copy=False), layout)
+            for slabs, out in sums:
+                _add_slabs(slabs, out)
+            stacked[:, start:start + len(chunk)] = stages[0]
+        parts = np.split(stacked, np.cumsum([o * o for o in oa[::-1]])[:-1])[::-1]
+        return [part.T.reshape(probs.shape[:3] + (o, o)) for part, o in zip(parts, oa)]
     # Without ``own``, the joint of every copy is the table itself.
-    out = [rows if j == n else np.empty((len(rows), lows[j], lows[j])) for j in range(n + 1)]
+    out = [np.empty((len(rows), lows[j], lows[j])) for j in range(1, n)] + [rows]
     for start in range(0, len(rows), step):
-        joint = rows[start:start + step, :, :, None]
-        for j in range(n, 0, -1):
-            joint = _sum_out(joint, oa[j - 1], lows[j - 1])
-            out[j - 1][start:start + step] = joint[..., 0]
+        for j in range(n - 1, 0, -1):  # sum out copy j + 1
+            split = out[j][start:start + step].reshape(-1, oa[j], lows[j], oa[j], lows[j])
+            _add_slabs([split[:, a, :, b] for a, b in itertools.product(range(oa[j]), repeat=2)],
+                       out[j - 1][start:start + step])
     return [kept.reshape(probs.shape[:3] + kept.shape[1:]) for kept in out]
 
 
@@ -333,21 +336,22 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
     second tree sums those to ``e`` and leaves a remainder (Ogita, Rump, Oishi, SIAM J.
     Sci. Comput. 26, 1955 (2005)).  ``s + e`` is kept where the remainder cannot move it
     across a midpoint between doubles; other rows, and rows with a term that is not finite
-    or could overflow a partial sum, go to ``math.fsum``.  A zero sum is ``+0.0``."""
+    or could overflow a partial sum (of the trees or of ``fsum``), go to ``math.fsum``.  The
+    trees read ``rows.T`` in place for ``2^k`` terms.  A zero sum is ``+0.0``."""
     count, n = rows.shape
-    leaves = np.empty((1 << max(n - 1, 0).bit_length(), count))
-    leaves[:n], leaves[n:] = rows.T, 0.0
-    large = ~(np.abs(leaves).max(axis=0) <= 2.0 ** 1020 / len(leaves))
-    leaves[:, large] = 0.0
-    errors, last = np.empty_like(leaves), np.empty((2, count))
-    s = _two_sum_tree(leaves, errors)
-    e = _two_sum_tree(errors, leaves)  # the leaves now hold the remainder
-    r, t = _two_sum_tree(np.array([s, e]), last), last[0]  # exact: s + e = r + t
-    rest = 2.0 * np.abs(leaves).sum(axis=0)  # bounds the remainder's sum
-    # Below 2^-1020, half the gap to the next double may not be a double.
-    up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
-    keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
-                            & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
+    width = 1 << max(n - 1, 0).bit_length()  # the trees add halves of 2^k leaves
+    leaves = rows.T if width == n else np.pad(rows.T, ((0, width - n), (0, 0)))
+    errors, last = np.empty(leaves.shape), np.empty((2, count))
+    large = ~(np.abs(leaves, out=errors).max(axis=0) <= 2.0 ** 1020 / len(leaves))
+    with np.errstate(over="ignore", invalid="ignore"):  # only in the rows that are large
+        s = _two_sum_tree(leaves, errors)
+        e = _two_sum_tree(errors, errors)  # in place (their last row is zero): the remainder
+        r, t = _two_sum_tree(np.array([s, e]), last), last[0]  # exact: s + e = r + t
+        rest = 2.0 * np.abs(errors).sum(axis=0)  # bounds the remainder's sum
+        # Below 2^-1020, half the gap to the next double may not be a double.
+        up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
+        keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
+                                & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
     out = r + 0.0  # -0.0 becomes +0.0
     redo = np.flatnonzero(large | ~keep)
     out[redo] = [math.fsum(row) for row in rows[redo].tolist()]
@@ -355,52 +359,57 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
 
 
 def _copy_kernels(tables: Sequence[CorrelationTable]) -> Iterator[tuple]:
-    """``(cond, prefix_prob)`` of copies ``1..n`` in turn of each table of a stack (which share
-    scheme and arities) from one walk, indexed ``[k, x_i, y_i, row_a, row_b]`` (``cond`` then
-    ``[a_i, b_i]``).  Broadcast rows are the prefixes: ``cond`` is copy ``i``'s distribution
-    conditioned on one, normalized where the prefix probability is :func:`reachable` and zero
-    elsewhere; copy 1's one row is its marginal.  Per-copy rows are the other copies' inputs
-    ``(high, low)``, each with probability 1 and copy ``i``'s marginal at that setting."""
+    """``(joint, prefix_prob)`` views of copies ``1..n`` in turn of each table of a stack (which
+    share scheme and arities) from one walk, indexed ``[k, x_i, y_i, *rows]`` (``joint`` then
+    ``[a_i, b_i]``).  Broadcast rows are the prefixes ``(row_a, row_b)``: ``joint`` is copy
+    ``i``'s block of the joint of copies ``1..i`` and ``prefix_prob`` its sum.  ``prefix_prob`` is
+    ``None`` for copy 1's one row, its marginal, and for per-copy rows, the other copies' inputs
+    ``(high_a, low_a, high_b, low_b)``, at which ``joint`` is copy ``i``'s marginal."""
     table = tables[0]
     if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
         raise ShapeMismatch("stacked tables differ in scheme or arities")
     probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
     ma, oa = table.input_arities, table.output_arities
     joints = _copy_joints(probs, oa, own=table.scheme is Scheme.PER_COPY)
-    for i, oi in enumerate(oa, 1):
-        if table.scheme is Scheme.BROADCAST and i > 1:
-            prefix_prob = joints[i - 1]
-            low = prefix_prob.shape[-1]
-            block = joints[i].reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
-                0, 1, 2, 4, 6, 3, 5)
-            positive = reachable(prefix_prob)
-            safe = np.where(positive, prefix_prob, 1.0)
-            cond = np.where(positive[..., None, None], block / safe[..., None, None], 0.0)
-            yield cond, prefix_prob
-            continue
-        if table.scheme is Scheme.BROADCAST:
-            cond = joints[1][:, :, :, None, None]
-        else:
+    for i, (oi, joint) in enumerate(zip(oa, joints), 1):
+        if table.scheme is Scheme.PER_COPY:
             low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
-            side = high_m * low_m
-            cond = joints[i].reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
-                0, 2, 5, 1, 3, 4, 6, 7, 8).reshape(-1, mi, mi, side, side, oi, oi)
-        yield cond, np.ones(cond.shape[:5])
+            yield joint.reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
+                0, 2, 5, 1, 3, 4, 6, 7, 8), None
+        elif i == 1:
+            yield joint[:, :, :, None, None], None
+        else:
+            prefix_prob = joints[i - 2]
+            low = prefix_prob.shape[-1]
+            yield joint.reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
+                0, 1, 2, 4, 6, 3, 5), prefix_prob
+
+
+def _conditioned(joint: np.ndarray, prefix_prob, out: np.ndarray) -> np.ndarray:
+    """``out`` (any layout) set to a :func:`_copy_kernels` ``joint`` divided by ``prefix_prob``
+    where that is :func:`reachable`, and kept elsewhere; or to ``joint``, for ``None``."""
+    if prefix_prob is None:
+        np.copyto(out, joint)
+    else:
+        np.divide(joint, prefix_prob[..., None, None], out=out,
+                  where=reachable(prefix_prob)[..., None, None])
+    return out
 
 
 def conditional_means(tables: Sequence[CorrelationTable],
                       exprs: Sequence[BellExpression]) -> list:
     """``(mean, first)`` of every copy ``i`` of each of ``tables`` (which share scheme and
-    arities) with ``exprs[i - 1]``, one list per table, from one walk over the stack and row
-    sums in blocks.
+    arities) with ``exprs[i - 1]``, one list per table, from one walk over the stack.
 
     A row's value is the exactly rounded sum of the expression times copy ``i``'s distribution
-    on that row (see :func:`_copy_kernels`).  ``mean`` is the sum of the defined values over
-    the rows divided by the full row count: the ``prod(o_j, j < i)**2`` prefixes (broadcast;
-    copy 1's mean is its marginal's value) or the other copies' input settings (per-copy).  A
-    prefix's value is undefined when its probability is not :func:`reachable` at an input pair
-    that carries a nonzero coefficient; ``first`` is the :class:`ZeroPrefixProbability` of the
-    first undefined prefix in row-major ``(prefix_a, prefix_b)`` order, or ``None``.
+    on that row (see :func:`_copy_kernels`), conditioned and weighted in place in one
+    ``[term, row]`` array (zeros pad it to ``2^k`` terms) whose rows are summed in blocks.
+    ``mean`` is the sum of the defined values over the rows divided by the full row count: the
+    ``prod(o_j, j < i)**2`` prefixes (broadcast; copy 1's mean is its marginal's value) or the
+    other copies' input settings (per-copy).  A prefix's value is undefined when its
+    probability is not :func:`reachable` at an input pair that carries a nonzero coefficient;
+    ``first`` is the :class:`ZeroPrefixProbability` of the first undefined prefix in row-major
+    ``(prefix_a, prefix_b)`` order, or ``None``.
     """
     if not tables:
         raise ShapeMismatch("no tables given")
@@ -412,28 +421,28 @@ def conditional_means(tables: Sequence[CorrelationTable],
         if (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
             raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
                                 f"copy has ({ia[i - 1]}, {oa[i - 1]})")
-    # One row per table and _copy_kernels row of each copy, one term per (x_i, y_i, a_i, b_i);
-    # zeros pad the rows of copies with fewer terms, and leave each sum as it is.
-    sides = [len(table.probs) // m if table.scheme is Scheme.PER_COPY else math.prod(oa[:i])
-             for i, m in enumerate(ia)]
-    ends = np.cumsum([len(tables) * side * side for side in sides])
-    rows = np.zeros((ends[-1], max(expr.coeffs.size for expr in exprs)))
-    undefined, means = [], [[] for _ in tables]
-    for (cond, prefix_prob), expr, end in zip(_copy_kernels(tables), exprs, ends):
-        products = (expr.coeffs[:, :, None, None] * cond).transpose(0, 3, 4, 1, 2, 5, 6)
-        flat = products.reshape(-1, expr.coeffs.size)
-        rows[end - len(flat):end, :expr.coeffs.size] = flat
-        bad = ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2)
-        # undefined[k, row_a, row_b, x, y]
-        undefined.append((bad & np.any(expr.coeffs != 0.0, axis=(2, 3)), prefix_prob))
-    step = max(1, _MARGINAL_CHUNK // rows.shape[1])  # row sums in blocks of bounded size
-    sums = np.concatenate([_row_fsums(rows[s:s + step]) for s in range(0, len(rows), step)])
-    for i, (end, (bad, prefix_prob)) in enumerate(zip(ends, undefined), 1):
-        defined = ~bad.any(axis=(3, 4)).reshape(len(tables), -1)
-        values = sums[end - defined.size:end].reshape(defined.shape)
+    counts = [len(tables) * (len(table.probs) // m if table.scheme is Scheme.PER_COPY
+                             else math.prod(oa[:i])) ** 2 for i, m in enumerate(ia)]
+    terms = np.zeros((1 << (max(e.coeffs.size for e in exprs) - 1).bit_length(), sum(counts)))
+    spans, start, means = [], 0, [[] for _ in tables]
+    for (joint, prefix_prob), expr, count in zip(_copy_kernels(tables), exprs, counts):
+        block = terms[:expr.coeffs.size, start:start + count]
+        target = block.reshape(expr.coeffs.shape + joint.shape[:1] + joint.shape[3:-2], copy=False)
+        _conditioned(joint, prefix_prob, target.transpose(4, 0, 1, *range(5, joint.ndim), 2, 3))
+        block *= expr.coeffs.reshape(-1, 1)
+        bad = None if prefix_prob is None else (  # bad[k, row_a, row_b, x, y]
+            ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2) & np.any(expr.coeffs, axis=(2, 3)))
+        spans.append((start, count, bad, prefix_prob))
+        start += count
+    step = max(1, _MARGINAL_CHUNK // len(terms))  # row sums in blocks of bounded size
+    sums = np.concatenate([_row_fsums(terms[:, s:s + step].T)
+                           for s in range(0, terms.shape[1], step)])
+    for i, (start, count, bad, prefix_prob) in enumerate(spans, 1):
+        values = sums[start:start + count].reshape(len(tables), -1)
+        defined = True if bad is None else ~bad.any(axis=(3, 4)).reshape(values.shape)
         for k, row in enumerate(np.where(defined, values, 0.0).tolist()):
             first = None
-            if not defined[k].all():
+            if bad is not None and not defined[k].all():
                 pa, pb, x, y = (int(v) for v in np.argwhere(bad[k])[0])
                 first = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb]))
             means[k].append((math.fsum(row) / float(len(row)), first))

@@ -11,9 +11,9 @@ Theorem 1 is theorem 3 with one expression and target for every copy.
 Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
 call (one walk, row sums in blocks); its rows are the prefixes of earlier outputs
 (broadcast) or the other copies' input settings (per-copy).  Theorem 2 walks once too.
-The noise sweep stacks the tables of a batch of visibilities: one Born rule,
-one product and one ``conditional_means`` call serve the whole batch, and
-every table is validated.
+The noise sweep stacks a batch of visibilities: one stack of checked states,
+one Born rule, one product and one ``conditional_means`` call serve the whole
+batch, and every table is validated.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
@@ -40,14 +40,16 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
+    _conditioned,
     _copy_kernels,
     conditional_means,
     correlator,
     reachable,
 )
 from .errors import SchemeInputMismatch, ShapeMismatch
-from .strategies import (SingleCopyStrategy, apply_isotropic_noise, born_tables,
-                         broadcast_product, check_copies)
+from .qcore import _check_density
+from .strategies import (SingleCopyStrategy, _isotropic_states, born_tables, broadcast_product,
+                         check_copies)
 
 DEFAULT_TOL = 1e-8
 
@@ -205,8 +207,8 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                         for x in range(m) for y in range(m)]
 
     parity_signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for i, (cond, prefix_prob) in enumerate(kernels, 2):
-        cond, prefix_prob = cond[0], prefix_prob[0]
+    for i, (joint, prob) in enumerate(kernels, 2):
+        cond, prefix_prob = _conditioned(joint, prob, np.zeros_like(joint))[0], prob[0]
         unreachable = (~reachable(prefix_prob)).any(axis=(0, 1))
         # deviation[prefix_a, prefix_b]: largest entrywise deviation from the
         # reference, 0 on unreachable prefixes.  argmax keeps the first
@@ -276,7 +278,8 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
     rows = []
     for start in range(0, len(nus), step):
         batch = nus[start:start + step]
-        states = np.array([apply_isotropic_noise(strategy, nu).state.matrix for nu in batch])
+        states = _isotropic_states(strategy, batch)
+        _check_density(states)
         tables = [CorrelationTable(Scheme.BROADCAST, (m,) * n, (o,) * n, probs)
                   for probs in broadcast_product([born_tables(strategy, states)] * n)]
         for nu, copies in zip(batch, conditional_means(tables, [expr] * n)):

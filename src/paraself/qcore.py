@@ -50,10 +50,9 @@ def as_complex_matrix(m) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(arr: np.ndarray) -> float:
-    """Largest entrywise deviation of a coerced matrix from its conjugate
-    transpose."""
-    return float(np.max(np.abs(arr - arr.conj().T)))
+def hermiticity_defect(arr: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of each coerced matrix of ``arr[..., d, d]`` from its adjoint."""
+    return np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
@@ -103,6 +102,20 @@ class Ket:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _check_density(arr: np.ndarray) -> None:
+    """Raise unless every coerced matrix of ``arr[..., d, d]`` is Hermitian, of unit trace and
+    positive semidefinite: each rule in turn over the whole stack, naming its worst offender."""
+    defect = hermiticity_defect(arr).max()
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(f"density matrix deviates from Hermiticity by {defect:.3e}")
+    trace = max(np.trace(arr, axis1=-2, axis2=-1).ravel().tolist(), key=lambda t: abs(t - 1.0))
+    if abs(trace - 1.0) > NORM_TOL:
+        raise ValueError(f"density matrix trace {trace} deviates from 1")
+    min_eig = np.linalg.eigvalsh((arr + arr.conj().swapaxes(-1, -2)) / 2)[..., 0].min()
+    if min_eig < -STRUCTURAL_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -110,13 +123,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = require_hermitian(self.matrix, what="density matrix")
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > NORM_TOL:
-            raise ValueError(f"density matrix trace {trace} deviates from 1")
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2)[0])
-        if min_eig < -STRUCTURAL_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+        arr = as_complex_matrix(self.matrix)
+        _check_density(arr)
         object.__setattr__(self, "matrix", _frozen(arr))
 
     @property

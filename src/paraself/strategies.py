@@ -148,19 +148,24 @@ def apply_isotropic_noise(s: SingleCopyStrategy, nu: float) -> SingleCopyStrateg
     (dimension-4) states are supported."""
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"visibility {nu} outside [0, 1]")
-    if s.state.dim != 4:
-        raise UnsupportedDimension(
-            f"isotropic noise implemented for two-qubit states, got dim {s.state.dim}"
-        )
-    mixed = nu * s.state.matrix + (1.0 - nu) * np.eye(4) / 4.0
     return SingleCopyStrategy(
-        state=DensityMatrix(mixed),
+        state=DensityMatrix(_isotropic_states(s, [nu])[0]),
         alice=s.alice,
         bob=s.bob,
         m=s.m,
         o=s.o,
         label=f"{s.label}+noise({nu:g})",
     )
+
+
+def _isotropic_states(s: SingleCopyStrategy, nus: Sequence[float]) -> np.ndarray:
+    """The unchecked states ``nu * rho + (1 - nu) * I/4`` of ``s`` for each visibility,
+    stacked ``[k, 4, 4]``; only two-qubit (dimension-4) states are supported."""
+    if s.state.dim != 4:
+        raise UnsupportedDimension("isotropic noise implemented for two-qubit states, "
+                                   f"got dim {s.state.dim}")
+    nus = np.asarray(nus, dtype=float)[:, None, None]
+    return nus * s.state.matrix + (1.0 - nus) * np.eye(4) / 4.0
 
 
 def born_tables(s: SingleCopyStrategy, rhos: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from paraself.bell import _copy_kernels
+from paraself.bell import _conditioned, _copy_kernels
 from paraself.qcore import DensityMatrix, Povm
 from paraself.strategies import SingleCopyStrategy
 
@@ -79,11 +79,23 @@ def deterministic_table_probs(m: int, o: int, alice, bob) -> np.ndarray:
     return probs
 
 
+def kernels(tables):
+    """``(cond, prefix_prob)`` of every copy of a stack in turn, from the walk over
+    every copy, conditioned by the package and indexed ``[k, x, y, row_a, row_b]``
+    (``cond`` then ``[a_i, b_i]``): a per-copy row ``(high, low)`` is one index, and
+    rows of probability 1 get ``prefix_prob`` ones."""
+    for joint, prefix_prob in _copy_kernels(tables):
+        rows = joint.shape[3:-2]
+        side_a, side_b = math.prod(rows[:len(rows) // 2]), math.prod(rows[len(rows) // 2:])
+        shape = joint.shape[:3] + (side_a, side_b) + joint.shape[-2:]
+        cond = _conditioned(joint, prefix_prob, np.zeros_like(joint)).reshape(shape)
+        yield cond, np.ones(shape[:5]) if prefix_prob is None else prefix_prob
+
+
 def copy_kernel(table, i: int) -> tuple:
-    """``(cond, prefix_prob)`` of copy ``i`` of one table, indexed ``[x, y,
-    prefix_a, prefix_b]`` (``cond`` then ``[a_i, b_i]``), read from the walk
-    over every copy."""
-    cond, prefix_prob = next(itertools.islice(_copy_kernels([table]), i - 1, None))
+    """``(cond, prefix_prob)`` of copy ``i`` of one table from :func:`kernels`,
+    indexed ``[x, y, prefix_a, prefix_b]`` (``cond`` then ``[a_i, b_i]``)."""
+    cond, prefix_prob = next(itertools.islice(kernels([table]), i - 1, None))
     return cond[0], prefix_prob[0]
 
 

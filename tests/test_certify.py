@@ -10,6 +10,7 @@ import pytest
 
 from paraself import certify
 from paraself.bell import (
+    BellExpression,
     CorrelationTable,
     Scheme,
     builtin_expression,
@@ -27,7 +28,7 @@ from paraself.certify import (
     certify_theorem4,
     sweep_noise,
 )
-from paraself.errors import SchemeInputMismatch, ZeroPrefixProbability
+from paraself.errors import SchemeInputMismatch, UnsupportedDimension, ZeroPrefixProbability
 from paraself.qcore import SIGMA_X, SIGMA_Z, Ket, povm_from_observable
 from paraself.strategies import (
     MAX_COPIES,
@@ -44,6 +45,7 @@ from paraself.strategies import (
     tilted_chsh_reference,
 )
 
+from conftest import random_strategy
 from reference import j_value, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
@@ -461,6 +463,37 @@ def test_sweep_noise_validates_arguments():
         sweep_noise(chsh_reference(), 2, chsh_expression(), [1.2])
     with pytest.raises(SchemeInputMismatch):
         sweep_noise(chsh_reference(), 9, chsh_expression(), [0.5])
+
+
+def test_sweep_noise_states_are_the_noise_channels_bit_for_bit(monkeypatch):
+    # The sweep builds one stack of noisy states per batch; each equals the
+    # state apply_isotropic_noise builds alone, and nu * rho + (1 - nu) * I/4
+    # evaluated on its own, bit for bit.
+    states, born = [], certify.born_tables
+
+    def born_tables(s, rhos):
+        states.extend(rhos)
+        return born(s, rhos)
+
+    monkeypatch.setattr(certify, "born_tables", born_tables)
+    nus = sorted([k / 20 for k in range(21)] + [0.0, 1.0])
+    for strategy in (chsh_reference(), tilted_chsh_reference(0.5, tilted_chsh_expression(0.5))):
+        states.clear()
+        assert len(sweep_noise(strategy, 2, builtin_expression("chsh"), nus)) == len(nus)
+        rho = strategy.state.matrix
+        for nu, state in zip(nus, states, strict=True):
+            assert state.tobytes() == apply_isotropic_noise(strategy, nu).state.matrix.tobytes()
+            assert state.tobytes() == (nu * rho + (1.0 - nu) * np.eye(4) / 4.0).tobytes()
+
+
+def test_sweep_noise_checks_visibilities_before_the_dimension(rng):
+    qutrits = random_strategy(rng, m=2, o=3)
+    expr = BellExpression(2, 3, np.ones((2, 2, 3, 3)))
+    with pytest.raises(ValueError, match="visibilities must lie in"):
+        sweep_noise(qutrits, 2, expr, [0.5, 1.5])
+    with pytest.raises(UnsupportedDimension):
+        sweep_noise(qutrits, 2, expr, [0.5])
+    assert sweep_noise(qutrits, 2, expr, []) == []
 
 
 def _sweep_loop(strategy, n, expr, nus):

@@ -39,6 +39,7 @@ from paraself.qcore import Povm, stack_effects
 from conftest import (
     conditional_values,
     copy_kernel,
+    kernels,
     random_general_povm,
     random_projective_povm,
     random_state,
@@ -308,7 +309,7 @@ def _assert_kernels_match_oracle(table):
     """Every copy that one walk yields has the oracle's bytes: copy 1's marginal (broadcast) or
     each copy's rows (per-copy) with probability 1, then each later broadcast copy's
     conditionals and prefix probabilities, prefix by prefix."""
-    for i, (cond, prefix_prob) in enumerate(bell._copy_kernels([table]), 1):
+    for i, (cond, prefix_prob) in enumerate(kernels([table]), 1):
         cond, prefix_prob = cond[0], prefix_prob[0]
         if table.scheme is Scheme.PER_COPY or i == 1:
             want = (_oracle_rows(table, i) if table.scheme is Scheme.PER_COPY
@@ -393,12 +394,18 @@ def test_kernel_matches_oracle_bytes_on_four_outcome_copies(oa, make):
 
 # The per-copy marginals sum out copies above and below copy i, and copies
 # with one, two and three outcomes; low243 has 243 joint outputs below copy 6.
+# One copy makes the transposed table the walk's first and last stage; a
+# one-outcome copy is a single slab, copied with no add, both when it is summed
+# out and when the joint it heads is; four-outcome copies make 16-slab sums.
 @pytest.mark.parametrize("ma, oa, make", [
     pytest.param((2, 3), (2, 2), _random_table, id="ma0-oa0"),
     pytest.param((3, 2, 2), (2, 3, 2), _random_table, id="ma1-oa1"),
     pytest.param((2,) * 5, (2,) * 5, _chsh_table, id="chsh5"),
     pytest.param((1, 1, 1, 1, 1, 2), (3, 3, 3, 3, 3, 2), _random_table, id="low243"),
     pytest.param((2, 1, 2), (3, 3, 2), _signed_zero_table, id="signed-zeros"),
+    pytest.param((3,), (3,), _signed_zero_table, id="one-copy"),
+    pytest.param((2, 2, 2), (2, 1, 3), _random_table, id="one-outcome"),
+    pytest.param((2, 1, 2), (4, 4, 2), _signed_zero_table, id="four-outcome"),
 ])
 def test_averaged_percopy_matches_oracle(ma, oa, make):
     rng = np.random.default_rng(7200 + len(ma))
@@ -449,13 +456,15 @@ def test_walk_bytes_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
         [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(exprs, 1)]
         for t in percopy]
     # 324 rows of 144 entries per table: a chunk of 2^10 takes 7 rows, and the
-    # chunks of a per-copy walk (rows last) split unevenly.
-    uneven = [_signed_zero_table(rng, Scheme.PER_COPY, (3, 2, 3), (2, 3, 2)) for _ in range(2)]
+    # chunks of a per-copy walk (rows last) split unevenly, also across the
+    # tables of a stack of three.
+    uneven = [_signed_zero_table(rng, Scheme.PER_COPY, (3, 2, 3), (2, 3, 2)) for _ in range(3)]
     uneven_exprs = _random_expressions(rng, (3, 2, 3), (2, 3, 2))
     _assert_kernels_match_oracle(uneven[0])
-    assert conditional_means(uneven, uneven_exprs) == [
-        [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(uneven_exprs, 1)]
-        for t in uneven]
+    for stack in (uneven[:2], uneven):
+        assert conditional_means(stack, uneven_exprs) == [
+            [(_oracle_averaged(t, expr, i), None) for i, expr in enumerate(uneven_exprs, 1)]
+            for t in stack]
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 16, 1 << 30])

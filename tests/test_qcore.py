@@ -209,6 +209,25 @@ def test_density_matrix_requires_hermitian():
         DensityMatrix(m)
 
 
+def test_density_rules_over_a_stack_name_the_worst_offender():
+    # DensityMatrix and the noise sweep share one check: a stack breaking a rule
+    # fails as DensityMatrix does on its worst offender, and the rules go in
+    # order over the whole stack, Hermiticity first.
+    good = np.eye(2) / 2
+    bad = [(np.array([[0.5, 0.3], [0.0, 0.5]]), np.array([[0.5, 0.2], [0.0, 0.5]])),
+           (np.eye(2), np.eye(2) * 0.95),
+           (np.diag([1.5, -0.5]), np.diag([1.2, -0.2]))]
+    for worst, milder in bad:
+        with pytest.raises((NotHermitian, ValueError)) as single:
+            DensityMatrix(worst)
+        with pytest.raises(type(single.value)) as stacked:
+            qcore._check_density(np.array([good, milder, worst, milder], dtype=complex))
+        assert str(stacked.value) == str(single.value)
+    with pytest.raises(NotHermitian):
+        qcore._check_density(np.array([pair[0] for pair in bad[::-1]], dtype=complex))
+    qcore._check_density(np.array([good, np.diag([1.0, 0.0])], dtype=complex))
+
+
 def test_values_frozen_after_construction():
     state = maximally_entangled_ket(2).density()
     with pytest.raises(ValueError):

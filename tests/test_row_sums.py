@@ -115,15 +115,24 @@ def test_row_fsums_fall_back_to_fsum_near_a_midpoint(monkeypatch):
     assert len(calls) == 2  # the exact midpoint in row 3 needs no fallback
 
 
+# The trees read rows of a power-of-two width where they lie and pad others; a
+# partial sum of fsum's can overflow where the trees' halves cancel, as in the
+# last row, so large terms go to fsum even when the trees' sum is finite.  No
+# numpy RuntimeWarning may escape.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("row,outcome", [
     ([math.inf, 1.0], math.inf),
     ([-math.inf, -math.inf], -math.inf),
     ([math.nan, 1.0], None),
     ([math.inf, -math.inf], ValueError),
     ([1.7e308, 1.7e308], OverflowError),
+    ([1.0, math.inf, 2.0], math.inf),
+    ([math.nan, -math.inf, math.inf], ValueError),
+    ([-1.7e308, 1.0, -1.7e308], OverflowError),
+    ([1.7e308, 1.7e308, -1.7e308, -1.7e308], OverflowError),
 ])
 def test_row_fsums_hand_non_finite_rows_to_fsum(row, outcome):
-    rows = np.array([[0.5, 0.25], row])
+    rows = np.array([[0.5, 0.25] + [0.0] * (len(row) - 2), row])
     if isinstance(outcome, type):
         with pytest.raises(outcome):
             math.fsum(row)
