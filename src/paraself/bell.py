@@ -17,7 +17,8 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
 
 ``conditional_means`` gives the averages of every copy of a stack of tables
 of either scheme, and names the first row where a value is undefined;
-theorems 1, 3 and 4 and the noise sweep each make one such call.  It and
+theorems 1, 3 and 4 each make one such call, and the noise sweep one
+``_stack_means`` call on each batch's stack of validated tables.  It and
 theorem 2 condition (``_conditioned``) every copy's blocks from one walk over
 the stack (``_copy_kernels``), which sums out one copy at a time, the last
 first, adding its ``(a_j, b_j)`` slabs in row-major order into the array the
@@ -188,6 +189,23 @@ def builtin_quantum_maximum(name: str) -> float:
     return math.sqrt(8.0 + 2.0 * alpha * alpha)
 
 
+def _check_probs(arr: np.ndarray) -> None:
+    """Raise unless every entry of the ``[..., X, Y, A, B]`` stack ``arr`` is finite
+    (``ValueError``) and within ``[0, 1]``, and every ``(A, B)`` block sums to 1; a
+    :class:`TableEntryError` names the first offending entry, then block, in row-major order.
+    ``min`` and ``max`` carry a NaN through, so the passes over valid tables are reductions,
+    with no temporary of the stack's size."""
+    if not (float(arr.min()) >= -_ENTRY_TOL and float(arr.max()) <= 1 + _ENTRY_TOL):
+        if not np.isfinite(arr).all():
+            raise ValueError("probabilities contain NaN or Inf")
+        bad = np.argwhere((arr < -_ENTRY_TOL) | (arr > 1 + _ENTRY_TOL))[0]
+        raise TableEntryError(tuple(int(v) for v in bad), "probability outside [0, 1]")
+    deviation = np.abs(arr.sum(axis=(-2, -1)) - 1.0)
+    if float(deviation.max()) > _NORMALIZATION_TOL:
+        off = np.argwhere(deviation > _NORMALIZATION_TOL)[0]
+        raise TableEntryError(tuple(int(v) for v in off), "entries do not sum to 1")
+
+
 @dataclass(frozen=True)
 class CorrelationTable:
     """Joint conditional distribution p(a, b | x, y) for n copies.
@@ -195,7 +213,8 @@ class CorrelationTable:
     ``probs`` has shape ``(X, Y, A, B)`` with ``A = B = prod(output_arities)``
     and, depending on the scheme, ``X = Y = m`` (broadcast, all copies share
     the input) or ``X = Y = prod(input_arities)`` (per-copy inputs).  Joint
-    indices are mixed-radix with copy 1 least significant.
+    indices are mixed-radix with copy 1 least significant.  The constructor
+    validates ``probs`` in one pass and keeps a read-only copy of it.
     """
 
     scheme: Scheme
@@ -203,7 +222,7 @@ class CorrelationTable:
     output_arities: tuple
     probs: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         ia = tuple(int(v) for v in self.input_arities)
         oa = tuple(int(v) for v in self.output_arities)
         if len(ia) != len(oa) or not ia:
@@ -221,20 +240,25 @@ class CorrelationTable:
             raise ShapeMismatch(
                 f"probability tensor shape {arr.shape} != {(n_in, n_in, n_out, n_out)}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probabilities contain NaN or Inf")
-        if float(arr.min()) < -_ENTRY_TOL or float(arr.max()) > 1 + _ENTRY_TOL:
-            bad = np.argwhere((arr < -_ENTRY_TOL) | (arr > 1 + _ENTRY_TOL))[0]
-            raise TableEntryError(tuple(int(v) for v in bad), "probability outside [0, 1]")
-        deviation = np.abs(arr.sum(axis=(2, 3)) - 1.0)
-        if float(deviation.max()) > _NORMALIZATION_TOL:
-            off = np.argwhere(deviation > _NORMALIZATION_TOL)[0]
-            raise TableEntryError(tuple(int(v) for v in off), "entries do not sum to 1")
-        arr = arr.copy()
+        _check_probs(arr)
+        if copy:  # the caller may still hold, and write to, what it passed
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "input_arities", ia)
         object.__setattr__(self, "output_arities", oa)
         object.__setattr__(self, "probs", arr)
+
+    @classmethod
+    def _adopt(cls, scheme: Scheme, input_arities, output_arities,
+               probs: np.ndarray) -> CorrelationTable:
+        """The table of ``probs``, a fresh float array that nothing else holds: validated like
+        any other, then made read-only in place instead of copied."""
+        table = cls.__new__(cls)
+        # As the frozen dataclass's own __init__ sets its fields.
+        table.__dict__.update(scheme=scheme, input_arities=input_arities,
+                              output_arities=output_arities, probs=probs)
+        table.__post_init__(copy=False)
+        return table
 
     @property
     def n_copies(self) -> int:
@@ -358,22 +382,18 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _copy_kernels(tables: Sequence[CorrelationTable]) -> Iterator[tuple]:
-    """``(joint, prefix_prob)`` views of copies ``1..n`` in turn of each table of a stack (which
-    share scheme and arities) from one walk, indexed ``[k, x_i, y_i, *rows]`` (``joint`` then
-    ``[a_i, b_i]``).  Broadcast rows are the prefixes ``(row_a, row_b)``: ``joint`` is copy
-    ``i``'s block of the joint of copies ``1..i`` and ``prefix_prob`` its sum.  ``prefix_prob`` is
-    ``None`` for copy 1's one row, its marginal, and for per-copy rows, the other copies' inputs
-    ``(high_a, low_a, high_b, low_b)``, at which ``joint`` is copy ``i``'s marginal."""
-    table = tables[0]
-    if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
-        raise ShapeMismatch("stacked tables differ in scheme or arities")
-    probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
-    ma, oa = table.input_arities, table.output_arities
-    joints = _copy_joints(probs, oa, own=table.scheme is Scheme.PER_COPY)
+def _copy_kernels(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> Iterator[tuple]:
+    """``(joint, prefix_prob)`` views of copies ``1..n`` in turn of each table ``probs[k]`` of a
+    stack of one scheme and input and output arities ``ia`` and ``oa``, from one walk, indexed
+    ``[k, x_i, y_i, *rows]`` (``joint`` then ``[a_i, b_i]``).  Broadcast rows are the prefixes
+    ``(row_a, row_b)``: ``joint`` is copy ``i``'s block of the joint of copies ``1..i`` and
+    ``prefix_prob`` its sum.  ``prefix_prob`` is ``None`` for copy 1's one row, its marginal, and
+    for per-copy rows, the other copies' inputs ``(high_a, low_a, high_b, low_b)``, at which
+    ``joint`` is copy ``i``'s marginal."""
+    joints = _copy_joints(probs, oa, own=scheme is Scheme.PER_COPY)
     for i, (oi, joint) in enumerate(zip(oa, joints), 1):
-        if table.scheme is Scheme.PER_COPY:
-            low_m, mi, high_m = math.prod(ma[: i - 1]), ma[i - 1], math.prod(ma[i:])
+        if scheme is Scheme.PER_COPY:
+            low_m, mi, high_m = math.prod(ia[: i - 1]), ia[i - 1], math.prod(ia[i:])
             yield joint.reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
                 0, 2, 5, 1, 3, 4, 6, 7, 8), None
         elif i == 1:
@@ -414,18 +434,28 @@ def conditional_means(tables: Sequence[CorrelationTable],
     if not tables:
         raise ShapeMismatch("no tables given")
     table = tables[0]
-    if len(exprs) != table.n_copies:
-        raise ShapeMismatch(f"{len(exprs)} expressions given for {table.n_copies} copies")
-    ia, oa = table.input_arities, table.output_arities
+    if len({(t.scheme, t.input_arities, t.output_arities) for t in tables}) > 1:
+        raise ShapeMismatch("stacked tables differ in scheme or arities")
+    probs = table.probs[None] if len(tables) == 1 else np.stack([t.probs for t in tables])
+    return _stack_means(probs, table.scheme, table.input_arities, table.output_arities, exprs)
+
+
+def _stack_means(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple,
+                 exprs: Sequence[BellExpression]) -> list:
+    """:func:`conditional_means` of the validated tables ``probs[k]`` of a stack of one scheme
+    and input and output arities ``ia`` and ``oa``."""
+    if len(exprs) != len(oa):
+        raise ShapeMismatch(f"{len(exprs)} expressions given for {len(oa)} copies")
     for i, expr in enumerate(exprs, 1):
         if (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
             raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
                                 f"copy has ({ia[i - 1]}, {oa[i - 1]})")
-    counts = [len(tables) * (len(table.probs) // m if table.scheme is Scheme.PER_COPY
-                             else math.prod(oa[:i])) ** 2 for i, m in enumerate(ia)]
+    counts = [len(probs) * (probs.shape[1] // m if scheme is Scheme.PER_COPY
+                            else math.prod(oa[:i])) ** 2 for i, m in enumerate(ia)]
     terms = np.zeros((1 << (max(e.coeffs.size for e in exprs) - 1).bit_length(), sum(counts)))
-    spans, start, means = [], 0, [[] for _ in tables]
-    for (joint, prefix_prob), expr, count in zip(_copy_kernels(tables), exprs, counts):
+    spans, start, means = [], 0, [[] for _ in range(len(probs))]
+    for (joint, prefix_prob), expr, count in zip(_copy_kernels(probs, scheme, ia, oa), exprs,
+                                                 counts):
         block = terms[:expr.coeffs.size, start:start + count]
         target = block.reshape(expr.coeffs.shape + joint.shape[:1] + joint.shape[3:-2], copy=False)
         _conditioned(joint, prefix_prob, target.transpose(4, 0, 1, *range(5, joint.ndim), 2, 3))
@@ -438,7 +468,7 @@ def conditional_means(tables: Sequence[CorrelationTable],
     sums = np.concatenate([_row_fsums(terms[:, s:s + step].T)
                            for s in range(0, terms.shape[1], step)])
     for i, (start, count, bad, prefix_prob) in enumerate(spans, 1):
-        values = sums[start:start + count].reshape(len(tables), -1)
+        values = sums[start:start + count].reshape(len(probs), -1)
         defined = True if bad is None else ~bad.any(axis=(3, 4)).reshape(values.shape)
         for k, row in enumerate(np.where(defined, values, 0.0).tolist()):
             first = None
@@ -656,11 +686,12 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
     if not _is_json_int(data["n_copies"]):
         raise TableFormatError("/n_copies", "must be an integer")
     try:
-        probs = np.asarray(data["probs"], dtype=float)
+        probs = np.array(data["probs"], dtype=float)  # a fresh array, which the table adopts
     except (TypeError, ValueError, OverflowError):  # an integer beyond float range
         raise TableFormatError("/probs", "probabilities must be a nested numeric array") from None
     try:
-        table = CorrelationTable(scheme, data["input_arities"], data["output_arities"], probs)
+        table = CorrelationTable._adopt(scheme, data["input_arities"], data["output_arities"],
+                                        probs)
     except ArityError as exc:
         raise TableFormatError(f"/{exc.field}", str(exc)) from None
     except TableEntryError as exc:

@@ -12,8 +12,8 @@ Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_mea
 call (one walk, row sums in blocks); its rows are the prefixes of earlier outputs
 (broadcast) or the other copies' input settings (per-copy).  Theorem 2 walks once too.
 The noise sweep stacks a batch of visibilities: one stack of checked states,
-one Born rule, one product and one ``conditional_means`` call serve the whole
-batch, and every table is validated.
+one Born rule, one product, one validation of the stacked tables and one walk
+serve the whole batch, and no table object is built.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete.  A copy whose conditional values are undefined because some prefix
@@ -40,8 +40,10 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
+    _check_probs,
     _conditioned,
     _copy_kernels,
+    _stack_means,
     conditional_means,
     correlator,
     reachable,
@@ -197,7 +199,8 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
         checks.append(CopyCheck(1, 0.0, 0.0, 0.0, precondition_ok=False))
         return _finish_report(checks, diagnostics, tol)
 
-    kernels = _copy_kernels([table])
+    kernels = _copy_kernels(table.probs[None], table.scheme, table.input_arities,
+                            table.output_arities)
     marginal = CorrelationTable(Scheme.BROADCAST, (m,), (o,), next(kernels)[0][0, :, :, 0, 0])
     dev1 = float(np.max(np.abs(marginal.probs - reference.probs)))
     checks.append(CopyCheck(1, dev1, 0.0, dev1))
@@ -263,7 +266,9 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
 
     Rows are returned in ascending visibility.  Visibilities are evaluated as
     stacked tables in batches of at most ``_SWEEP_BATCH`` entries, so the
-    tables held at once do not grow with their number.  Rows equal the
+    tables held at once do not grow with their number.  Each batch's stack is
+    validated once, by the checks a table's constructor makes, and walked
+    once; no table object is built.  Rows equal the
     ``conditional_means`` values of ``compose([apply_isotropic_noise(strategy, nu)] * n)``
     bit for bit; the first undefined prefix (lowest visibility, then copy)
     raises the :class:`ZeroPrefixProbability` that ``conditional_means`` names.
@@ -280,9 +285,10 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
         batch = nus[start:start + step]
         states = _isotropic_states(strategy, batch)
         _check_density(states)
-        tables = [CorrelationTable(Scheme.BROADCAST, (m,) * n, (o,) * n, probs)
-                  for probs in broadcast_product([born_tables(strategy, states)] * n)]
-        for nu, copies in zip(batch, conditional_means(tables, [expr] * n)):
+        probs = broadcast_product([born_tables(strategy, states)] * n)
+        _check_probs(probs)
+        for nu, copies in zip(batch, _stack_means(probs, Scheme.BROADCAST, (m,) * n, (o,) * n,
+                                                  [expr] * n)):
             errors = [error for _, error in copies if error is not None]
             if errors:
                 raise errors[0]

@@ -182,8 +182,8 @@ def born_tables(s: SingleCopyStrategy, rhos: np.ndarray) -> np.ndarray:
 
 def single_copy_table(s: SingleCopyStrategy) -> CorrelationTable:
     """Born-rule table p(a, b | x, y) of one strategy, every entry at once."""
-    probs = born_tables(s, s.state.matrix[None])[0]
-    return CorrelationTable(Scheme.BROADCAST, (s.m,), (s.o,), probs)
+    return CorrelationTable._adopt(Scheme.BROADCAST, (s.m,), (s.o,),
+                                   born_tables(s, s.state.matrix[None])[0])
 
 
 def broadcast_product(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,15 +213,15 @@ def compose(strategies: Sequence[SingleCopyStrategy], scheme: Scheme) -> Correla
         m = strategies[0].m
         if any(s.m != m for s in strategies):
             raise SchemeInputMismatch("broadcast composition requires equal input counts")
-        return CorrelationTable(scheme, (m,) * len(strategies), output_arities,
-                                broadcast_product(tables))
+        return CorrelationTable._adopt(scheme, (m,) * len(strategies), output_arities,
+                                       broadcast_product(tables))
     if scheme is Scheme.PER_COPY:
         probs = tables[0]
         for t in tables[1:]:
             # np.kron makes the newer copy most significant on every axis.
             probs = np.kron(t, probs)
         input_arities = tuple(s.m for s in strategies)
-        return CorrelationTable(scheme, input_arities, output_arities, probs)
+        return CorrelationTable._adopt(scheme, input_arities, output_arities, probs)
     raise SchemeInputMismatch(f"unknown scheme {scheme!r}")
 
 
@@ -240,7 +240,7 @@ def adversary_copy(n: int) -> CorrelationTable:
     all_ones = size - 1
     for a, b in itertools.product(range(2), repeat=2):
         probs[:, :, a * all_ones, b * all_ones] = p1[:, :, a, b]
-    return CorrelationTable(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
+    return CorrelationTable._adopt(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
 
 
 def adversary_shared_randomness(n: int) -> CorrelationTable:
@@ -263,7 +263,7 @@ def adversary_shared_randomness(n: int) -> CorrelationTable:
         for s in range(2):
             joint_b = joint_a ^ (s * all_ones)
             probs[:, :, joint_a, joint_b] = parity_prob[:, :, s] / size
-    return CorrelationTable(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
+    return CorrelationTable._adopt(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
 
 
 def tilted_chsh_reference(alpha: float, coefficients: BellExpression,

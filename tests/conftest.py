@@ -84,7 +84,9 @@ def kernels(tables):
     every copy, conditioned by the package and indexed ``[k, x, y, row_a, row_b]``
     (``cond`` then ``[a_i, b_i]``): a per-copy row ``(high, low)`` is one index, and
     rows of probability 1 get ``prefix_prob`` ones."""
-    for joint, prefix_prob in _copy_kernels(tables):
+    table, probs = tables[0], np.stack([t.probs for t in tables])
+    for joint, prefix_prob in _copy_kernels(probs, table.scheme, table.input_arities,
+                                            table.output_arities):
         rows = joint.shape[3:-2]
         side_a, side_b = math.prod(rows[:len(rows) // 2]), math.prod(rows[len(rows) // 2:])
         shape = joint.shape[:3] + (side_a, side_b) + joint.shape[-2:]

@@ -14,6 +14,7 @@ from paraself.bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
+    _check_probs,
     _copy_kernels,
     bell_operator,
     builtin_expression,
@@ -33,6 +34,7 @@ from paraself.certify import certify_theorem4
 from paraself.errors import (
     EnumerationTooLarge,
     ShapeMismatch,
+    TableEntryError,
     TableFormatError,
     ZeroPrefixProbability,
 )
@@ -321,7 +323,8 @@ def test_averaged_j_percopy_holds_no_table_sized_temporary():
     # the walk over every copy, their averages or a theorem 4 certification.
     table = compose([chsh_reference()] * 5, Scheme.PER_COPY)
     exprs = [chsh_expression()] * 5
-    runs = [lambda: sum(cond.size for cond, _ in _copy_kernels([table])),
+    walk = (table.probs[None], table.scheme, table.input_arities, table.output_arities)
+    runs = [lambda: sum(cond.size for cond, _ in _copy_kernels(*walk)),
             lambda: conditional_means([table], exprs),
             lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5)]
     for k, run in enumerate(runs, 1):
@@ -624,3 +627,81 @@ def test_table_entries_validated_on_construction():
     probs[0, 0] = [[0.5, 0.5], [0.25, -0.25]]
     with pytest.raises(ValueError):
         CorrelationTable(Scheme.BROADCAST, (2,), (2,), probs)
+
+
+def test_table_checks_keep_their_precedence():
+    # Non-finite before out of range before not normalised, whatever else is wrong.
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[1, 1, 1, 1], probs[0, 1, 0, 0], probs[1, 0, 0, 1] = np.nan, 1.5, 0.5
+    with pytest.raises(ValueError) as info:
+        CorrelationTable(Scheme.BROADCAST, (2,), (2,), probs)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "probabilities contain NaN or Inf"
+    # Of two entries out of range, the first in row-major order is named.
+    probs[1, 1, 1, 1], probs[1, 0, 1, 1] = 0.25, -0.5
+    data = table_to_json_dict(single_copy_table(chsh_reference()))
+    data["probs"] = probs.tolist()
+    with pytest.raises(TableFormatError) as info:
+        table_from_json_dict(data)
+    assert str(info.value) == "/probs/0/1/0/0: probability outside [0, 1]"
+    # A stack is judged table by table, and names the table first.
+    good = single_copy_table(chsh_reference()).probs
+    with pytest.raises(TableEntryError) as info:
+        _check_probs(np.stack([good, probs]))
+    assert info.value.index == (1, 0, 1, 0, 0)
+    probs[0, 1, 0, 0], probs[1, 0, 1, 1] = 0.5, 0.25
+    with pytest.raises(TableEntryError) as info:
+        _check_probs(np.stack([good, good, probs]))
+    assert (info.value.index, info.value.reason) == ((2, 0, 1), "entries do not sum to 1")
+
+
+def test_table_copies_what_the_caller_passes():
+    probs = single_copy_table(chsh_reference()).probs.copy()
+    table = CorrelationTable(Scheme.BROADCAST, (2,), (2,), probs)
+    before = table.probs.copy()
+    probs[0, 0] = [[1.0, 0.0], [0.0, 0.0]]
+    assert np.array_equal(table.probs, before)
+    assert not np.shares_memory(table.probs, probs)
+
+
+def test_library_tables_are_read_only_and_their_own():
+    # compose, the adversaries and the JSON reader hand their tables fresh
+    # arrays, shared with nothing the caller holds.
+    chsh = chsh_reference()
+    held = [chsh.state.matrix] + [e for p in chsh.alice + chsh.bob for e in p.effects]
+    data = table_to_json_dict(compose([chsh] * 2, Scheme.BROADCAST))
+    data["probs"] = np.array(data["probs"])
+    tables = [single_copy_table(chsh), compose([chsh], Scheme.BROADCAST),
+              compose([chsh], Scheme.PER_COPY), compose([chsh] * 3, Scheme.BROADCAST),
+              compose([chsh] * 3, Scheme.PER_COPY), adversary_copy(3),
+              adversary_shared_randomness(3), table_from_json_dict(data)]
+    held.append(data["probs"])
+    for k, table in enumerate(tables):
+        assert not table.probs.flags.writeable, k
+        others = held + [t.probs for t in tables[:k]]
+        assert not any(np.shares_memory(table.probs, other) for other in others), k
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tables_hold_no_second_copy():
+    # Composing keeps the product and its last factor, not a validation copy
+    # (2x the table before), and validating a fresh array makes no temporary.
+    # At n = 5 (8 MiB) numpy's fixed 128 KiB broadcasting buffers do not count.
+    chsh = chsh_reference()
+    table = compose([chsh] * 5, Scheme.PER_COPY)
+    nbytes = table.probs.nbytes
+    assert _traced_peak(lambda: compose([chsh] * 5, Scheme.PER_COPY)) < 1.25 * nbytes
+    fresh = table.probs.copy()
+    adopted = []
+    peak = _traced_peak(lambda: adopted.append(CorrelationTable._adopt(
+        Scheme.PER_COPY, (2,) * 5, (2,) * 5, fresh)))
+    assert peak < nbytes / 8
+    assert adopted[0].probs is fresh and not fresh.flags.writeable

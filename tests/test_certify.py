@@ -486,6 +486,24 @@ def test_sweep_noise_states_are_the_noise_channels_bit_for_bit(monkeypatch):
             assert state.tobytes() == (nu * rho + (1.0 - nu) * np.eye(4) / 4.0).tobytes()
 
 
+@pytest.mark.parametrize("budget,batches", [("module", 1), (1024, 6)])
+def test_sweep_noise_validates_each_batch_once(monkeypatch, budget, batches):
+    # One check of the stacked tables per batch (four visibilities per batch
+    # at n = 2 under the small budget), and no table object per visibility.
+    if budget != "module":
+        monkeypatch.setattr(certify, "_SWEEP_BATCH", budget)
+    stacks, check = [], certify._check_probs
+    monkeypatch.setattr(certify, "_check_probs",
+                        lambda probs: stacks.append(len(probs)) or check(probs))
+    built = []
+    monkeypatch.setattr(CorrelationTable, "__post_init__",
+                        lambda self, copy=True: built.append(self))
+    nus = [k / 20 for k in range(21)]
+    assert len(sweep_noise(chsh_reference(), 2, chsh_expression(), nus)) == 21
+    assert len(stacks) == batches and sum(stacks) == 21
+    assert built == []
+
+
 def test_sweep_noise_checks_visibilities_before_the_dimension(rng):
     qutrits = random_strategy(rng, m=2, o=3)
     expr = BellExpression(2, 3, np.ones((2, 2, 3, 3)))
@@ -582,12 +600,12 @@ def test_sweep_noise_memory_does_not_grow_with_visibilities(monkeypatch):
     # sweep's own batching: states, Born rule, product, validated tables, rows.
     stacks = []
 
-    def means(tables, exprs):
-        stacks.append(len(tables))
+    def means(probs, scheme, ia, oa, exprs):
+        stacks.append(len(probs))
         return [[(float(k + i), None) for i in range(1, len(exprs) + 1)]
-                for k in range(len(tables))]
+                for k in range(len(probs))]
 
-    monkeypatch.setattr(certify, "conditional_means", means)
+    monkeypatch.setattr(certify, "_stack_means", means)
     peaks, largest = [], []
     for count in (21, 2001):
         nus = [k / (count - 1) for k in range(count)]

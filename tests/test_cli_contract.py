@@ -63,6 +63,15 @@ def _table_doc(strategies, scheme=Scheme.BROADCAST):
     return json.loads(json.dumps(table_to_json_dict(table, prov)))
 
 
+def _entries(edits: dict) -> list:
+    """A uniform one-copy binary table with the entries ``edits`` set; every
+    row containing one no longer sums to 1."""
+    probs = np.full((2, 2, 2, 2), 0.25)
+    for index, value in edits.items():
+        probs[index] = value
+    return probs.tolist()
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
@@ -93,7 +102,11 @@ def files(tmp_path_factory):
     for key, edit in (("float_arities", {"input_arities": [2.9], "output_arities": [2.5]}),
                       ("string_n_copies", {"n_copies": "1"}),
                       ("bool_arity", {"input_arities": [True]}),
-                      ("huge_entry", {"probs": [[[[10 ** 400, 0], [0, 0]]] * 2] * 2})):
+                      ("huge_entry", {"probs": [[[[10 ** 400, 0], [0, 0]]] * 2] * 2}),
+                      ("nan_entry", {"probs": _entries({(1, 1, 1, 1): float("nan"),
+                                                        (0, 1, 0, 0): 1.5})}),
+                      ("two_out_of_range", {"probs": _entries({(1, 0, 1, 1): -0.5,
+                                                               (0, 1, 0, 0): 1.5})})):
         paths[key] = root / f"{key}.json"
         paths[key].write_text(json.dumps({**_table_doc([chsh_reference()]), **edit}))
     return paths
@@ -145,6 +158,7 @@ ESCAPED_INPUTS = [
     pytest.param(_certify_theorem1("{bool_arity}"), 2, "input: /input_arities",
                  id="certify-bool-arity"),
     pytest.param(_certify_theorem1("{huge_entry}"), 2, "input: /probs", id="certify-huge-entry"),
+    pytest.param(_certify_theorem1("{nan_entry}"), 2, "input: /probs", id="certify-nan-entry"),
     pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem1",
                   "--bell", "{huge_coeffs}", "--beta", BETA],
                  2, "input: /coeffs", id="certify-coefficients-overflow"),
@@ -190,6 +204,19 @@ def test_root_errors_name_no_pointer(files, args, line):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [line.format(**files)]
+
+
+# A table's entries are checked for NaN or Inf, then for the range [0, 1],
+# then for row sums, and the first offender in row-major order is named.
+@pytest.mark.parametrize("table,line", [
+    ("{nan_entry}", "error: input: /probs: probabilities contain NaN or Inf"),
+    ("{two_out_of_range}", "error: input: /probs/0/1/0/0: probability outside [0, 1]"),
+])
+def test_table_entry_errors_name_the_first_offender(files, table, line):
+    result = _run(_certify_theorem1(table.format(**files)))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
 
 
 # Theorem 2 compares against a reference table and takes neither expressions
