@@ -17,7 +17,6 @@ from .bell import (
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    correlator,
     expression_from_json_dict,
     quantum_value_fixed_measurements,
     table_from_json_dict,
@@ -81,7 +80,6 @@ __all__ = [
     "chsh_reference",
     "classical_bound",
     "compose",
-    "correlator",
     "expression_from_json_dict",
     "fullstats_reference",
     "parse_strategy_spec",

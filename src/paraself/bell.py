@@ -18,16 +18,17 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
 ``conditional_means`` gives the averages of every copy of a stack of tables
 of either scheme, and names the first row where a value is undefined;
 theorems 1, 3 and 4 each make one such call, and the noise sweep one
-``_stack_means`` call on each batch's stack of validated tables.  It and
-theorem 2 condition (``_conditioned``) every copy's blocks from one walk over
-the stack (``_copy_kernels``), which sums out one copy at a time, the last
-first, adding its ``(a_j, b_j)`` slabs in row-major order into the array the
-next sum reads; so rounding grows with the number of copies, not of entries,
-and tests pin the order with ``==``.  Per-copy walks keep each copy's own
-marginal and move the rows last once, so every slab add is contiguous.  The
-means' terms are conditioned and weighted where their row sums, equal to
-``math.fsum`` bit for bit, read them.  A prefix probability is the sum of its
-block, and ``reachable`` alone judges it.
+``_stack_means`` call on each batch's stack of validated tables.  Theorem 2
+reads deviations and correlators from one conditioned buffer and one
+``_blocked_row_fsums`` call.  Both condition (``_conditioned``) every copy's
+blocks from one walk over the stack (``_copy_kernels``), which sums out one
+copy at a time, the last first, adding its ``(a_j, b_j)`` slabs in row-major
+order into the array the next sum reads; so rounding grows with the number of
+copies, not of entries, and tests pin the order with ``==``.  Per-copy walks
+keep each copy's own marginal and move the rows last once, so every slab add
+is contiguous.  The means' terms are conditioned and weighted where their row
+sums, equal to ``math.fsum`` bit for bit, read them.  A prefix probability is
+the sum of its block, and ``reachable`` alone judges it.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
@@ -319,20 +320,6 @@ def _copy_joints(probs: np.ndarray, oa: tuple, own: bool) -> list:
     return [kept.reshape(probs.shape[:3] + kept.shape[1:]) for kept in out]
 
 
-def correlator(table: CorrelationTable, x: int, y: int) -> float:
-    """Two-outcome correlator sum_ab (-1)^(a+b) p(a,b|x,y) of a single-copy
-    binary table."""
-    if table.n_copies != 1 or table.output_arities[0] != 2:
-        raise ShapeMismatch("correlators require a single-copy binary-outcome table")
-    m = table.input_arities[0]
-    if not (0 <= x < m and 0 <= y < m):
-        raise ShapeMismatch(f"inputs ({x}, {y}) out of range for {m} settings")
-    p = table.probs
-    return math.fsum(
-        (-1.0) ** (a + b) * p[x, y, a, b] for a in range(2) for b in range(2)
-    )
-
-
 def reachable(prob: np.ndarray) -> np.ndarray:
     """Where a probability is above the positivity floor, so conditioning on it is defined."""
     return prob > POSITIVITY_THRESHOLD
@@ -380,6 +367,14 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(large | ~keep)
     out[redo] = [math.fsum(row) for row in rows[redo].tolist()]
     return out
+
+
+def _blocked_row_fsums(terms: np.ndarray) -> np.ndarray:
+    """:func:`_row_fsums` of every row of the ``[term, row]`` array ``terms`` (the sum over its
+    first axis), ``_MARGINAL_CHUNK`` entries at a time, so the trees' temporaries stay bounded."""
+    step = max(1, _MARGINAL_CHUNK // len(terms))
+    return np.concatenate([_row_fsums(terms[:, s:s + step].T)
+                           for s in range(0, terms.shape[1], step)])
 
 
 def _copy_kernels(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> Iterator[tuple]:
@@ -464,9 +459,7 @@ def _stack_means(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple,
             ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2) & np.any(expr.coeffs, axis=(2, 3)))
         spans.append((start, count, bad, prefix_prob))
         start += count
-    step = max(1, _MARGINAL_CHUNK // len(terms))  # row sums in blocks of bounded size
-    sums = np.concatenate([_row_fsums(terms[:, s:s + step].T)
-                           for s in range(0, terms.shape[1], step)])
+    sums = _blocked_row_fsums(terms)
     for i, (start, count, bad, prefix_prob) in enumerate(spans, 1):
         values = sums[start:start + count].reshape(len(probs), -1)
         defined = True if bad is None else ~bad.any(axis=(3, 4)).reshape(values.shape)
@@ -626,17 +619,15 @@ def table_to_json_dict(table: CorrelationTable, provenance: dict | None = None) 
 
 def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
     """The nested ``probs`` list as ``json.dumps(..., indent=2)`` lays it out
-    under a top-level key, one input row ``x`` per chunk.  Each distinct value
-    is formatted once: a composed table holds few distinct floats among up to
-    millions of entries."""
-    # Distinct bit patterns, so that -0.0 keeps its sign.
-    bits = probs.view(np.uint64).ravel()
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    reprs = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()],
-                     dtype=object)
-    inverse = inverse.reshape(probs.shape)
+    under a top-level key, one input row ``x`` per chunk and at a time, so the
+    temporaries are a row's.  Each distinct value of a row is formatted once: a
+    composed table holds few distinct floats among up to millions of entries."""
     for x in range(probs.shape[0]):
-        text = reprs[inverse[x]]
+        # Distinct bit patterns, so that -0.0 keeps its sign.
+        distinct, inverse = np.unique(probs[x].view(np.uint64).ravel(), return_inverse=True)
+        reprs = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()],
+                         dtype=object)
+        text = reprs[inverse.reshape(probs.shape[1:])]
         for axis in range(probs.ndim - 1, 0, -1):
             item = "\n" + " " * (2 * axis + 4)
             close = "\n" + " " * (2 * axis + 2) + "]"

@@ -10,16 +10,19 @@ finite, and for a target that is not finite.
 Theorem 1 is theorem 3 with one expression and target for every copy.
 Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
 call (one walk, row sums in blocks); its rows are the prefixes of earlier outputs
-(broadcast) or the other copies' input settings (per-copy).  Theorem 2 walks once too.
+(broadcast) or the other copies' input settings (per-copy).  Theorem 2 walks once
+too, and reads deviations and correlators from one buffer and one row-sum call.
 The noise sweep stacks a batch of visibilities: one stack of checked states,
 one Born rule, one product, one validation of the stacked tables and one walk
 serve the whole batch, and no table object is built.
 
 Reports never short-circuit: every copy is evaluated so diagnostics are
-complete.  A copy whose conditional values are undefined because some prefix
-has (numerically) zero probability is reported with the average taken over
-the well-defined prefixes (keeping the full prefix count as divisor) plus a
-diagnostic naming the offending prefixes; the verdict is then
+complete; the one exception is theorem 2 with a reference that is not strictly
+positive, which returns copy 1 only.  A copy whose conditional values are
+undefined because some prefix has (numerically) zero probability is reported
+with the average taken over the well-defined prefixes (keeping the full prefix
+count as divisor) plus a diagnostic naming the offending prefixes; the verdict
+is then
 
 * ``fail`` if any copy with fully defined values deviates beyond ``tol``
   (definitive rejection wins over a precondition complaint),
@@ -30,6 +33,7 @@ diagnostic naming the offending prefixes; the verdict is then
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,12 +44,12 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
+    _blocked_row_fsums,
     _check_probs,
     _conditioned,
     _copy_kernels,
     _stack_means,
     conditional_means,
-    correlator,
     reachable,
 )
 from .errors import SchemeInputMismatch, ShapeMismatch
@@ -176,9 +180,12 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     reference entrywise.
 
     The reference must be single-copy with strictly positive entries.  The
-    per-copy check statistic is the largest entrywise deviation (target 0).
-    For binary-outcome scenarios, the four reference correlators and their
-    observed copy-1 counterparts are reported as named diagnostics.
+    per-copy check statistic is the largest entrywise deviation (target 0),
+    read with the worst prefix from one ``[a, b, x, y, row]`` buffer holding the
+    reference, copy 1's marginal and every later copy's conditioned prefixes.
+    For binary outcomes, the reference's and copy 1's correlators and each
+    reachable copy's largest correlator deviation are reported as named
+    diagnostics, from one row-sum call (equal to ``math.fsum``) over that buffer.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -188,66 +195,68 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     m, o = reference.input_arities[0], reference.output_arities[0]
     if table.input_arities[0] != m or any(v != o for v in table.output_arities):
         raise ShapeMismatch("table copies do not match the reference arities")
-    checks: list[CopyCheck] = []
-    diagnostics: list[str] = []
     if not reachable(reference.probs).all():
         x, y, a, b = (int(v) for v in np.argwhere(~reachable(reference.probs))[0])
-        diagnostics.append(
-            f"reference entry p({a},{b}|{x},{y}) is not strictly positive; "
-            f"conditional comparisons are ill-posed"
-        )
-        checks.append(CopyCheck(1, 0.0, 0.0, 0.0, precondition_ok=False))
-        return _finish_report(checks, diagnostics, tol)
+        diagnostic = (f"reference entry p({a},{b}|{x},{y}) is not strictly positive; "
+                      f"conditional comparisons are ill-posed")
+        return _finish_report([CopyCheck(1, 0.0, 0.0, 0.0, precondition_ok=False)],
+                              [diagnostic], tol)
 
+    diagnostics: list[str] = []
+    # Rows: the reference, copy 1's marginal, then each later copy's prefixes.
+    starts = list(itertools.accumulate([1, 1] + [o ** (2 * i) for i in range(1, table.n_copies)],
+                                       initial=0))
+    rows = np.empty((o, o, m, m, starts[-1]))  # [a, b, x, y, row]
+    rows[..., 0] = reference.probs.transpose(2, 3, 0, 1)
+    unreachable = [[]]  # each copy's unreachable prefixes, as rows in row-major order
     kernels = _copy_kernels(table.probs[None], table.scheme, table.input_arities,
                             table.output_arities)
-    marginal = CorrelationTable(Scheme.BROADCAST, (m,), (o,), next(kernels)[0][0, :, :, 0, 0])
-    dev1 = float(np.max(np.abs(marginal.probs - reference.probs)))
-    checks.append(CopyCheck(1, dev1, 0.0, dev1))
-    if o == 2:
-        diagnostics += [f"correlator({x},{y}): copy-1 {correlator(marginal, x, y)!r}, "
-                        f"reference {correlator(reference, x, y)!r}"
-                        for x in range(m) for y in range(m)]
-
-    parity_signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for i, (joint, prob) in enumerate(kernels, 2):
-        cond, prefix_prob = _conditioned(joint, prob, np.zeros_like(joint))[0], prob[0]
-        unreachable = (~reachable(prefix_prob)).any(axis=(0, 1))
-        # deviation[prefix_a, prefix_b]: largest entrywise deviation from the
-        # reference, 0 on unreachable prefixes.  argmax keeps the first
-        # worst prefix in row-major order.
-        deviation = np.where(
-            unreachable, 0.0,
-            np.abs(cond - reference.probs[:, :, None, None]).max(axis=(0, 1, 4, 5)))
-        worst_prefix = divmod(int(np.argmax(deviation)), deviation.shape[1])
-        worst = float(deviation[worst_prefix])
-        if o == 2 and not unreachable.any():
-            ref_corr = (reference.probs * parity_signs).sum(axis=(2, 3))
-            cond_corr = (cond * parity_signs).sum(axis=(4, 5))
-            corr_dev = np.abs(cond_corr - ref_corr[:, :, None, None]).max(axis=(2, 3))
+    for i, (joint, prefix_prob) in enumerate(kernels, 1):
+        block, low = rows[..., starts[i]:starts[i + 1]], o ** (i - 1)
+        _conditioned(joint, prefix_prob, block.reshape(o, o, m, m, 1, low, low, copy=False)
+                     .transpose(4, 2, 3, 5, 6, 0, 1))
+        if prefix_prob is not None:
+            unreachable.append(np.flatnonzero(~reachable(prefix_prob[0]).all(axis=(0, 1))))
+            if len(unreachable[-1]):  # such a prefix reads as the reference: deviation 0
+                block[..., unreachable[-1]] = rows[..., :1]
+    printed = [o == 2 and not len(bad) for bad in unreachable]  # copies with correlator lines
+    end = max((starts[i + 1] for i, shown in enumerate(printed, 1) if shown), default=0)
+    if end:  # the correlators of the reference and of every printed copy's rows
+        signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
+        corr = _blocked_row_fsums((rows[..., :end] * signs).reshape(4, -1)).reshape(m, m, end)
+        corr_dev = np.maximum.reduceat(np.abs(corr - corr[:, :, :1]),
+                                       [s for s in starts[1:-1] if s < end], axis=2).tolist()
+        diagnostics += [f"correlator({x},{y}): copy-1 {float(corr[x, y, 1])!r}, "
+                        f"reference {float(corr[x, y, 0])!r}" for x in range(m) for y in range(m)]
+    rows -= rows[..., :1]  # in place, now that the correlators are read
+    row_dev = np.abs(rows, out=rows).max(axis=(0, 1, 2, 3))
+    worst = np.maximum.reduceat(row_dev, starts[1:-1]).tolist()  # of copies 1..n
+    for i, bad in enumerate(unreachable[1:], 2):
+        if printed[i - 1]:
             diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
-                            f"{corr_dev[x, y]:.3e} over all prefixes"
+                            f"{corr_dev[x][y][i - 1]:.3e} over all prefixes"
                             for x in range(m) for y in range(m)]
-        if unreachable.any():
+        low = o ** (i - 1)
+        if len(bad):
             # A strictly positive reference makes every prefix reachable in
             # the honest experiment, so unreachable prefixes are a failure in
             # their own right, not merely a precondition gap.
-            worst = max(worst, 1.0)
-            first_a, first_b = (int(v) for v in np.argwhere(unreachable)[0])
+            worst[i - 1] = max(worst[i - 1], 1.0)
             diagnostics.append(
-                f"copy {i}: {int(unreachable.sum())} prefixes unreachable "
-                f"(first: (a={first_a}, b={first_b})) although "
+                f"copy {i}: {len(bad)} prefixes unreachable "
+                f"(first: (a={bad[0] // low}, b={bad[0] % low})) although "
                 f"the reference is strictly positive"
             )
-        elif worst > tol:
+        elif worst[i - 1] > tol:
+            row = int(np.argmax(row_dev[starts[i]:starts[i + 1]]))  # the first worst prefix
             diagnostics.append(
-                f"copy {i}: max conditional deviation {worst:.6e} at prefix "
-                f"(a={worst_prefix[0]}, b={worst_prefix[1]})"
+                f"copy {i}: max conditional deviation {worst[i - 1]:.6e} at prefix "
+                f"(a={row // low}, b={row % low})"
             )
-        checks.append(CopyCheck(i, worst, 0.0, worst))
-    if checks[0].margin > tol:
-        diagnostics.append(f"copy 1: max marginal deviation {checks[0].margin:.6e}")
-    return _finish_report(checks, diagnostics, tol)
+    if worst[0] > tol:
+        diagnostics.append(f"copy 1: max marginal deviation {worst[0]:.6e}")
+    return _finish_report([CopyCheck(i, w, 0.0, w) for i, w in enumerate(worst, 1)],
+                          diagnostics, tol)
 
 
 def certify_theorem4(table: CorrelationTable, exprs: Sequence[BellExpression],

@@ -3,9 +3,9 @@
 Each is a plain single-entry or per-call form of something the package
 computes in bulk: the Born rule of one outcome pair, the largest eigenvalue
 of a Hermitian matrix, mixed-radix joint indices, the value of an expression
-on a single-copy table, one copy's marginal in one numpy sum, the raising
-form of one copy's ``conditional_means`` entry, the expression and text
-writers, and a local deterministic strategy.
+on a single-copy table, a two-outcome correlator, one copy's marginal in one
+numpy sum, the raising form of one copy's ``conditional_means`` entry, the
+expression and text writers, and a local deterministic strategy.
 """
 
 from __future__ import annotations
@@ -102,6 +102,20 @@ def evaluate(expr: BellExpression, table: CorrelationTable) -> float:
             f"({table.input_arities[0]}, {table.output_arities[0]})"
         )
     return math.fsum((expr.coeffs * table.probs).ravel())
+
+
+def correlator(table: CorrelationTable, x: int, y: int) -> float:
+    """Two-outcome correlator sum_ab (-1)^(a+b) p(a,b|x,y) of a single-copy
+    binary table, by ``math.fsum``: the oracle for theorem 2's correlators."""
+    if table.n_copies != 1 or table.output_arities[0] != 2:
+        raise ShapeMismatch("correlators require a single-copy binary-outcome table")
+    m = table.input_arities[0]
+    if not (0 <= x < m and 0 <= y < m):
+        raise ShapeMismatch(f"inputs ({x}, {y}) out of range for {m} settings")
+    p = table.probs
+    return math.fsum(
+        (-1.0) ** (a + b) * p[x, y, a, b] for a in range(2) for b in range(2)
+    )
 
 
 def copy_marginal(table: CorrelationTable, i: int) -> CorrelationTable:

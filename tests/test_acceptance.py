@@ -18,7 +18,6 @@ from paraself.bell import (
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    correlator,
     expression_from_json_dict,
     quantum_value_fixed_measurements,
     table_from_json_dict,
@@ -43,7 +42,7 @@ from paraself.strategies import (
 )
 
 from conftest import conditional_values, deterministic_table_probs, random_strategy
-from reference import (copy_marginal, evaluate, expression_to_json_dict, j_value,
+from reference import (copy_marginal, correlator, evaluate, expression_to_json_dict, j_value,
                        local_deterministic)
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)

@@ -17,6 +17,7 @@ from paraself.bell import (
     builtin_quantum_maximum,
     chsh_expression,
     quantum_value_fixed_measurements,
+    reachable,
     table_from_json_dict,
     table_to_json_dict,
     tilted_chsh_expression,
@@ -45,8 +46,8 @@ from paraself.strategies import (
     tilted_chsh_reference,
 )
 
-from conftest import random_strategy
-from reference import j_value, local_deterministic
+from conftest import kernels, random_projective_povm, random_state, random_strategy
+from reference import correlator, j_value, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 
@@ -256,6 +257,103 @@ def test_theorem2_requires_positive_reference():
     report = certify_theorem2(table, reference)
     assert report.verdict == "precondition-violated"
     assert any("strictly positive" in d for d in report.diagnostics)
+
+
+def _theorem2_oracle(table, reference):
+    """``(deviations, lines)``: each copy's largest entrywise deviation from the
+    reference and the correlator lines theorem 2 prints, recomputed from the
+    conditioned blocks of the walk, each correlator by the ``math.fsum`` oracle.
+    A copy with an unreachable prefix gets no deviation and no lines."""
+    m, o = reference.input_arities[0], reference.output_arities[0]
+    pairs = list(itertools.product(range(m), repeat=2))
+    ref = {xy: correlator(reference, *xy) for xy in pairs} if o == 2 else {}
+    deviations, lines = [], []
+    for i, (cond, prefix_prob) in enumerate(kernels([table]), 1):
+        cond, prefixes = cond[0], list(np.ndindex(prefix_prob.shape[3:]))
+        if not reachable(prefix_prob).all():
+            deviations.append(None)
+            continue
+        deviations.append(float(np.abs(cond - reference.probs[:, :, None, None]).max()))
+        blocks = [CorrelationTable(Scheme.BROADCAST, (m,), (o,), cond[:, :, pa, pb])
+                  for pa, pb in prefixes]
+        for x, y in pairs if o == 2 else []:
+            values = [correlator(block, x, y) for block in blocks]
+            if i == 1:
+                lines.append(f"correlator({x},{y}): copy-1 {values[0]!r}, "
+                             f"reference {ref[x, y]!r}")
+            else:
+                worst = max(abs(v - ref[x, y]) for v in values)
+                lines.append(f"conditional correlator({x},{y}) copy {i}: max deviation "
+                             f"{worst:.3e} over all prefixes")
+    return deviations, lines
+
+
+def _qutrit_strategy():
+    rng = np.random.default_rng(12)
+    return SingleCopyStrategy(
+        random_state(3, 3, rng),
+        tuple(random_projective_povm(3, rng) for _ in range(2)),
+        tuple(random_projective_povm(3, rng) for _ in range(2)),
+        m=2, o=3, label="qutrit",
+    )
+
+
+@pytest.mark.parametrize("name, n", [*(("fullstats", n) for n in range(2, 6)),
+                                     ("three-setting", 3), ("qutrit", 3)])
+def test_theorem2_reports_the_oracle_values(name, n):
+    # Every correlator theorem 2 prints, of copy 1, of the reference and of
+    # every prefix, is the fsum of its conditioned block; on these fullstats
+    # tables a numpy parity sum misses the reference's (0, 1) by an ulp.  Every
+    # deviation is the largest entrywise one; three outcomes print no
+    # correlators.
+    strategy = {"fullstats": lambda: fullstats_reference(0.1, 0.2),
+                "three-setting": _three_setting_strategy, "qutrit": _qutrit_strategy}[name]()
+    m, o = strategy.m, strategy.o
+    table, reference = compose([strategy] * n, Scheme.BROADCAST), single_copy_table(strategy)
+    report = certify_theorem2(table, reference)
+    deviations, lines = _theorem2_oracle(table, reference)
+    assert report.verdict == "pass"
+    assert [c.value for c in report.per_copy] == deviations
+    assert [d for d in report.diagnostics if "correlator" in d] == lines
+    assert len(lines) == (n * m * m if o == 2 else 0)
+
+
+def test_theorem2_prints_no_correlators_for_a_copy_with_unreachable_prefixes():
+    # Three copies that repeat copy 1's outputs: copy 2 is a point mass on
+    # each reachable prefix, and copy 3's prefixes with differing copies 1
+    # and 2 are unreachable, so only copy 2 prints conditional correlators.
+    reference = single_copy_table(fullstats_reference(0.1, 0.2))
+    probs = np.zeros((2, 2, 8, 8))
+    for a, b in itertools.product(range(2), repeat=2):
+        probs[:, :, a * 7, b * 7] = reference.probs[:, :, a, b]
+    table = CorrelationTable(Scheme.BROADCAST, (2,) * 3, (2,) * 3, probs)
+    report = certify_theorem2(table, reference)
+    deviations, lines = _theorem2_oracle(table, reference)
+    assert report.verdict == "fail"
+    assert [c.value for c in report.per_copy] == deviations[:2] + [1.0]
+    assert [d for d in report.diagnostics if "correlator" in d] == lines
+    assert [line.split(":")[0] for line in lines] == (
+        [f"correlator({x},{y})" for x, y in itertools.product(range(2), repeat=2)]
+        + [f"conditional correlator({x},{y}) copy 2"
+           for x, y in itertools.product(range(2), repeat=2)])
+    assert "copy 3: 12 prefixes unreachable (first: (a=0, b=1)) although the reference " \
+           "is strictly positive" in report.diagnostics
+
+
+def test_theorem2_holds_no_large_temporary():
+    # One [a, b, x, y, row] buffer, a third larger than the table at o = 2,
+    # and the walk; deviations are taken in place.
+    fullstats = fullstats_reference(0.1, 0.2)
+    table = compose([fullstats] * 6, Scheme.BROADCAST)
+    reference = single_copy_table(fullstats)
+    certify_theorem2(table, reference)
+    tracemalloc.start()
+    try:
+        certify_theorem2(table, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table.probs.nbytes
 
 
 def test_theorem3_mixed_copies_pass_with_oracle_targets():

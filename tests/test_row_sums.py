@@ -183,9 +183,8 @@ def _counting(monkeypatch, name):
 def test_certifiers_make_one_row_sum_call(monkeypatch):
     # Every copy's rows, broadcast prefixes or per-copy input settings, come
     # from one walk over the table and go to one row-sum call per
-    # certification, not one of each per copy.  Theorem 2 compares whole
-    # distributions, so it makes no row sums, and takes copy 1's marginal and
-    # every later copy's kernel from one walk.
+    # certification, not one of each per copy.  Theorem 2 takes the
+    # correlators of the reference, copy 1 and every prefix from one call.
     ce = chsh_expression()
     broadcast = compose([chsh_reference()] * 6, Scheme.BROADCAST)
     percopy = compose([chsh_reference()] * 5, Scheme.PER_COPY)
@@ -193,7 +192,7 @@ def test_certifiers_make_one_row_sum_call(monkeypatch):
     certifications = {
         "theorem1": (lambda: certify_theorem1(broadcast, ce, CHSH_MAX), 1),
         "theorem2": (lambda: certify_theorem2(compose([fullstats] * 5, Scheme.BROADCAST),
-                                              single_copy_table(fullstats)), 0),
+                                              single_copy_table(fullstats)), 1),
         "theorem3": (lambda: certify_theorem3(broadcast, [ce] * 6, [CHSH_MAX] * 6), 1),
         "theorem4": (lambda: certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5), 1),
     }

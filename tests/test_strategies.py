@@ -11,7 +11,6 @@ from paraself.bell import (
     chsh_expression,
     chsh_game_expression,
     classical_bound,
-    correlator,
     quantum_value_fixed_measurements,
     tilted_chsh_expression,
 )
@@ -33,7 +32,8 @@ from paraself.strategies import (
     tilted_chsh_reference,
 )
 
-from reference import born_probability, copy_marginal, evaluate, local_deterministic
+from reference import (born_probability, copy_marginal, correlator, evaluate,
+                       local_deterministic)
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 GAME_MAX = (2.0 + np.sqrt(2.0)) / 4.0

@@ -32,7 +32,6 @@ PUBLIC = [
     "chsh_reference",
     "classical_bound",
     "compose",
-    "correlator",
     "expression_from_json_dict",
     "fullstats_reference",
     "parse_strategy_spec",
@@ -49,7 +48,7 @@ PUBLIC = [
 
 TEST_ONLY = [
     "born_probability", "max_eigenvalue", "validate_povm", "encode_joint", "decode_joint",
-    "evaluate", "j_value", "expression_to_json_dict", "table_to_json_text",
+    "evaluate", "correlator", "j_value", "expression_to_json_dict", "table_to_json_text",
     "local_deterministic", "build_preset_table", "ADVERSARY_PRESETS",
 ]
 
