@@ -28,7 +28,9 @@ copies, not of entries, and tests pin the order with ``==``.  Per-copy walks
 keep each copy's own marginal and move the rows last once, so every slab add
 is contiguous.  The means' terms are conditioned and weighted where their row
 sums, equal to ``math.fsum`` bit for bit, read them.  A prefix probability is
-the sum of its block, and ``reachable`` alone judges it.
+the sum of its block, and ``reachable`` alone judges it, once per copy: the
+conditioning divides without a mask when every prefix of the stack is
+reachable, and otherwise hands its mask to the callers.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
@@ -400,15 +402,20 @@ def _copy_kernels(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> It
                 0, 1, 2, 4, 6, 3, 5), prefix_prob
 
 
-def _conditioned(joint: np.ndarray, prefix_prob, out: np.ndarray) -> np.ndarray:
-    """``out`` (any layout) set to a :func:`_copy_kernels` ``joint`` divided by ``prefix_prob``
-    where that is :func:`reachable`, and kept elsewhere; or to ``joint``, for ``None``."""
+def _conditioned(joint: np.ndarray, prefix_prob, out: np.ndarray):
+    """Set ``out`` (any layout) to a :func:`_copy_kernels` ``joint`` divided by ``prefix_prob``
+    where that is :func:`reachable`, and kept elsewhere; or to ``joint``, for ``None``.  Return
+    the one :func:`reachable` mask of the whole stack, or ``None`` when there is no prefix or
+    every prefix is reachable, in which case the divide takes no ``where=`` mask."""
     if prefix_prob is None:
         np.copyto(out, joint)
-    else:
-        np.divide(joint, prefix_prob[..., None, None], out=out,
-                  where=reachable(prefix_prob)[..., None, None])
-    return out
+        return None
+    mask = reachable(prefix_prob)
+    if mask.all():
+        np.divide(joint, prefix_prob[..., None, None], out=out)
+        return None
+    np.divide(joint, prefix_prob[..., None, None], out=out, where=mask[..., None, None])
+    return mask
 
 
 def conditional_means(tables: Sequence[CorrelationTable],
@@ -438,7 +445,9 @@ def conditional_means(tables: Sequence[CorrelationTable],
 def _stack_means(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple,
                  exprs: Sequence[BellExpression]) -> list:
     """:func:`conditional_means` of the validated tables ``probs[k]`` of a stack of one scheme
-    and input and output arities ``ia`` and ``oa``."""
+    and input and output arities ``ia`` and ``oa``.  Only a copy whose :func:`_conditioned`
+    mask shows an unreachable prefix gets undefined rows, zeroed, and a first offender: the
+    first undefined ``(prefix_a, prefix_b, x, y)`` of each table in row-major order."""
     if len(exprs) != len(oa):
         raise ShapeMismatch(f"{len(exprs)} expressions given for {len(oa)} copies")
     for i, expr in enumerate(exprs, 1):
@@ -453,20 +462,23 @@ def _stack_means(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple,
                                                  counts):
         block = terms[:expr.coeffs.size, start:start + count]
         target = block.reshape(expr.coeffs.shape + joint.shape[:1] + joint.shape[3:-2], copy=False)
-        _conditioned(joint, prefix_prob, target.transpose(4, 0, 1, *range(5, joint.ndim), 2, 3))
+        mask = _conditioned(joint, prefix_prob,
+                            target.transpose(4, 0, 1, *range(5, joint.ndim), 2, 3))
         block *= expr.coeffs.reshape(-1, 1)
-        bad = None if prefix_prob is None else (  # bad[k, row_a, row_b, x, y]
-            ~reachable(prefix_prob).transpose(0, 3, 4, 1, 2) & np.any(expr.coeffs, axis=(2, 3)))
+        bad = None if mask is None else (  # bad[k, row_a, row_b, x, y]
+            ~mask.transpose(0, 3, 4, 1, 2) & np.any(expr.coeffs, axis=(2, 3)))
         spans.append((start, count, bad, prefix_prob))
         start += count
     sums = _blocked_row_fsums(terms)
     for i, (start, count, bad, prefix_prob) in enumerate(spans, 1):
         values = sums[start:start + count].reshape(len(probs), -1)
-        defined = True if bad is None else ~bad.any(axis=(3, 4)).reshape(values.shape)
-        for k, row in enumerate(np.where(defined, values, 0.0).tolist()):
+        if bad is not None:
+            defined = ~bad.any(axis=(3, 4)).reshape(values.shape)
+            values = np.where(defined, values, 0.0)
+        for k, row in enumerate(values.tolist()):
             first = None
-            if bad is not None and not defined[k].all():
-                pa, pb, x, y = (int(v) for v in np.argwhere(bad[k])[0])
+            if bad is not None and not defined[k].all():  # the first True of bad[k], row-major
+                pa, pb, x, y = (int(v) for v in np.unravel_index(np.argmax(bad[k]), bad[k].shape))
                 first = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb]))
             means[k].append((math.fsum(row) / float(len(row)), first))
     return means

@@ -186,6 +186,8 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     For binary outcomes, the reference's and copy 1's correlators and each
     reachable copy's largest correlator deviation are reported as named
     diagnostics, from one row-sum call (equal to ``math.fsum``) over that buffer.
+    Each copy's unreachable prefixes are read from the mask its conditioning
+    returns, so no prefix is judged twice.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -208,17 +210,16 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                                        initial=0))
     rows = np.empty((o, o, m, m, starts[-1]))  # [a, b, x, y, row]
     rows[..., 0] = reference.probs.transpose(2, 3, 0, 1)
-    unreachable = [[]]  # each copy's unreachable prefixes, as rows in row-major order
+    unreachable = []  # each copy's unreachable prefixes, as rows in row-major order
     kernels = _copy_kernels(table.probs[None], table.scheme, table.input_arities,
                             table.output_arities)
     for i, (joint, prefix_prob) in enumerate(kernels, 1):
         block, low = rows[..., starts[i]:starts[i + 1]], o ** (i - 1)
-        _conditioned(joint, prefix_prob, block.reshape(o, o, m, m, 1, low, low, copy=False)
-                     .transpose(4, 2, 3, 5, 6, 0, 1))
-        if prefix_prob is not None:
-            unreachable.append(np.flatnonzero(~reachable(prefix_prob[0]).all(axis=(0, 1))))
-            if len(unreachable[-1]):  # such a prefix reads as the reference: deviation 0
-                block[..., unreachable[-1]] = rows[..., :1]
+        mask = _conditioned(joint, prefix_prob, block.reshape(o, o, m, m, 1, low, low, copy=False)
+                            .transpose(4, 2, 3, 5, 6, 0, 1))
+        unreachable.append([] if mask is None else np.flatnonzero(~mask[0].all(axis=(0, 1))))
+        if len(unreachable[-1]):  # such a prefix reads as the reference: deviation 0
+            block[..., unreachable[-1]] = rows[..., :1]
     printed = [o == 2 and not len(bad) for bad in unreachable]  # copies with correlator lines
     end = max((starts[i + 1] for i, shown in enumerate(printed, 1) if shown), default=0)
     if end:  # the correlators of the reference and of every printed copy's rows

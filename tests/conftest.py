@@ -90,8 +90,9 @@ def kernels(tables):
         rows = joint.shape[3:-2]
         side_a, side_b = math.prod(rows[:len(rows) // 2]), math.prod(rows[len(rows) // 2:])
         shape = joint.shape[:3] + (side_a, side_b) + joint.shape[-2:]
-        cond = _conditioned(joint, prefix_prob, np.zeros_like(joint)).reshape(shape)
-        yield cond, np.ones(shape[:5]) if prefix_prob is None else prefix_prob
+        cond = np.zeros_like(joint)
+        _conditioned(joint, prefix_prob, cond)  # returns the reachability mask, not ``cond``
+        yield cond.reshape(shape), np.ones(shape[:5]) if prefix_prob is None else prefix_prob
 
 
 def copy_kernel(table, i: int) -> tuple:

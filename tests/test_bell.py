@@ -178,6 +178,35 @@ def test_conditional_value_ignores_inputs_without_coefficients():
     assert (first.prefix_a, first.prefix_b, first.x, first.y) == (0, 0, 1, 1)
 
 
+def _first_fields(first):
+    return None if first is None else (first.copy_index, first.prefix_a, first.prefix_b,
+                                       first.x, first.y, first.probability)
+
+
+def test_conditional_means_of_a_stack_equal_each_table_alone():
+    # One table with an unreachable prefix takes the whole stack through the
+    # masked divide; every table must read as it does alone, where an honest
+    # one takes the plain divide.  Copy 1 of ``echo`` answers its inputs, so
+    # prefix (pa, pb) is reachable only at (x, y) = (pa, pb): its first
+    # undefined entry in row-major (pa, pb, x, y) order is (0, 0, 0, 1), at
+    # flat index 1, where a search in the mask's own [x, y, pa, pb] order
+    # would name prefix (0, 1) at inputs (0, 0).
+    exprs = [chsh_expression()] * 3
+    honest = compose([chsh_reference()] * 3, Scheme.BROADCAST)
+    echo = compose([local_deterministic([0, 1], [0, 1], o=2)] + [chsh_reference()] * 2,
+                   Scheme.BROADCAST)
+    for stack in ([honest, adversary_copy(3)], [echo, honest, adversary_copy(3), echo]):
+        for table, got in zip(stack, conditional_means(stack, exprs)):
+            want = conditional_means([table], exprs)[0]
+            assert [np.float64(mean).view(np.uint64) for mean, _ in got] == \
+                   [np.float64(mean).view(np.uint64) for mean, _ in want]
+            assert [_first_fields(first) for _, first in got] == \
+                   [_first_fields(first) for _, first in want]
+    firsts = [_first_fields(first) for _, first in conditional_means([echo], exprs)[0]]
+    assert firsts == [None, (2, 0, 0, 0, 1, 0.0), (3, 0, 0, 0, 1, 0.0)]
+    assert [first is None for _, first in conditional_means([honest], exprs)[0]] == [True] * 3
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_j_value_honest_copies(n):
     table = compose([chsh_reference()] * n, Scheme.BROADCAST)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paraself import bell
+from paraself import bell, certify
 from paraself.bell import (
     COEFF_SUM_LIMIT,
     Scheme,
@@ -21,7 +21,7 @@ from paraself.bell import (
 )
 from paraself.certify import (certify_theorem1, certify_theorem2, certify_theorem3,
                               certify_theorem4, sweep_noise)
-from paraself.strategies import (chsh_reference, compose, fullstats_reference,
+from paraself.strategies import (adversary_copy, chsh_reference, compose, fullstats_reference,
                                  single_copy_table)
 
 CHSH_MAX = math.sqrt(8.0)
@@ -208,3 +208,43 @@ def test_certifiers_make_one_row_sum_call(monkeypatch):
     walks.clear()
     assert len(sweep_noise(chsh_reference(), 6, ce, [k / 10 for k in range(11)])) == 11
     assert walks == [4, 4, 3]
+
+
+def test_conditioning_judges_each_copy_once(monkeypatch):
+    # Conditioning judges each copy's prefixes once, by one ``reachable`` call
+    # on the whole stack, and hands the mask to the means and to theorem 2,
+    # which do not judge them again.  Its divide takes a mask only when some
+    # prefix is unreachable: on copies 3..6 of the copying adversary, whose
+    # copy 2 sees the one honest pair's four outcomes, and never on honest
+    # tables or the sweep.  Copy 1 and per-copy rows have no prefix.
+    ce = chsh_expression()
+    fullstats = fullstats_reference(0.1, 0.2)
+    calls = _counting(monkeypatch, "reachable")  # the stack size of each call
+    monkeypatch.setattr(certify, "reachable", bell.reachable)  # its own name, counted too
+    masked, divide = [], np.divide
+    monkeypatch.setattr(np, "divide", lambda *args, **kwargs: masked.append("where" in kwargs)
+                        or divide(*args, **kwargs))
+    for table, masks in ((compose([chsh_reference()] * 6, Scheme.BROADCAST), [False] * 5),
+                         (adversary_copy(6), [False] + [True] * 4)):
+        for certify_means in (lambda: certify_theorem1(table, ce, CHSH_MAX),
+                              lambda: certify_theorem3(table, [ce] * 6, [CHSH_MAX] * 6)):
+            calls.clear()
+            masked.clear()
+            certify_means()
+            assert calls == [1] * 5
+            assert masked == masks
+    calls.clear()
+    masked.clear()
+    assert certify_theorem2(compose([fullstats] * 5, Scheme.BROADCAST),
+                            single_copy_table(fullstats)).verdict == "pass"
+    assert len(calls) == 1 + 4  # the reference's own check, then copies 2..5
+    assert masked == [False] * 4
+    calls.clear()
+    masked.clear()
+    assert len(sweep_noise(chsh_reference(), 4, ce, [0.5, 0.75, 1.0])) == 3
+    assert calls == [3] * 3  # one batch of three stacked visibilities
+    assert masked == [False] * 3
+    calls.clear()
+    percopy = compose([chsh_reference()] * 5, Scheme.PER_COPY)
+    assert certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5).verdict == "pass"
+    assert calls == []
