@@ -18,19 +18,19 @@ copy ``i`` on its own: its value is the expression's value on one row of copy
 ``conditional_means`` gives the averages of every copy of a stack of tables
 of either scheme, and names the first row where a value is undefined;
 theorems 1, 3 and 4 each make one such call, and the noise sweep one
-``_stack_means`` call on each batch's stack of validated tables.  Theorem 2
-reads deviations and correlators from one conditioned buffer and one
-``_blocked_row_fsums`` call.  Both condition (``_conditioned``) every copy's
-blocks from one walk over the stack (``_copy_kernels``), which sums out one
-copy at a time, the last first, adding its ``(a_j, b_j)`` slabs in row-major
-order into the array the next sum reads; so rounding grows with the number of
-copies, not of entries, and tests pin the order with ``==``.  Per-copy walks
-keep each copy's own marginal and move the rows last once, so every slab add
-is contiguous.  The means' terms are conditioned and weighted where their row
-sums, equal to ``math.fsum`` bit for bit, read them.  A prefix probability is
-the sum of its block, and ``reachable`` alone judges it, once per copy: the
-conditioning divides without a mask when every prefix of the stack is
-reachable, and otherwise hands its mask to the callers.
+``_stack_means`` call on each batch's stack of validated tables.  One
+function, ``_conditioned_terms``, conditions every copy into one ``[term, row]``
+buffer with ``(a_i, b_i, x_i, y_i)`` terms, which the means weight and theorem 2
+compares with its reference; row sums, equal to ``math.fsum`` bit for bit,
+read it where it lies.  It walks the stack once (``_copy_joints``), summing
+out one copy at a time, the last first, adding its ``(a_j, b_j)`` slabs in
+row-major order into the array the next sum reads; so rounding grows with the
+number of copies, not of entries, and tests pin the order with ``==``.
+Per-copy walks keep each copy's own marginal and move the rows last once, so
+every slab add is contiguous.  A prefix probability is the sum of its block,
+and ``reachable`` alone judges it, once per copy: the conditioning divides
+without a mask when every prefix of the stack is reachable, and otherwise
+hands its mask to the callers.
 
 Joint output (and, for the per-copy scheme, joint input) indices are encoded
 mixed-radix with copy 1 least significant.
@@ -379,43 +379,50 @@ def _blocked_row_fsums(terms: np.ndarray) -> np.ndarray:
                            for s in range(0, terms.shape[1], step)])
 
 
-def _copy_kernels(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> Iterator[tuple]:
-    """``(joint, prefix_prob)`` views of copies ``1..n`` in turn of each table ``probs[k]`` of a
-    stack of one scheme and input and output arities ``ia`` and ``oa``, from one walk, indexed
-    ``[k, x_i, y_i, *rows]`` (``joint`` then ``[a_i, b_i]``).  Broadcast rows are the prefixes
-    ``(row_a, row_b)``: ``joint`` is copy ``i``'s block of the joint of copies ``1..i`` and
-    ``prefix_prob`` its sum.  ``prefix_prob`` is ``None`` for copy 1's one row, its marginal, and
-    for per-copy rows, the other copies' inputs ``(high_a, low_a, high_b, low_b)``, at which
-    ``joint`` is copy ``i``'s marginal."""
+def _conditioned_terms(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> tuple:
+    """``(terms, spans)``: every copy ``1..n`` of each table ``probs[k]`` of a stack of one scheme
+    and input and output arities ``ia`` and ``oa``, conditioned from one walk into the zeroed
+    ``[term, row]`` array ``terms``.  Copy ``i``'s terms are ``(a_i, b_i, x_i, y_i)``, zeros pad
+    them to ``2^k``, and its rows ``[k, *rows]`` lie at ``terms[:, start:start + count]``.
+    Broadcast rows are the prefixes ``(row_a, row_b)``: copy ``i``'s block of the joint of copies
+    ``1..i`` divided by its sum, ``prefix_prob``, where that is :func:`reachable` (zero
+    elsewhere).  Copy 1's one row is its marginal, and per-copy rows, the other copies' inputs
+    ``(high_a, low_a, high_b, low_b)``, copy ``i``'s marginal; their ``prefix_prob`` is ``None``.
+    ``spans`` holds each copy's ``(start, count, mask, prefix_prob)``: ``mask`` is the one
+    :func:`reachable` call of its stack, or ``None`` when every prefix is reachable, in which
+    case the divide takes no ``where=`` mask."""
+    counts = [len(probs) * (probs.shape[1] // m if scheme is Scheme.PER_COPY
+                            else math.prod(oa[:i])) ** 2 for i, m in enumerate(ia)]
+    terms = np.zeros((1 << (max((m * o) ** 2 for m, o in zip(ia, oa)) - 1).bit_length(),
+                      sum(counts)))
     joints = _copy_joints(probs, oa, own=scheme is Scheme.PER_COPY)
-    for i, (oi, joint) in enumerate(zip(oa, joints), 1):
+    spans, start = [], 0
+    for i, (mi, oi, joint, count) in enumerate(zip(ia, oa, joints, counts), 1):
+        prefix_prob = mask = None  # joint: [k, x_i, y_i, *rows, a_i, b_i]
         if scheme is Scheme.PER_COPY:
-            low_m, mi, high_m = math.prod(ia[: i - 1]), ia[i - 1], math.prod(ia[i:])
-            yield joint.reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
-                0, 2, 5, 1, 3, 4, 6, 7, 8), None
+            low_m, high_m = math.prod(ia[: i - 1]), math.prod(ia[i:])
+            joint = joint.reshape(-1, high_m, mi, low_m, high_m, mi, low_m, oi, oi).transpose(
+                0, 2, 5, 1, 3, 4, 6, 7, 8)
         elif i == 1:
-            yield joint[:, :, :, None, None], None
+            joint = joint[:, :, :, None, None]
         else:
             prefix_prob = joints[i - 2]
             low = prefix_prob.shape[-1]
-            yield joint.reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
-                0, 1, 2, 4, 6, 3, 5), prefix_prob
-
-
-def _conditioned(joint: np.ndarray, prefix_prob, out: np.ndarray):
-    """Set ``out`` (any layout) to a :func:`_copy_kernels` ``joint`` divided by ``prefix_prob``
-    where that is :func:`reachable`, and kept elsewhere; or to ``joint``, for ``None``.  Return
-    the one :func:`reachable` mask of the whole stack, or ``None`` when there is no prefix or
-    every prefix is reachable, in which case the divide takes no ``where=`` mask."""
-    if prefix_prob is None:
-        np.copyto(out, joint)
-        return None
-    mask = reachable(prefix_prob)
-    if mask.all():
-        np.divide(joint, prefix_prob[..., None, None], out=out)
-        return None
-    np.divide(joint, prefix_prob[..., None, None], out=out, where=mask[..., None, None])
-    return mask
+            joint = joint.reshape(prefix_prob.shape[:3] + (oi, low, oi, low)).transpose(
+                0, 1, 2, 4, 6, 3, 5)
+        block = terms[:(mi * oi) ** 2, start:start + count]
+        out = block.reshape((oi, oi, mi, mi) + joint.shape[:1] + joint.shape[3:-2],
+                            copy=False).transpose(4, 2, 3, *range(5, joint.ndim), 0, 1)
+        if prefix_prob is None:
+            np.copyto(out, joint)
+        elif (mask := reachable(prefix_prob)).all():
+            mask = None
+            np.divide(joint, prefix_prob[..., None, None], out=out)
+        else:
+            np.divide(joint, prefix_prob[..., None, None], out=out, where=mask[..., None, None])
+        spans.append((start, count, mask, prefix_prob))
+        start += count
+    return terms, spans
 
 
 def conditional_means(tables: Sequence[CorrelationTable],
@@ -424,8 +431,8 @@ def conditional_means(tables: Sequence[CorrelationTable],
     arities) with ``exprs[i - 1]``, one list per table, from one walk over the stack.
 
     A row's value is the exactly rounded sum of the expression times copy ``i``'s distribution
-    on that row (see :func:`_copy_kernels`), conditioned and weighted in place in one
-    ``[term, row]`` array (zeros pad it to ``2^k`` terms) whose rows are summed in blocks.
+    on that row, conditioned into the one ``[term, row]`` buffer of :func:`_conditioned_terms`
+    and weighted there, whose rows are summed in blocks.
     ``mean`` is the sum of the defined values over the rows divided by the full row count: the
     ``prod(o_j, j < i)**2`` prefixes (broadcast; copy 1's mean is its marginal's value) or the
     other copies' input settings (per-copy).  A prefix's value is undefined when its
@@ -445,39 +452,30 @@ def conditional_means(tables: Sequence[CorrelationTable],
 def _stack_means(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple,
                  exprs: Sequence[BellExpression]) -> list:
     """:func:`conditional_means` of the validated tables ``probs[k]`` of a stack of one scheme
-    and input and output arities ``ia`` and ``oa``.  Only a copy whose :func:`_conditioned`
-    mask shows an unreachable prefix gets undefined rows, zeroed, and a first offender: the
-    first undefined ``(prefix_a, prefix_b, x, y)`` of each table in row-major order."""
+    and input and output arities ``ia`` and ``oa``, each copy's :func:`_conditioned_terms` span
+    weighted in place.  Only a copy whose mask shows an unreachable prefix gets undefined rows,
+    zeroed, and a first offender: the first undefined ``(prefix_a, prefix_b, x, y)`` of each
+    table in row-major order."""
     if len(exprs) != len(oa):
         raise ShapeMismatch(f"{len(exprs)} expressions given for {len(oa)} copies")
     for i, expr in enumerate(exprs, 1):
         if (expr.m, expr.o) != (ia[i - 1], oa[i - 1]):
             raise ShapeMismatch(f"expression for copy {i} has arities ({expr.m}, {expr.o}), "
                                 f"copy has ({ia[i - 1]}, {oa[i - 1]})")
-    counts = [len(probs) * (probs.shape[1] // m if scheme is Scheme.PER_COPY
-                            else math.prod(oa[:i])) ** 2 for i, m in enumerate(ia)]
-    terms = np.zeros((1 << (max(e.coeffs.size for e in exprs) - 1).bit_length(), sum(counts)))
-    spans, start, means = [], 0, [[] for _ in range(len(probs))]
-    for (joint, prefix_prob), expr, count in zip(_copy_kernels(probs, scheme, ia, oa), exprs,
-                                                 counts):
-        block = terms[:expr.coeffs.size, start:start + count]
-        target = block.reshape(expr.coeffs.shape + joint.shape[:1] + joint.shape[3:-2], copy=False)
-        mask = _conditioned(joint, prefix_prob,
-                            target.transpose(4, 0, 1, *range(5, joint.ndim), 2, 3))
-        block *= expr.coeffs.reshape(-1, 1)
-        bad = None if mask is None else (  # bad[k, row_a, row_b, x, y]
-            ~mask.transpose(0, 3, 4, 1, 2) & np.any(expr.coeffs, axis=(2, 3)))
-        spans.append((start, count, bad, prefix_prob))
-        start += count
-    sums = _blocked_row_fsums(terms)
-    for i, (start, count, bad, prefix_prob) in enumerate(spans, 1):
+    terms, spans = _conditioned_terms(probs, scheme, ia, oa)
+    for (start, count, _, _), expr in zip(spans, exprs):
+        weights = expr.coeffs.transpose(2, 3, 0, 1).reshape(-1, 1)  # as the (a, b, x, y) terms
+        terms[:len(weights), start:start + count] *= weights
+    sums, means = _blocked_row_fsums(terms), [[] for _ in range(len(probs))]
+    for i, ((start, count, mask, prefix_prob), expr) in enumerate(zip(spans, exprs), 1):
         values = sums[start:start + count].reshape(len(probs), -1)
-        if bad is not None:
+        if mask is not None:  # bad[k, row_a, row_b, x, y]
+            bad = ~mask.transpose(0, 3, 4, 1, 2) & np.any(expr.coeffs, axis=(2, 3))
             defined = ~bad.any(axis=(3, 4)).reshape(values.shape)
             values = np.where(defined, values, 0.0)
         for k, row in enumerate(values.tolist()):
             first = None
-            if bad is not None and not defined[k].all():  # the first True of bad[k], row-major
+            if mask is not None and not defined[k].all():  # the first True of bad[k], row-major
                 pa, pb, x, y = (int(v) for v in np.unravel_index(np.argmax(bad[k]), bad[k].shape))
                 first = ZeroPrefixProbability(i, pa, pb, x, y, float(prefix_prob[k, x, y, pa, pb]))
             means[k].append((math.fsum(row) / float(len(row)), first))

@@ -10,8 +10,9 @@ finite, and for a target that is not finite.
 Theorem 1 is theorem 3 with one expression and target for every copy.
 Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
 call (one walk, row sums in blocks); its rows are the prefixes of earlier outputs
-(broadcast) or the other copies' input settings (per-copy).  Theorem 2 walks once
-too, and reads deviations and correlators from one buffer and one row-sum call.
+(broadcast) or the other copies' input settings (per-copy).  Theorem 2 compares the
+same conditioned ``[term, row]`` buffer with its reference, and reads deviations and
+correlators from it and one row-sum call.
 The noise sweep stacks a batch of visibilities: one stack of checked states,
 one Born rule, one product, one validation of the stacked tables and one walk
 serve the whole batch, and no table object is built.
@@ -33,7 +34,6 @@ is then
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,8 +46,7 @@ from .bell import (
     Scheme,
     _blocked_row_fsums,
     _check_probs,
-    _conditioned,
-    _copy_kernels,
+    _conditioned_terms,
     _stack_means,
     conditional_means,
     reachable,
@@ -181,13 +180,14 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
 
     The reference must be single-copy with strictly positive entries.  The
     per-copy check statistic is the largest entrywise deviation (target 0),
-    read with the worst prefix from one ``[a, b, x, y, row]`` buffer holding the
-    reference, copy 1's marginal and every later copy's conditioned prefixes.
-    For binary outcomes, the reference's and copy 1's correlators and each
-    reachable copy's largest correlator deviation are reported as named
-    diagnostics, from one row-sum call (equal to ``math.fsum``) over that buffer.
-    Each copy's unreachable prefixes are read from the mask its conditioning
-    returns, so no prefix is judged twice.
+    read with the worst prefix from the ``[a, b, x, y, row]`` head of the one
+    conditioned ``[term, row]`` buffer of copy 1's marginal and every later
+    copy's prefixes.  For binary outcomes, the reference's and copy 1's
+    correlators and each reachable copy's largest correlator deviation are
+    named diagnostics, from one row-sum call (equal to ``math.fsum``) over
+    the reference's column and those rows, signed.  Each copy's unreachable
+    prefixes are read from the mask its conditioning returns, so no prefix is
+    judged twice.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -197,42 +197,41 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     m, o = reference.input_arities[0], reference.output_arities[0]
     if table.input_arities[0] != m or any(v != o for v in table.output_arities):
         raise ShapeMismatch("table copies do not match the reference arities")
-    if not reachable(reference.probs).all():
-        x, y, a, b = (int(v) for v in np.argwhere(~reachable(reference.probs))[0])
+    positive = reachable(reference.probs)
+    if not positive.all():
+        x, y, a, b = (int(v) for v in np.argwhere(~positive)[0])
         diagnostic = (f"reference entry p({a},{b}|{x},{y}) is not strictly positive; "
                       f"conditional comparisons are ill-posed")
         return _finish_report([CopyCheck(1, 0.0, 0.0, 0.0, precondition_ok=False)],
                               [diagnostic], tol)
 
     diagnostics: list[str] = []
-    # Rows: the reference, copy 1's marginal, then each later copy's prefixes.
-    starts = list(itertools.accumulate([1, 1] + [o ** (2 * i) for i in range(1, table.n_copies)],
-                                       initial=0))
-    rows = np.empty((o, o, m, m, starts[-1]))  # [a, b, x, y, row]
-    rows[..., 0] = reference.probs.transpose(2, 3, 0, 1)
-    unreachable = []  # each copy's unreachable prefixes, as rows in row-major order
-    kernels = _copy_kernels(table.probs[None], table.scheme, table.input_arities,
-                            table.output_arities)
-    for i, (joint, prefix_prob) in enumerate(kernels, 1):
-        block, low = rows[..., starts[i]:starts[i + 1]], o ** (i - 1)
-        mask = _conditioned(joint, prefix_prob, block.reshape(o, o, m, m, 1, low, low, copy=False)
-                            .transpose(4, 2, 3, 5, 6, 0, 1))
+    terms, spans = _conditioned_terms(table.probs[None], table.scheme, table.input_arities,
+                                      table.output_arities)
+    rows = terms[:o * o * m * m].reshape(o, o, m, m, -1)  # [a, b, x, y, row]
+    ref = reference.probs.transpose(2, 3, 0, 1)[..., None]
+    unreachable = []  # each copy's unreachable prefixes, in row-major order
+    for start, _, mask, _ in spans:
         unreachable.append([] if mask is None else np.flatnonzero(~mask[0].all(axis=(0, 1))))
         if len(unreachable[-1]):  # such a prefix reads as the reference: deviation 0
-            block[..., unreachable[-1]] = rows[..., :1]
+            rows[..., start + unreachable[-1]] = ref
     printed = [o == 2 and not len(bad) for bad in unreachable]  # copies with correlator lines
-    end = max((starts[i + 1] for i, shown in enumerate(printed, 1) if shown), default=0)
+    end = max((start + count for (start, count, *_), shown in zip(spans, printed) if shown),
+              default=0)
     if end:  # the correlators of the reference and of every printed copy's rows
         signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
-        corr = _blocked_row_fsums((rows[..., :end] * signs).reshape(4, -1)).reshape(m, m, end)
+        signed = np.empty((2, 2, m, m, 1 + end))  # the reference's column, then the rows
+        np.multiply(ref, signs, out=signed[..., :1])
+        np.multiply(rows[..., :end], signs, out=signed[..., 1:])
+        corr = _blocked_row_fsums(signed.reshape(4, -1)).reshape(m, m, 1 + end)
         corr_dev = np.maximum.reduceat(np.abs(corr - corr[:, :, :1]),
-                                       [s for s in starts[1:-1] if s < end], axis=2).tolist()
+                                       [1 + s for s, *_ in spans if s < end], axis=2).tolist()
         diagnostics += [f"correlator({x},{y}): copy-1 {float(corr[x, y, 1])!r}, "
                         f"reference {float(corr[x, y, 0])!r}" for x in range(m) for y in range(m)]
-    rows -= rows[..., :1]  # in place, now that the correlators are read
+    rows -= ref  # in place, now that the correlators are read
     row_dev = np.abs(rows, out=rows).max(axis=(0, 1, 2, 3))
-    worst = np.maximum.reduceat(row_dev, starts[1:-1]).tolist()  # of copies 1..n
-    for i, bad in enumerate(unreachable[1:], 2):
+    worst = np.maximum.reduceat(row_dev, [s for s, *_ in spans]).tolist()  # of copies 1..n
+    for i, ((start, count, _, _), bad) in enumerate(zip(spans[1:], unreachable[1:]), 2):
         if printed[i - 1]:
             diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
                             f"{corr_dev[x][y][i - 1]:.3e} over all prefixes"
@@ -249,7 +248,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                 f"the reference is strictly positive"
             )
         elif worst[i - 1] > tol:
-            row = int(np.argmax(row_dev[starts[i]:starts[i + 1]]))  # the first worst prefix
+            row = int(np.argmax(row_dev[start:start + count]))  # the first worst prefix
             diagnostics.append(
                 f"copy {i}: max conditional deviation {worst[i - 1]:.6e} at prefix "
                 f"(a={row // low}, b={row % low})"

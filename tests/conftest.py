@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from paraself.bell import _conditioned, _copy_kernels
+from paraself.bell import _conditioned_terms
 from paraself.qcore import DensityMatrix, Povm
 from paraself.strategies import SingleCopyStrategy
 
@@ -85,14 +85,13 @@ def kernels(tables):
     (``cond`` then ``[a_i, b_i]``): a per-copy row ``(high, low)`` is one index, and
     rows of probability 1 get ``prefix_prob`` ones."""
     table, probs = tables[0], np.stack([t.probs for t in tables])
-    for joint, prefix_prob in _copy_kernels(probs, table.scheme, table.input_arities,
-                                            table.output_arities):
-        rows = joint.shape[3:-2]
-        side_a, side_b = math.prod(rows[:len(rows) // 2]), math.prod(rows[len(rows) // 2:])
-        shape = joint.shape[:3] + (side_a, side_b) + joint.shape[-2:]
-        cond = np.zeros_like(joint)
-        _conditioned(joint, prefix_prob, cond)  # returns the reachability mask, not ``cond``
-        yield cond.reshape(shape), np.ones(shape[:5]) if prefix_prob is None else prefix_prob
+    ia, oa = table.input_arities, table.output_arities
+    terms, spans = _conditioned_terms(probs, table.scheme, ia, oa)
+    for m, o, (start, count, _, prefix_prob) in zip(ia, oa, spans):
+        side = math.isqrt(count // len(probs))
+        cond = terms[:(m * o) ** 2, start:start + count].reshape(o, o, m, m, len(probs), side, side)
+        cond = cond.transpose(4, 2, 3, 5, 6, 0, 1)
+        yield cond, np.ones(cond.shape[:5]) if prefix_prob is None else prefix_prob
 
 
 def copy_kernel(table, i: int) -> tuple:

@@ -15,7 +15,7 @@ from paraself.bell import (
     CorrelationTable,
     Scheme,
     _check_probs,
-    _copy_kernels,
+    _conditioned_terms,
     bell_operator,
     builtin_expression,
     builtin_quantum_maximum,
@@ -354,7 +354,7 @@ def test_averaged_j_percopy_holds_no_table_sized_temporary():
     table = compose([chsh_reference()] * 5, Scheme.PER_COPY)
     exprs = [chsh_expression()] * 5
     walk = (table.probs[None], table.scheme, table.input_arities, table.output_arities)
-    runs = [lambda: sum(cond.size for cond, _ in _copy_kernels(*walk)),
+    runs = [lambda: _conditioned_terms(*walk)[0].size,
             lambda: conditional_means([table], exprs),
             lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5)]
     for k, run in enumerate(runs, 1):

@@ -321,28 +321,32 @@ def test_theorem2_reports_the_oracle_values(name, n):
 def test_theorem2_prints_no_correlators_for_a_copy_with_unreachable_prefixes():
     # Three copies that repeat copy 1's outputs: copy 2 is a point mass on
     # each reachable prefix, and copy 3's prefixes with differing copies 1
-    # and 2 are unreachable, so only copy 2 prints conditional correlators.
-    reference = single_copy_table(fullstats_reference(0.1, 0.2))
-    probs = np.zeros((2, 2, 8, 8))
-    for a, b in itertools.product(range(2), repeat=2):
-        probs[:, :, a * 7, b * 7] = reference.probs[:, :, a, b]
-    table = CorrelationTable(Scheme.BROADCAST, (2,) * 3, (2,) * 3, probs)
-    report = certify_theorem2(table, reference)
-    deviations, lines = _theorem2_oracle(table, reference)
-    assert report.verdict == "fail"
-    assert [c.value for c in report.per_copy] == deviations[:2] + [1.0]
-    assert [d for d in report.diagnostics if "correlator" in d] == lines
-    assert [line.split(":")[0] for line in lines] == (
-        [f"correlator({x},{y})" for x, y in itertools.product(range(2), repeat=2)]
-        + [f"conditional correlator({x},{y}) copy 2"
-           for x, y in itertools.product(range(2), repeat=2)])
-    assert "copy 3: 12 prefixes unreachable (first: (a=0, b=1)) although the reference " \
-           "is strictly positive" in report.diagnostics
+    # and 2 are unreachable, so only copy 2 prints conditional correlators,
+    # and only for two outcomes.  Three outcomes pad their 36 terms to 64.
+    for strategy in (fullstats_reference(0.1, 0.2), _qutrit_strategy()):
+        m, o = strategy.m, strategy.o
+        reference = single_copy_table(strategy)
+        probs = np.zeros((m, m, o ** 3, o ** 3))
+        for a, b in itertools.product(range(o), repeat=2):
+            probs[:, :, a * (1 + o + o * o), b * (1 + o + o * o)] = reference.probs[:, :, a, b]
+        table = CorrelationTable(Scheme.BROADCAST, (m,) * 3, (o,) * 3, probs)
+        report = certify_theorem2(table, reference)
+        deviations, lines = _theorem2_oracle(table, reference)
+        assert report.verdict == "fail"
+        assert [c.value for c in report.per_copy] == deviations[:2] + [1.0]
+        assert [d for d in report.diagnostics if "correlator" in d] == lines
+        pairs = list(itertools.product(range(m), repeat=2))
+        assert [line.split(":")[0] for line in lines] == (
+            [f"correlator({x},{y})" for x, y in pairs]
+            + [f"conditional correlator({x},{y}) copy 2" for x, y in pairs] if o == 2 else [])
+        assert f"copy 3: {o ** 4 - o ** 2} prefixes unreachable (first: (a=0, b=1)) although " \
+               "the reference is strictly positive" in report.diagnostics
 
 
 def test_theorem2_holds_no_large_temporary():
-    # One [a, b, x, y, row] buffer, a third larger than the table at o = 2,
-    # and the walk; deviations are taken in place.
+    # One conditioned [term, row] buffer, a third larger than the table at
+    # o = 2, a signed copy of it for the correlators, and the walk; deviations
+    # are taken in place.
     fullstats = fullstats_reference(0.1, 0.2)
     table = compose([fullstats] * 6, Scheme.BROADCAST)
     reference = single_copy_table(fullstats)

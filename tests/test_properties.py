@@ -435,9 +435,7 @@ def test_copy_marginal_matches_one_shot_reduction(name):
     }[name]()
     # The oracle sums the whole table in one shot; the library walks it in chunks.  Copy i's
     # prefix probabilities are the joint of copies 1..i-1, and copy 1's row its marginal.
-    walk = bell._copy_kernels(table.probs[None], table.scheme, table.input_arities,
-                              table.output_arities)
-    for i, (cond, prefix_prob) in enumerate(walk, 1):
+    for i, (cond, prefix_prob) in enumerate(kernels([table]), 1):
         got = cond[0, :, :, 0, 0] if i == 1 else prefix_prob[0]
         want = _oracle_marginal(table, 1) if i == 1 else _oracle_joint(table, i - 1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), i

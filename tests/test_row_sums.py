@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from paraself import bell, certify
 from paraself.bell import (
     COEFF_SUM_LIMIT,
+    CorrelationTable,
     Scheme,
     _row_fsums,
     chsh_expression,
@@ -23,6 +24,8 @@ from paraself.certify import (certify_theorem1, certify_theorem2, certify_theore
                               certify_theorem4, sweep_noise)
 from paraself.strategies import (adversary_copy, chsh_reference, compose, fullstats_reference,
                                  single_copy_table)
+
+from conftest import deterministic_table_probs
 
 CHSH_MAX = math.sqrt(8.0)
 
@@ -211,12 +214,13 @@ def test_certifiers_make_one_row_sum_call(monkeypatch):
 
 
 def test_conditioning_judges_each_copy_once(monkeypatch):
-    # Conditioning judges each copy's prefixes once, by one ``reachable`` call
-    # on the whole stack, and hands the mask to the means and to theorem 2,
-    # which do not judge them again.  Its divide takes a mask only when some
-    # prefix is unreachable: on copies 3..6 of the copying adversary, whose
-    # copy 2 sees the one honest pair's four outcomes, and never on honest
-    # tables or the sweep.  Copy 1 and per-copy rows have no prefix.
+    # Conditioning every copy into one [term, row] buffer judges each copy's
+    # prefixes once, by one ``reachable`` call on the whole stack, and hands
+    # the mask to the means and to theorem 2, which do not judge them again.
+    # Its divide takes a mask only when some prefix is unreachable: on copies
+    # 3..6 of the copying adversary, whose copy 2 sees the one honest pair's
+    # four outcomes, and never on honest tables or the sweep.  Copy 1 and
+    # per-copy rows have no prefix.  Theorem 2 judges its reference once too.
     ce = chsh_expression()
     fullstats = fullstats_reference(0.1, 0.2)
     calls = _counting(monkeypatch, "reachable")  # the stack size of each call
@@ -239,6 +243,15 @@ def test_conditioning_judges_each_copy_once(monkeypatch):
                             single_copy_table(fullstats)).verdict == "pass"
     assert len(calls) == 1 + 4  # the reference's own check, then copies 2..5
     assert masked == [False] * 4
+    calls.clear()
+    masked.clear()
+    walks = _counting(monkeypatch, "_copy_joints")
+    deterministic = CorrelationTable(Scheme.BROADCAST, (2,), (2,),
+                                     deterministic_table_probs(2, 2, [0, 1], [1, 0]))
+    assert certify_theorem2(compose([fullstats] * 5, Scheme.BROADCAST),
+                            deterministic).verdict == "precondition-violated"
+    assert calls == [2]  # a reference with a zero entry is judged once, and nothing is walked
+    assert walks == []
     calls.clear()
     masked.clear()
     assert len(sweep_noise(chsh_reference(), 4, ce, [0.5, 0.75, 1.0])) == 3

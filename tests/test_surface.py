@@ -4,7 +4,7 @@ may the wrappers around the walk over a table's copies that only tests
 called."""
 
 import paraself
-from paraself import bell, qcore, strategies
+from paraself import bell, certify, qcore, strategies
 
 PUBLIC = [
     "BellExpression",
@@ -53,8 +53,9 @@ TEST_ONLY = [
 ]
 
 # The certifiers reach the walk through ``bell.conditional_means`` and
-# ``bell._copy_kernels`` only.
-WALK_WRAPPERS = ["copy_marginal", "conditional_kernel", "conditional_mean", "averaged_j_percopy"]
+# ``bell._conditioned_terms`` only, which alone conditions every copy.
+WALK_WRAPPERS = ["copy_marginal", "conditional_kernel", "conditional_mean", "averaged_j_percopy",
+                 "_copy_kernels", "_conditioned"]
 
 
 def test_public_names_are_pinned():
@@ -67,3 +68,8 @@ def test_test_only_references_stay_out_of_the_package():
         assert [name for name in TEST_ONLY + WALK_WRAPPERS if hasattr(module, name)] == [], \
             module.__name__
     assert not hasattr(bell.BellExpression, "scaled")
+
+
+def test_certify_does_not_reach_into_the_walk():
+    assert [name for name in ("_copy_joints", "_copy_kernels", "_conditioned")
+            if hasattr(certify, name)] == []
