@@ -144,8 +144,11 @@ def tilted_chsh_expression(alpha: float) -> BellExpression:
 
     Local deterministic value at most 2 + alpha; quantum maximum
     sqrt(8 + 2 alpha^2).  Maximal violation singles out a partially
-    entangled two-qubit state for 0 < alpha < 2.
+    entangled two-qubit state for 0 < alpha < 2.  A tilt that is not finite
+    raises ``ValueError``.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"tilt parameter {alpha} is not finite")
     c = chsh_expression().coeffs.copy()
     for y, a, b in itertools.product(range(2), repeat=3):
         c[0, y, a, b] += (alpha / 2.0) * (-1.0) ** a

@@ -179,15 +179,18 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     reference entrywise.
 
     The reference must be single-copy with strictly positive entries.  The
-    per-copy check statistic is the largest entrywise deviation (target 0),
-    read with the worst prefix from the ``[a, b, x, y, row]`` head of the one
-    conditioned ``[term, row]`` buffer of copy 1's marginal and every later
-    copy's prefixes.  For binary outcomes, the reference's and copy 1's
-    correlators and each reachable copy's largest correlator deviation are
-    named diagnostics, from one row-sum call (equal to ``math.fsum``) over
-    the reference's column and those rows, signed.  Each copy's unreachable
-    prefixes are read from the mask its conditioning returns, so no prefix is
-    judged twice.
+    per-copy check statistic is the largest entrywise deviation (target 0)
+    over the ``[a, b, x, y, row]`` head of the one conditioned ``[term, row]``
+    buffer of copy 1's marginal and every later copy's prefixes.  One loop
+    over the copies' spans reads each copy's deviation, worst prefix,
+    unreachable prefixes (from the mask its conditioning returns, so no
+    prefix is judged twice) and correlator deviation, and writes its lines.
+    A copy with an unreachable prefix scores at least 1.0; its deviation
+    counts only the prefixes reachable at every input pair.  Such copies
+    follow all others, so for binary outcomes the reference's and copy 1's
+    correlators and each earlier copy's largest correlator deviation come
+    from one row-sum call (equal to ``math.fsum``) over the reference's
+    column and the rows before the first of them, signed.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -210,49 +213,43 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                                       table.output_arities)
     rows = terms[:o * o * m * m].reshape(o, o, m, m, -1)  # [a, b, x, y, row]
     ref = reference.probs.transpose(2, 3, 0, 1)[..., None]
-    unreachable = []  # each copy's unreachable prefixes, in row-major order
-    for start, _, mask, _ in spans:
-        unreachable.append([] if mask is None else np.flatnonzero(~mask[0].all(axis=(0, 1))))
-        if len(unreachable[-1]):  # such a prefix reads as the reference: deviation 0
-            rows[..., start + unreachable[-1]] = ref
-    printed = [o == 2 and not len(bad) for bad in unreachable]  # copies with correlator lines
-    end = max((start + count for (start, count, *_), shown in zip(spans, printed) if shown),
-              default=0)
-    if end:  # the correlators of the reference and of every printed copy's rows
+    # A prefix unreachable at (x, y) has an unreachable extension there, so the copies with
+    # an unreachable prefix follow the others, whose rows [0, end) print correlators.
+    end = next((s for s, _, mask, _ in spans if mask is not None), rows.shape[-1]) if o == 2 else 0
+    if end:
         signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
         signed = np.empty((2, 2, m, m, 1 + end))  # the reference's column, then the rows
         np.multiply(ref, signs, out=signed[..., :1])
         np.multiply(rows[..., :end], signs, out=signed[..., 1:])
         corr = _blocked_row_fsums(signed.reshape(4, -1)).reshape(m, m, 1 + end)
-        corr_dev = np.maximum.reduceat(np.abs(corr - corr[:, :, :1]),
-                                       [1 + s for s, *_ in spans if s < end], axis=2).tolist()
+        corr_dev = np.abs(corr[:, :, 1:] - corr[:, :, :1])
         diagnostics += [f"correlator({x},{y}): copy-1 {float(corr[x, y, 1])!r}, "
                         f"reference {float(corr[x, y, 0])!r}" for x in range(m) for y in range(m)]
     rows -= ref  # in place, now that the correlators are read
     row_dev = np.abs(rows, out=rows).max(axis=(0, 1, 2, 3))
-    worst = np.maximum.reduceat(row_dev, [s for s, *_ in spans]).tolist()  # of copies 1..n
-    for i, ((start, count, _, _), bad) in enumerate(zip(spans[1:], unreachable[1:]), 2):
-        if printed[i - 1]:
+    worst = []  # of copies 1..n
+    for i, (start, count, mask, _) in enumerate(spans, 1):
+        dev, low = row_dev[start:start + count], o ** (i - 1)
+        if i > 1 and start < end:
+            copy_dev = corr_dev[:, :, start:start + count].max(axis=2).tolist()
             diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
-                            f"{corr_dev[x][y][i - 1]:.3e} over all prefixes"
+                            f"{copy_dev[x][y]:.3e} over all prefixes"
                             for x in range(m) for y in range(m)]
-        low = o ** (i - 1)
-        if len(bad):
-            # A strictly positive reference makes every prefix reachable in
-            # the honest experiment, so unreachable prefixes are a failure in
-            # their own right, not merely a precondition gap.
-            worst[i - 1] = max(worst[i - 1], 1.0)
-            diagnostics.append(
-                f"copy {i}: {len(bad)} prefixes unreachable "
-                f"(first: (a={bad[0] // low}, b={bad[0] % low})) although "
-                f"the reference is strictly positive"
-            )
-        elif worst[i - 1] > tol:
-            row = int(np.argmax(row_dev[start:start + count]))  # the first worst prefix
-            diagnostics.append(
-                f"copy {i}: max conditional deviation {worst[i - 1]:.6e} at prefix "
-                f"(a={row // low}, b={row % low})"
-            )
+        if mask is None:
+            worst.append(float(dev.max()))
+            if i > 1 and worst[-1] > tol:
+                row = int(np.argmax(dev))  # the first worst prefix
+                diagnostics.append(f"copy {i}: max conditional deviation {worst[-1]:.6e} at "
+                                   f"prefix (a={row // low}, b={row % low})")
+            continue
+        # A strictly positive reference makes every prefix reachable in the honest
+        # experiment, so unreachable prefixes are a failure in their own right, not merely
+        # a precondition gap; the deviation counts the prefixes reachable at every (x, y).
+        defined = mask[0].all(axis=(0, 1)).ravel()
+        worst.append(float(dev.max(initial=1.0, where=defined)))
+        bad = np.flatnonzero(~defined)
+        diagnostics.append(f"copy {i}: {len(bad)} prefixes unreachable (first: (a={bad[0] // low}, "
+                           f"b={bad[0] % low})) although the reference is strictly positive")
     if worst[0] > tol:
         diagnostics.append(f"copy 1: max marginal deviation {worst[0]:.6e}")
     return _finish_report([CopyCheck(i, w, 0.0, w) for i, w in enumerate(worst, 1)],

@@ -352,10 +352,13 @@ def _parse_nus(text: str) -> list:
             start, stop, step = (float(v) for v in parts)
         except ValueError:
             raise ConfigError("--nus", f"non-numeric range bound in {text!r}") from None
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ConfigError("--nus", f"range {name} {value} is not finite")
         if step <= 0:
             raise ConfigError("--nus", "range step must be positive")
         steps = (stop + 1e-12 - start) / step
-        if not steps < MAX_SWEEP_POINTS:  # also rejects NaN and infinite bounds
+        if not steps < MAX_SWEEP_POINTS:  # also rejects a count that overflows
             raise ConfigError("--nus", f"range has more than {MAX_SWEEP_POINTS} points")
         values = []
         for k in range(max(int(steps), 0) + 2):  # one spare point for rounding

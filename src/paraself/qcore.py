@@ -145,31 +145,22 @@ class Povm:
         if not effects:
             raise ValueError("invalid POVM: no effects given")
         dim = effects[0].shape[0]
-        # The effects before the first of another dimension are checked as one stack; the
-        # first to fail any rule is named with its first failing rule, as in a loop.
-        same = next((k for k, e in enumerate(effects) if e.shape[0] != dim), len(effects))
-        stack = np.array(effects[:same])
-        defects = hermiticity_defect(stack)
-        eigs = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)
-        failing = ((defects > STRUCTURAL_TOL) | (eigs[:, 0] < -STRUCTURAL_TOL)
-                   | (eigs[:, -1] > 1 + STRUCTURAL_TOL))
-        if failing.any():
-            k = int(np.argmax(failing))
-            if defects[k] > STRUCTURAL_TOL:
-                raise ValueError(f"invalid POVM: effect {k}: not Hermitian "
-                                 f"(defect {defects[k]:.3e})")
-            if eigs[k, 0] < -STRUCTURAL_TOL:
-                raise ValueError(f"invalid POVM: effect {k}: negative eigenvalue {eigs[k, 0]:.3e}")
-            raise ValueError(f"invalid POVM: effect {k}: eigenvalue {eigs[k, -1]:.6f} exceeds 1")
-        if same < len(effects):
-            raise ValueError(f"invalid POVM: effect {same}: dimension "
-                             f"{effects[same].shape[0]} != {dim}")
-        defect = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
+        for k, e in enumerate(effects):
+            if e.shape[0] != dim:
+                raise ValueError(f"invalid POVM: effect {k}: dimension {e.shape[0]} != {dim}")
+            defect = hermiticity_defect(e)
+            if defect > STRUCTURAL_TOL:
+                raise ValueError(f"invalid POVM: effect {k}: not Hermitian (defect {defect:.3e})")
+            eigs = np.linalg.eigvalsh((e + e.conj().T) / 2)
+            if eigs[0] < -STRUCTURAL_TOL:
+                raise ValueError(f"invalid POVM: effect {k}: negative eigenvalue {eigs[0]:.3e}")
+            if eigs[-1] > 1 + STRUCTURAL_TOL:
+                raise ValueError(f"invalid POVM: effect {k}: eigenvalue {eigs[-1]:.6f} exceeds 1")
+        defect = float(np.max(np.abs(sum(effects) - np.eye(dim))))
         if defect > STRUCTURAL_TOL:
             raise ValueError("invalid POVM: completeness: effects sum deviates from "
                              f"identity by {defect:.3e}")
-        stack.setflags(write=False)  # a fresh array: the effects are views of it
-        object.__setattr__(self, "effects", tuple(stack))
+        object.__setattr__(self, "effects", tuple(_frozen(e) for e in effects))
 
     @property
     def n_outcomes(self) -> int:

@@ -318,6 +318,31 @@ def test_theorem2_reports_the_oracle_values(name, n):
     assert len(lines) == (n * m * m if o == 2 else 0)
 
 
+def _sparse_broadcast_table(rng, m, o, n, first):
+    """Random broadcast table whose copies ``1..first - 2`` take every output pair at every
+    input pair and whose later copies take one random output pair per outputs of those, so
+    copy ``first`` is the first with an unreachable prefix (for ``first >= 2``)."""
+    low, high = o ** (first - 2), o ** (n - first + 2)
+    probs = np.zeros((m, m, high, low, high, low))  # [x, y, a_high, a_low, b_high, b_low]
+    for x, y, pa, pb in itertools.product(range(m), range(m), range(low), range(low)):
+        probs[x, y, rng.integers(high), pa, rng.integers(high), pb] = rng.uniform(0.1, 1.0)
+    probs /= probs.sum(axis=(2, 3, 4, 5), keepdims=True)
+    return CorrelationTable(Scheme.BROADCAST, (m,) * n, (o,) * n, probs.reshape(
+        m, m, high * low, high * low))
+
+
+def _unreachable_line(table, i):
+    """Theorem 2's line for copy ``i``'s prefixes of zero probability at some input pair,
+    summed from the table, or ``None`` when there are none."""
+    m, o, n = table.input_arities[0], table.output_arities[0], table.n_copies
+    low, high = o ** (i - 1), o ** (n - i + 1)
+    prefix_prob = table.probs.reshape(m, m, high, low, high, low).sum(axis=(2, 4))
+    bad = np.flatnonzero((prefix_prob == 0).any(axis=(0, 1)))
+    return None if not len(bad) else (
+        f"copy {i}: {len(bad)} prefixes unreachable (first: (a={bad[0] // low}, "
+        f"b={bad[0] % low})) although the reference is strictly positive")
+
+
 def test_theorem2_prints_no_correlators_for_a_copy_with_unreachable_prefixes():
     # Three copies that repeat copy 1's outputs: copy 2 is a point mass on
     # each reachable prefix, and copy 3's prefixes with differing copies 1
@@ -341,6 +366,43 @@ def test_theorem2_prints_no_correlators_for_a_copy_with_unreachable_prefixes():
             + [f"conditional correlator({x},{y}) copy 2" for x, y in pairs] if o == 2 else [])
         assert f"copy 3: {o ** 4 - o ** 2} prefixes unreachable (first: (a=0, b=1)) although " \
                "the reference is strictly positive" in report.diagnostics
+    # Random sparse tables: a prefix unreachable at some inputs has an unreachable
+    # extension there, so every copy from the first with one has one, scores 1.0 and
+    # prints no correlators, and the correlator lines stop at that copy.
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        m, o = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        n = int(rng.integers(2, 5 if o == 2 else 4))
+        first = int(rng.integers(2, n + 1))
+        table = _sparse_broadcast_table(rng, m, o, n, first)
+        reference = rng.uniform(0.1, 1.0, (m, m, o, o))
+        reference = CorrelationTable(Scheme.BROADCAST, (m,), (o,),
+                                     reference / reference.sum(axis=(2, 3), keepdims=True))
+        report = certify_theorem2(table, reference)
+        deviations, lines = _theorem2_oracle(table, reference)
+        unreachable = [_unreachable_line(table, i) for i in range(2, n + 1)]
+        assert [line is not None for line in unreachable] == [i >= first for i in range(2, n + 1)]
+        assert [d for d in report.diagnostics if "unreachable" in d] == unreachable[first - 2:]
+        assert deviations[first - 1:] == [None] * (n - first + 1)
+        assert [c.value for c in report.per_copy] == (deviations[:first - 1]
+                                                      + [1.0] * (n - first + 1))
+        assert [d for d in report.diagnostics if "correlator" in d] == lines
+        assert len(lines) == ((first - 1) * m * m if o == 2 else 0)
+    # Entries may dip below zero by the table's tolerance, so a conditional can leave
+    # [0, 1] on a prefix reachable at some inputs only: copy 2's prefix (0, 0) is
+    # unreachable at (0, 0) and conditions to 1.5 and -0.5 at (1, 1).  Such a prefix
+    # counts as unreachable, not in the deviation.
+    probs = np.full((2, 2, 4, 4), 1 / 16)
+    probs[0, 0], probs[1, 1] = 0.0, 0.0
+    probs[0, 0, 1, 1] = probs[0, 0, 3, 3] = 0.5
+    probs[1, 1, 0, 0], probs[1, 1, 2, 0] = 3e-12, -1e-12
+    probs[1, 1, 1, 1] = probs[1, 1, 3, 3] = 0.5 - 1e-12
+    table = CorrelationTable(Scheme.BROADCAST, (2, 2), (2, 2), probs)
+    report = certify_theorem2(table, CorrelationTable(Scheme.BROADCAST, (2,), (2,),
+                                                      np.full((2, 2, 2, 2), 0.25)))
+    assert [c.value for c in report.per_copy] == [0.75, 1.0]
+    assert "copy 2: 3 prefixes unreachable (first: (a=0, b=0)) although the reference is " \
+           "strictly positive" in report.diagnostics
 
 
 def test_theorem2_holds_no_large_temporary():

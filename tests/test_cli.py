@@ -365,6 +365,22 @@ def test_bounds_default_strategy_from_stripped_spec(runner, spec, quantum):
     assert result.stdout.splitlines()[1] == f"quantum {quantum}"
 
 
+@pytest.mark.parametrize("tilt", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("args,option", [
+    (["simulate", "--strategy", "tilted-chsh({})"], "--strategy"),
+    (["sweep", "--copies", "2", "--strategy", "tilted-chsh({})", "--nus", "0,1"], "--strategy"),
+    (["bounds", "--bell", "chsh", "--strategy", "tilted-chsh({})"], "--strategy"),
+    (["bounds", "--bell", "tilted-chsh({})"], "--bell"),
+    (["sweep", "--copies", "2", "--bell", "tilted-chsh({})", "--nus", "0,1"], "--bell"),
+])
+def test_a_non_finite_tilt_is_named(runner, args, option, tilt):
+    # The expression is built before any range check on the tilt, so the tilt
+    # is checked where the expression is, not reported as bad coefficients.
+    result = runner.invoke(main, [a.format(tilt) for a in args])
+    assert result.exit_code == 2
+    assert result.output == f"error: config: {option}: tilt parameter {tilt} is not finite\n"
+
+
 @pytest.mark.parametrize("spec,classical", [("tilted-chsh(2)", "4"),
                                              ("tilted-chsh(-0.5)", "2.5")])
 def test_bounds_tilt_without_reference_prints_classical_only(runner, tmp_path, spec, classical):
@@ -451,6 +467,24 @@ def test_sweep_rejects_malformed_range(runner):
         assert result.exit_code == 2
         assert result.output.startswith("error: config:")
         assert len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("nus,line", [
+    ("nan:1:0.1", "range start nan is not finite"),
+    ("-inf:1:0.1", "range start -inf is not finite"),
+    ("0:inf:0.1", "range stop inf is not finite"),
+    ("0:1:nan", "range step nan is not finite"),
+    ("0:1:-inf", "range step -inf is not finite"),
+    ("0:1:1e-9", "range has more than 10001 points"),
+    ("-1e308:1e308:1e-300", "range has more than 10001 points"),
+])
+def test_sweep_names_a_non_finite_range_value(runner, nus, line):
+    # A NaN step passes a positivity test and a NaN or infinite bound makes
+    # the point count NaN or infinite, so each is named before the count.
+    result = runner.invoke(main, ["sweep", "--strategy", "chsh", "--copies", "2",
+                                  "--nus", nus])
+    assert result.exit_code == 2
+    assert result.output == f"error: config: --nus: {line}\n"
 
 
 def test_error_lines_are_single_machine_parseable(runner):

@@ -158,6 +158,22 @@ def test_povm_rejects_mixed_dimensions():
         Povm((np.eye(2), np.eye(3)))
 
 
+def test_povm_names_the_first_failing_effect_across_dimensions():
+    # Effects are checked in order, each by every rule: a rule one effect breaks
+    # is named ahead of a later effect of another dimension, and a dimension
+    # ahead of a later broken rule.
+    skew = np.array([[0.5, 0.3], [0.0, 0.5]])
+    for effect, message in ((skew, "not Hermitian (defect 3.000e-01)"),
+                            (SIGMA_Z, "negative eigenvalue -1.000e+00"),
+                            (2 * IDENTITY_2, "eigenvalue 2.000000 exceeds 1")):
+        with pytest.raises(ValueError) as error:
+            Povm((IDENTITY_2 / 2, effect, np.eye(3)))
+        assert str(error.value) == f"invalid POVM: effect 1: {message}"
+    with pytest.raises(ValueError) as error:
+        Povm((IDENTITY_2 / 2, np.eye(3), skew))
+    assert str(error.value) == "invalid POVM: effect 1: dimension 3 != 2"
+
+
 def test_povm_rejects_nan_and_garbage():
     with pytest.raises(ValueError, match="NaN or Inf"):
         Povm((np.full((2, 2), np.nan), "not a matrix"))
