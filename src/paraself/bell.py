@@ -75,6 +75,8 @@ COEFF_SUM_LIMIT = 2.0 ** 960
 _NORMALIZATION_TOL = 1e-10
 _ENTRY_TOL = 1e-12
 _MARGINAL_CHUNK = 1 << 16  # table entries summed at a time by a copy marginal
+# The per-copy walk lays a chunk out on 2n + 1 axes; numpy 2 allows 64 (numpy 1, 32).
+_PERCOPY_MAX_COPIES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) // 2 - 1
 
 
 class Scheme(Enum):
@@ -155,6 +157,13 @@ def tilted_chsh_expression(alpha: float) -> BellExpression:
     return BellExpression(2, 2, c, label=f"tilted-chsh({alpha:g})")
 
 
+def check_tilt(alpha: float) -> None:
+    """Raise ``ValueError`` unless 0 <= alpha < 2, the tilts for which ``tilted-chsh(alpha)`` has
+    its closed-form quantum maximum and reference strategy."""
+    if not 0.0 <= alpha < 2.0:
+        raise ValueError(f"tilt parameter {alpha} outside [0, 2)")
+
+
 def _builtin_spec(name: str) -> tuple:
     """``(family, alpha)`` of a built-in expression name: ``("chsh", None)``,
     ``("chsh-game", None)`` or ``("tilted-chsh", alpha)``.  Any other name
@@ -190,8 +199,7 @@ def builtin_quantum_maximum(name: str) -> float:
         return math.sqrt(8.0)
     if family == "chsh-game":
         return (2.0 + math.sqrt(2.0)) / 4.0
-    if not 0.0 <= alpha < 2.0:
-        raise ValueError(f"tilt parameter {alpha} outside [0, 2)")
+    check_tilt(alpha)
     return math.sqrt(8.0 + 2.0 * alpha * alpha)
 
 
@@ -705,4 +713,7 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
         raise TableFormatError("/probs", str(exc)) from None
     if data["n_copies"] != table.n_copies:
         raise TableFormatError("/n_copies", f"does not match {table.n_copies} output arities")
+    if scheme is Scheme.PER_COPY and table.n_copies > _PERCOPY_MAX_COPIES:
+        raise TableFormatError("/n_copies", f"a per-copy table holds at most "
+                                            f"{_PERCOPY_MAX_COPIES} copies")
     return table

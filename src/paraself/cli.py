@@ -23,6 +23,7 @@ Any other exception is a bug and keeps its traceback.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -114,10 +115,33 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+# Distinct float literals one read converts and keeps; a file with more is parsed again plainly.
+_FLOAT_CACHE_SIZE = 1 << 12
+
+
+class _FullCache(Exception):
+    pass
+
+
+class _FloatCache(dict):
+    """Float of each literal; as ``parse_float``, ``__getitem__`` converts each distinct literal
+    once, and the entries that repeat it share that float: a composed table holds few distinct
+    values among up to millions of entries.  ``float(literal)`` is the scanner's own double."""
+
+    def __missing__(self, literal: str) -> float:
+        if len(self) == _FLOAT_CACHE_SIZE:
+            raise _FullCache
+        value = self[literal] = float(literal)
+        return value
+
+
 def _read_json(path: Path):
     text = path.read_text()  # its UnicodeDecodeError, also a ValueError, is an io error
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text, parse_float=_FloatCache().__getitem__)
+        except _FullCache:
+            return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep a nesting, too long an int
         raise TableFormatError("", f"invalid JSON in {path}: {exc}") from None
 
@@ -311,7 +335,7 @@ def bounds(bell_spec, strategy_spec, witness, out):
     fixed-measurement quantum value (both at 10 significant digits); a tilt
     outside [0, 2) has no reference measurements."""
     expr = _load_expression(bell_spec)
-    classical = bell.classical_bound(expr)
+    results = {"classical": bell.classical_bound(expr)}
     strategy = None
     if strategy_spec is not None:
         strategy = _single_copy_strategy("--strategy", strategy_spec)
@@ -322,22 +346,18 @@ def bounds(bell_spec, strategy_spec, witness, out):
             family = None
         if family in ("chsh", "chsh-game"):
             strategy = strategies.chsh_reference()
-        elif family == "tilted-chsh" and 0.0 <= alpha < 2.0:  # the reference's range
-            strategy = strategies.tilted_chsh_reference(alpha, expr)
-    quantum = None if strategy is None else bell.quantum_value_fixed_measurements(expr, strategy)
-    click.echo(f"classical {classical.value:.10g}")
-    if quantum is not None:
-        click.echo(f"quantum {quantum.value:.10g}")
+        elif family == "tilted-chsh":
+            with contextlib.suppress(ValueError):  # a tilt outside [0, 2) has none
+                strategy = strategies.tilted_chsh_reference(alpha, expr)
+    if strategy is not None:
+        results["quantum"] = bell.quantum_value_fixed_measurements(expr, strategy)
+    for name, result in results.items():
+        click.echo(f"{name} {result.value:.10g}")
     if witness:
-        payload = {"classical": classical.witness}
-        if quantum is not None:
-            payload["quantum"] = quantum.witness
-        _emit(_json_text(payload), None)
+        _emit(_json_text({name: result.witness for name, result in results.items()}), None)
     if out is not None:
-        payload = {"classical": {"value": classical.value, "witness": classical.witness}}
-        if quantum is not None:
-            payload["quantum"] = {"value": quantum.value, "witness": quantum.witness}
-        _emit(_json_text(payload), out)
+        _emit(_json_text({name: {"value": result.value, "witness": result.witness}
+                          for name, result in results.items()}), out)
 
 
 def _parse_nus(text: str) -> list:

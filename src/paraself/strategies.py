@@ -23,6 +23,7 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
+    check_tilt,
     tilted_chsh_expression,
 )
 from .errors import (
@@ -279,8 +280,7 @@ def tilted_chsh_reference(alpha: float, coefficients: BellExpression,
     for bit, since the formula maximizes only that family; ``seed`` is
     unused.
     """
-    if not 0.0 <= alpha < 2.0:
-        raise ValueError(f"tilt parameter {alpha} outside [0, 2)")
+    check_tilt(alpha)
     want = tilted_chsh_expression(alpha).coeffs
     if not np.array_equal(coefficients.coeffs.view(np.uint64), want.view(np.uint64)):
         raise ValueError(f"coefficients are not those of tilted-chsh({alpha:g})")
@@ -325,6 +325,8 @@ def build_preset_strategy(name: str, args: Sequence[float]) -> SingleCopyStrateg
         if len(args) != 1:
             raise KeyError("tilted-chsh takes exactly one parameter (alpha)")
         alpha = float(args[0])
+        if math.isfinite(alpha):  # else the expression names the tilt as not finite
+            check_tilt(alpha)  # before the expression, which a huge tilt overflows
         return tilted_chsh_reference(alpha, tilted_chsh_expression(alpha))
     if name == "fullstats":
         if len(args) != 2:

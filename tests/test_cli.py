@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from paraself import cli
+from paraself import bell, cli
 from paraself.bell import (
+    CorrelationTable,
     Scheme,
     chsh_expression,
+    table_to_json_chunks,
     table_to_json_dict,
 )
 from paraself.certify import certify_theorem1
@@ -381,6 +383,27 @@ def test_a_non_finite_tilt_is_named(runner, args, option, tilt):
     assert result.output == f"error: config: {option}: tilt parameter {tilt} is not finite\n"
 
 
+@pytest.mark.parametrize("tilt", ["1e308", "-1e308", "2", "-0.5"])
+@pytest.mark.parametrize("args", [
+    ["simulate", "--strategy", "tilted-chsh({})"],
+    ["sweep", "--copies", "2", "--strategy", "tilted-chsh({})", "--nus", "0,1"],
+    ["bounds", "--bell", "chsh", "--strategy", "tilted-chsh({})"],
+])
+def test_an_out_of_range_tilt_is_named_on_every_strategy_path(runner, args, tilt):
+    # The range is checked before the expression is built, which a huge tilt
+    # overflows; under --bell any finite tilt is an expression, so a huge one
+    # is still reported as overflowing coefficients.
+    result = runner.invoke(main, [a.format(tilt) for a in args])
+    assert result.exit_code == 2
+    assert result.output == (f"error: config: --strategy: tilt parameter {float(tilt)} "
+                             "outside [0, 2)\n")
+    result = runner.invoke(main, ["bounds", "--bell", f"tilted-chsh({tilt})"])
+    if abs(float(tilt)) > 2:
+        assert result.exit_code == 2
+        assert result.output == ("error: config: --bell: absolute coefficients sum to more "
+                                 "than 2**960\n")
+
+
 @pytest.mark.parametrize("spec,classical", [("tilted-chsh(2)", "4"),
                                              ("tilted-chsh(-0.5)", "2.5")])
 def test_bounds_tilt_without_reference_prints_classical_only(runner, tmp_path, spec, classical):
@@ -531,6 +554,126 @@ def test_certify_theorem1_takes_one_expression_and_target(runner, tmp_path, opti
     assert len(result.stderr.splitlines()) == 1
     oracle = runner.invoke(main, base[:-1] + ["oracle"])
     assert oracle.exit_code == 0, oracle.output
+
+
+def _trivial_table(scheme: str, n: int) -> dict:
+    """The valid ``n``-copy table with one input and one output per copy."""
+    return {"n_copies": n, "scheme": scheme, "input_arities": [1] * n,
+            "output_arities": [1] * n, "probs": [[[[1.0]]]]}
+
+
+def test_a_percopy_file_with_more_copies_than_the_walk_indexes_is_an_input_error(
+        runner, tmp_path):
+    # The per-copy walk lays a chunk out on 2n + 1 axes, more than numpy
+    # allows at 32 copies; such a file used to exit 1 with a traceback.
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"m": 1, "o": 1, "coeffs": [[[[1.0]]]]}))
+    table = tmp_path / "table.json"
+    for scheme, protocol, n in (("percopy", "theorem4", 31), ("broadcast", "theorem1", 32),
+                                ("broadcast", "theorem1", 2000)):
+        table.write_text(json.dumps(_trivial_table(scheme, n)))
+        result = runner.invoke(main, ["certify", "--table", str(table), "--protocol", protocol,
+                                      "--bell", str(one), "--beta", "1"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["verdict"] == "pass"
+    limit = bell._PERCOPY_MAX_COPIES
+    table.write_text(json.dumps(_trivial_table("percopy", limit + 1)))
+    result = runner.invoke(main, ["certify", "--table", str(table), "--protocol", "theorem4",
+                                  "--bell", str(one), "--beta", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"error: input: /n_copies: a per-copy table holds at most "
+                             f"{limit} copies\n")
+
+
+def _probs_bits(data: dict) -> np.ndarray:
+    return np.array(data["probs"], dtype=float).view(np.uint64)
+
+
+def test_reading_a_composed_table_shares_each_distinct_float(runner, tmp_path):
+    # Each distinct literal is converted once; every entry repeating it is
+    # that one float, and the array is bit for bit that of a plain parse.
+    out, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3",
+                       "--scheme", "percopy", "--noise", "0.9")
+    data = cli._read_json(out)
+    plain = json.loads(out.read_text())
+    assert np.array_equal(_probs_bits(data), _probs_bits(plain))
+    entries = np.array(data["probs"], dtype=object).ravel()
+    distinct = np.unique(np.array(plain["probs"]).view(np.uint64))
+    assert len({id(v) for v in entries}) == len(distinct) < len(entries) // 100
+
+
+def test_reading_edge_literals_matches_a_plain_parse(runner, tmp_path):
+    # Signed zeros stay apart, subnormals and the largest double survive,
+    # 1e400 reads as inf, and integer entries stay ints.
+    literals = ["-0.0", "0.0", "5e-324", "1.7976931348623157e308", "1e400", "0", "1", "-0.00",
+                "0.5", "5E-1"]
+    text = '{"probs": [[' + ", ".join(f"[[{v}, {v}], [{v}, 0.25]]" for v in literals) + "]]}"
+    path = tmp_path / "edges.json"
+    path.write_text(text)
+    data, plain = cli._read_json(path), json.loads(text)
+    assert np.array_equal(_probs_bits(data), _probs_bits(plain))
+    assert ([type(v) for v in np.array(data["probs"], dtype=object).ravel()]
+            == [type(v) for v in np.array(plain["probs"], dtype=object).ravel()])
+    # Validation rejects the inf exactly as it does after a plain parse.
+    table = {"n_copies": 1, "scheme": "broadcast", "input_arities": [1],
+             "output_arities": [2], "probs": [[[[0.5, 0.0], [0.5, 1e400]]]]}
+    path.write_text(json.dumps(table).replace("Infinity", "1e400"))
+    result = runner.invoke(main, ["certify", "--table", str(path), "--protocol", "theorem1",
+                                  "--bell", "chsh", "--beta", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: input: /probs: probabilities contain NaN or Inf\n"
+
+
+def _many_distinct_table(tmp_path) -> Path:
+    """A valid per-copy table whose 65,536 entries are all distinct floats."""
+    rng = np.random.default_rng(26)
+    probs = rng.random((16, 16, 16, 16)) + 0.5
+    probs /= probs.sum(axis=(2, 3), keepdims=True)
+    table = CorrelationTable(Scheme.PER_COPY, [2] * 4, [2] * 4, probs)
+    path = tmp_path / "distinct.json"
+    path.write_text("".join(table_to_json_chunks(table)))
+    assert len(np.unique(table.probs)) > cli._FLOAT_CACHE_SIZE
+    return path
+
+
+def test_a_table_with_more_distinct_floats_than_the_cache_is_parsed_plainly(
+        tmp_path, monkeypatch):
+    path = _many_distinct_table(tmp_path)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads",
+                        lambda text, **kw: calls.append(sorted(kw)) or loads(text, **kw))
+    data = cli._read_json(path)
+    assert calls == [["parse_float"], []]
+    assert np.array_equal(_probs_bits(data), _probs_bits(loads(path.read_text())))
+
+
+def _bad_number_before_the_cap(text: str) -> str:
+    return text.replace('"probs": [\n    [\n      [\n        [\n          0.',
+                        '"probs": [\n    [\n      [\n        [\n          01.', 1)
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_bad_number_before_the_cap, id="leading-zero-before-cap"),
+    pytest.param(lambda text: text[:-100] + "1.5e+" + text[-100:], id="bad-exponent-after-cap"),
+    pytest.param(lambda text: text[:len(text) // 2] + "]" + text[len(text) // 2:],
+                 id="missing-delimiter-after-cap"),
+    pytest.param(lambda text: text.replace("]", ",]", 1), id="trailing-comma-before-cap"),
+    pytest.param(lambda text: "[" * 100_000, id="deep-nesting"),
+])
+def test_a_malformed_number_gives_the_plain_parsers_error_line(runner, tmp_path, corrupt):
+    path = _many_distinct_table(tmp_path)
+    text = corrupt(path.read_text())
+    path.write_text(text)
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        line = f"error: input: invalid JSON in {path}: {exc}\n"
+    result = runner.invoke(main, ["certify", "--table", str(path), "--protocol", "theorem4",
+                                  "--bell", "chsh", "--beta", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == line
 
 
 def test_simulate_streams_table_file(runner, tmp_path):
