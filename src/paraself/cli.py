@@ -119,18 +119,15 @@ def _json_text(data: dict) -> str:
 _FLOAT_CACHE_SIZE = 1 << 12
 
 
-class _FullCache(Exception):
-    pass
-
-
 class _FloatCache(dict):
     """Float of each literal; as ``parse_float``, ``__getitem__`` converts each distinct literal
     once, and the entries that repeat it share that float: a composed table holds few distinct
-    values among up to millions of entries.  ``float(literal)`` is the scanner's own double."""
+    values among up to millions of entries.  ``float(literal)`` is the scanner's own double.
+    A new literal past ``_FLOAT_CACHE_SIZE`` raises ``KeyError``, as a plain dict's would."""
 
     def __missing__(self, literal: str) -> float:
         if len(self) == _FLOAT_CACHE_SIZE:
-            raise _FullCache
+            raise KeyError(literal)
         value = self[literal] = float(literal)
         return value
 
@@ -140,7 +137,7 @@ def _read_json(path: Path):
     try:
         try:
             return json.loads(text, parse_float=_FloatCache().__getitem__)
-        except _FullCache:
+        except KeyError:  # the scanner raises none of its own
             return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep a nesting, too long an int
         raise TableFormatError("", f"invalid JSON in {path}: {exc}") from None

@@ -325,8 +325,10 @@ def build_preset_strategy(name: str, args: Sequence[float]) -> SingleCopyStrateg
         if len(args) != 1:
             raise KeyError("tilted-chsh takes exactly one parameter (alpha)")
         alpha = float(args[0])
-        if math.isfinite(alpha):  # else the expression names the tilt as not finite
-            check_tilt(alpha)  # before the expression, which a huge tilt overflows
+        # The range before the expression, which a huge tilt overflows; a tilt
+        # that is not finite is the expression's to name.
+        if math.isfinite(alpha):
+            check_tilt(alpha)
         return tilted_chsh_reference(alpha, tilted_chsh_expression(alpha))
     if name == "fullstats":
         if len(args) != 2:
