@@ -247,6 +247,9 @@ class CorrelationTable:
                              "arities must be positive")
         if self.scheme is Scheme.BROADCAST and len(set(ia)) != 1:
             raise ArityError("input_arities", "broadcast tables require a single shared input arity")
+        if self.scheme is Scheme.PER_COPY and len(oa) > _PERCOPY_MAX_COPIES:
+            raise ArityError("n_copies",
+                             f"a per-copy table holds at most {_PERCOPY_MAX_COPIES} copies")
         n_in = ia[0] if self.scheme is Scheme.BROADCAST else math.prod(ia)
         n_out = math.prod(oa)
         arr = np.asarray(self.probs, dtype=float)
@@ -606,8 +609,6 @@ def expression_from_json_dict(data: dict) -> BellExpression:
         coeffs = np.asarray(data["coeffs"], dtype=float)
     except (TypeError, ValueError, OverflowError):  # an integer beyond float range
         raise TableFormatError("/coeffs", "coefficients must be a nested numeric array") from None
-    if coeffs.shape != (m, m, o, o):
-        raise TableFormatError("/coeffs", f"shape {coeffs.shape} != {(m, m, o, o)}")
     try:
         return BellExpression(m, o, coeffs, label=str(data.get("label", "")))
     except (ShapeMismatch, ValueError) as exc:
@@ -713,7 +714,4 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
         raise TableFormatError("/probs", str(exc)) from None
     if data["n_copies"] != table.n_copies:
         raise TableFormatError("/n_copies", f"does not match {table.n_copies} output arities")
-    if scheme is Scheme.PER_COPY and table.n_copies > _PERCOPY_MAX_COPIES:
-        raise TableFormatError("/n_copies", f"a per-copy table holds at most "
-                                            f"{_PERCOPY_MAX_COPIES} copies")
     return table

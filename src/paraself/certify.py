@@ -54,7 +54,7 @@ from .bell import (
 from .errors import SchemeInputMismatch, ShapeMismatch
 from .qcore import _check_density
 from .strategies import (SingleCopyStrategy, _isotropic_states, born_tables, broadcast_product,
-                         check_copies)
+                         check_copies, check_visibilities)
 
 DEFAULT_TOL = 1e-8
 
@@ -281,8 +281,7 @@ def sweep_noise(strategy: SingleCopyStrategy, n: int, expr: BellExpression,
     """
     check_copies(n)
     nus = sorted(float(v) for v in nus)
-    if any(not 0.0 <= v <= 1.0 for v in nus):
-        raise ValueError("visibilities must lie in [0, 1]")
+    check_visibilities(nus)
     m, o = strategy.m, strategy.o
     # Entries per visibility: its joint table or its Born rule's temporary.
     step = max(1, _SWEEP_BATCH // (m * m * max(o ** (2 * n), (o * strategy.state.dim) ** 2)))

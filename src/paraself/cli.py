@@ -162,6 +162,15 @@ def _load_table(path: str, option: str) -> bell.CorrelationTable:
     return bell.table_from_json_dict(_read_json(Path(path)))
 
 
+def _each_copy(option: str, values: list, n: int, noun: str) -> list:
+    """``values`` for each of ``n`` copies: one value stands for every copy, else one each."""
+    if len(values) == 1:
+        return values * n
+    if len(values) != n:
+        raise ConfigError(option, f"{len(values)} {noun} for {n} copies")
+    return values
+
+
 def _parse_strategy_specs(specs, copies):
     """Turn --strategy/--copies into either a list of single-copy strategies
     or an adversary table spec.  Returns (strategies, adversary, entries)
@@ -182,15 +191,12 @@ def _parse_strategy_specs(specs, copies):
         if n is None:
             raise ConfigError("--copies", f"{name} needs a copy count")
         return None, (name, n), [{"name": name, "params": [n]}]
-    built = [_parse("--strategy", strategies.build_preset_strategy, name, args)
-             for name, args in parsed]
-    if len(built) == 1 and copies is not None:
-        built = built * copies
-        parsed = parsed * copies
-    elif copies is not None and copies != len(built):
-        raise ConfigError("--copies", f"{copies} conflicts with {len(built)} strategies")
-    entries = [{"name": name, "params": list(args)} for name, args in parsed]
-    return built, None, entries
+    pairs = [(spec, _parse("--strategy", strategies.build_preset_strategy, *spec))
+             for spec in parsed]
+    if copies is not None:
+        pairs = _each_copy("--copies", pairs, copies, "strategies")
+    entries = [{"name": name, "params": list(args)} for (name, args), _ in pairs]
+    return [strategy for _, strategy in pairs], None, entries
 
 
 def _single_copy_strategy(option: str, spec: str):
@@ -219,8 +225,8 @@ def main():
 def simulate(strategy_specs, copies, scheme, noise, out):
     """Compose copies into a joint correlation table and write it as JSON."""
     built, adversary, entries = _parse_strategy_specs(strategy_specs, copies)
-    if noise is not None and not 0.0 <= noise <= 1.0:
-        raise ConfigError("--noise", f"visibility {noise} outside [0, 1]")
+    if noise is not None:
+        _parse("--noise", strategies.check_visibilities, [noise])
     if adversary is not None:
         if noise is not None:
             raise ConfigError("--noise", "not applicable to adversary tables")
@@ -238,12 +244,7 @@ def simulate(strategy_specs, copies, scheme, noise, out):
 def _resolve_expressions(bell_specs, n: int):
     if not bell_specs:
         raise ConfigError("--bell", "at least one expression is required")
-    exprs = [_load_expression(s) for s in bell_specs]
-    if len(exprs) == 1 and n > 1:
-        exprs = exprs * n
-    if len(exprs) != n:
-        raise ConfigError("--bell", f"{len(exprs)} expressions for {n} copies")
-    return exprs
+    return _each_copy("--bell", [_load_expression(s) for s in bell_specs], n, "expressions")
 
 
 def _resolve_targets(beta_specs, bell_specs, n: int):
@@ -263,11 +264,7 @@ def _resolve_targets(beta_specs, bell_specs, n: int):
             raise ConfigError("--beta", "values must be numbers or the token 'oracle'") from None
         if not all(math.isfinite(t) for t in targets):
             raise ConfigError("--beta", "values must be finite")
-    if len(targets) == 1 and n > 1:
-        targets = targets * n
-    if len(targets) != n:
-        raise ConfigError("--beta", f"{len(targets)} targets for {n} copies")
-    return targets
+    return _each_copy("--beta", targets, n, "targets")
 
 
 @main.command("certify")
@@ -287,8 +284,7 @@ def _resolve_targets(beta_specs, bell_specs, n: int):
 def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, tol, out):
     """Certify a table file; the exit code reflects the verdict (0 pass,
     1 fail, 4 precondition-violated)."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError("--tol", f"must be finite and non-negative, got {tol}")
+    _parse("--tol", certify._check_tol, tol)
     table = _load_table(table_path, "--table")
     if protocol == "theorem2":
         if reference_path is None:
@@ -306,14 +302,11 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
             for option, specs in (("--bell", bell_specs), ("--beta", beta_specs)):
                 if len(specs) > 1:
                     raise ConfigError(option, f"theorem1 takes one value, got {len(specs)}")
+        # Theorem 1 is theorem 3 once its one expression and target stand for every copy.
         exprs = _resolve_expressions(bell_specs, table.n_copies)
         targets = _resolve_targets(beta_specs, bell_specs, table.n_copies)
-        if protocol == "theorem1":
-            report = certify.certify_theorem1(table, exprs[0], targets[0], tol)
-        elif protocol == "theorem3":
-            report = certify.certify_theorem3(table, exprs, targets, tol)
-        else:
-            report = certify.certify_theorem4(table, exprs, targets, tol)
+        theorem = certify.certify_theorem4 if protocol == "theorem4" else certify.certify_theorem3
+        report = theorem(table, exprs, targets, tol)
     _emit(_json_text(report.to_json_dict()), out)
     sys.exit(VERDICT_EXITS[report.verdict])
 
@@ -336,16 +329,11 @@ def bounds(bell_spec, strategy_spec, witness, out):
     strategy = None
     if strategy_spec is not None:
         strategy = _single_copy_strategy("--strategy", strategy_spec)
-    else:
-        try:
+    else:  # the preset of a built-in; an expression file or a tilt outside [0, 2) has none
+        with contextlib.suppress(KeyError, ValueError):
             family, alpha = bell._builtin_spec(bell_spec)
-        except KeyError:  # an expression file has no reference strategy
-            family = None
-        if family in ("chsh", "chsh-game"):
-            strategy = strategies.chsh_reference()
-        elif family == "tilted-chsh":
-            with contextlib.suppress(ValueError):  # a tilt outside [0, 2) has none
-                strategy = strategies.tilted_chsh_reference(alpha, expr)
+            strategy = strategies.build_preset_strategy(
+                "chsh" if family == "chsh-game" else family, () if alpha is None else (alpha,))
     if strategy is not None:
         results["quantum"] = bell.quantum_value_fixed_measurements(expr, strategy)
     for name, result in results.items():
@@ -392,8 +380,7 @@ def _parse_nus(text: str) -> list:
             raise ConfigError("--nus", f"non-numeric entry in {text!r}") from None
         if not values:
             raise ConfigError("--nus", "no visibilities given")
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ConfigError("--nus", "visibilities must lie in [0, 1]")
+    _parse("--nus", strategies.check_visibilities, values)
     return values
 
 

@@ -82,9 +82,9 @@ class TableEntryError(ParaselfError, ValueError):
 
 
 class ArityError(ShapeMismatch):
-    """A table's arity lists are empty, of unequal length, non-positive or
-    (broadcast) not shared.  ``field`` names the offending list,
-    ``input_arities`` or ``output_arities``."""
+    """A table's arity lists are empty, of unequal length, non-positive or (broadcast)
+    not shared, or (per-copy) hold too many copies.  ``field`` names the offending list,
+    ``input_arities`` or ``output_arities``, or ``n_copies`` for the copy count."""
 
     def __init__(self, field: str, message: str):
         self.field = field

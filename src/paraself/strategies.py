@@ -143,12 +143,18 @@ def fullstats_reference(gamma: float, delta: float) -> SingleCopyStrategy:
     )
 
 
+def check_visibilities(nus: Sequence[float]) -> None:
+    """Raise ``ValueError`` naming the first visibility outside [0, 1]; NaN is outside."""
+    for nu in nus:
+        if not 0.0 <= nu <= 1.0:
+            raise ValueError(f"visibility {nu} outside [0, 1]")
+
+
 def apply_isotropic_noise(s: SingleCopyStrategy, nu: float) -> SingleCopyStrategy:
     """Replace the shared state by nu * rho + (1 - nu) * I/4 for a visibility
     ``nu`` in [0, 1]; measurements are unchanged.  Only two-qubit
     (dimension-4) states are supported."""
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"visibility {nu} outside [0, 1]")
+    check_visibilities([nu])
     return SingleCopyStrategy(
         state=DensityMatrix(_isotropic_states(s, [nu])[0]),
         alice=s.alice,

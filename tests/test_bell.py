@@ -14,6 +14,7 @@ from paraself.bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
+    _PERCOPY_MAX_COPIES,
     _check_probs,
     _conditioned_terms,
     bell_operator,
@@ -30,8 +31,9 @@ from paraself.bell import (
     table_to_json_dict,
     tilted_chsh_expression,
 )
-from paraself.certify import certify_theorem4
+from paraself.certify import certify_theorem1, certify_theorem4
 from paraself.errors import (
+    ArityError,
     EnumerationTooLarge,
     ShapeMismatch,
     TableEntryError,
@@ -564,6 +566,17 @@ def test_expression_json_accepts_only_integer_arities(key, value):
     assert info.value.pointer == f"/{key}"
 
 
+def test_expression_json_names_the_coefficient_shape_as_the_expression_does():
+    data = expression_to_json_dict(chsh_expression())
+    data["coeffs"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ShapeMismatch) as owner:
+        BellExpression(2, 2, data["coeffs"])
+    with pytest.raises(TableFormatError) as info:
+        expression_from_json_dict(data)
+    assert str(info.value) == f"/coeffs: {owner.value}"
+    assert str(owner.value) == "coefficient shape (2, 2) != (2, 2, 2, 2)"
+
+
 def test_table_json_roundtrip_is_exact():
     table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
     data = json.loads(json.dumps(table_to_json_dict(table, {"note": "x"})))
@@ -683,6 +696,23 @@ def test_table_checks_keep_their_precedence():
     with pytest.raises(TableEntryError) as info:
         _check_probs(np.stack([good, good, probs]))
     assert (info.value.index, info.value.reason) == ((2, 0, 1), "entries do not sum to 1")
+
+
+def test_a_percopy_table_holds_no_more_copies_than_its_walk_lays_out():
+    # The per-copy walk lays a chunk out on 2n + 1 axes, so at 32 copies
+    # numpy refused it mid-certification; the table now refuses it itself.
+    one = BellExpression(1, 1, [[[[1.0]]]])
+    probs = [[[[1.0]]]]
+    for n in (_PERCOPY_MAX_COPIES + 1, 2 * _PERCOPY_MAX_COPIES):
+        with pytest.raises(ArityError) as info:
+            CorrelationTable(Scheme.PER_COPY, (1,) * n, (1,) * n, probs)
+        assert info.value.field == "n_copies"
+        assert str(info.value) == f"a per-copy table holds at most {_PERCOPY_MAX_COPIES} copies"
+    n = _PERCOPY_MAX_COPIES
+    table = CorrelationTable(Scheme.PER_COPY, (1,) * n, (1,) * n, probs)
+    assert certify_theorem4(table, [one] * n, [1.0] * n).verdict == "pass"
+    broadcast = CorrelationTable(Scheme.BROADCAST, (1,) * 40, (1,) * 40, probs)
+    assert certify_theorem1(broadcast, one, 1.0).verdict == "pass"
 
 
 def test_table_copies_what_the_caller_passes():

@@ -671,7 +671,7 @@ def test_sweep_noise_validates_each_batch_once(monkeypatch, budget, batches):
 def test_sweep_noise_checks_visibilities_before_the_dimension(rng):
     qutrits = random_strategy(rng, m=2, o=3)
     expr = BellExpression(2, 3, np.ones((2, 2, 3, 3)))
-    with pytest.raises(ValueError, match="visibilities must lie in"):
+    with pytest.raises(ValueError, match=r"^visibility 1\.5 outside \[0, 1\]$"):
         sweep_noise(qutrits, 2, expr, [0.5, 1.5])
     with pytest.raises(UnsupportedDimension):
         sweep_noise(qutrits, 2, expr, [0.5])

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from paraself import bell, cli
+from paraself import bell, certify, cli, strategies
 from paraself.bell import (
     CorrelationTable,
     Scheme,
@@ -19,11 +20,13 @@ from paraself.bell import (
 )
 from paraself.certify import certify_theorem1
 from paraself.cli import main
+from paraself.errors import ConfigError
 from paraself.strategies import chsh_reference, compose
 
 from reference import expression_to_json_dict, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
+BETA = "2.8284271247461903"
 
 
 @pytest.fixture
@@ -535,6 +538,48 @@ def test_certify_rejects_non_finite_tol_and_beta(runner, tmp_path, option, value
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: config: {option}: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+_THEOREM3 = ["certify", "--table", "{table}", "--protocol", "theorem3"]
+
+
+@pytest.mark.parametrize("args,option,owner,text", [
+    (["certify", "--table", "{table}", "--protocol", "theorem1", "--bell", "chsh",
+      "--beta", BETA, "--tol", "nan"],
+     "--tol", lambda: certify._check_tol(math.nan), "tol must be finite and non-negative, got nan"),
+    (["simulate", "--strategy", "chsh", "--copies", "2", "--noise", "1.5"],
+     "--noise", lambda: strategies.check_visibilities([1.5]), "visibility 1.5 outside [0, 1]"),
+    (["sweep", "--copies", "2", "--nus", "0,1.5"],
+     "--nus", lambda: strategies.check_visibilities([0.0, 1.5]), "visibility 1.5 outside [0, 1]"),
+    (["sweep", "--copies", "2", "--nus", "0:2:1"],
+     "--nus", lambda: strategies.check_visibilities([0.0, 1.0, 2.0]),
+     "visibility 2.0 outside [0, 1]"),
+    (_THEOREM3 + ["--bell", "chsh", "--bell", "chsh", "--beta", BETA],
+     "--bell", lambda: cli._each_copy("--bell", [0, 0], 3, "expressions"),
+     "2 expressions for 3 copies"),
+    (_THEOREM3 + ["--bell", "chsh", "--beta", BETA, "--beta", BETA],
+     "--beta", lambda: cli._each_copy("--beta", [0, 0], 3, "targets"), "2 targets for 3 copies"),
+    (["simulate", "--strategy", "chsh", "--strategy", "chsh", "--strategy", "chsh",
+      "--copies", "2"],
+     "--copies", lambda: cli._each_copy("--copies", [0, 0, 0], 2, "strategies"),
+     "3 strategies for 2 copies"),
+], ids=["tol", "noise", "nus-list", "nus-range", "bell-count", "beta-count", "copies-count"])
+def test_each_option_rule_is_reported_in_its_owners_words(runner, tmp_path, args, option,
+                                                          owner, text):
+    # The CLI reaches each rule through the one function that owns it, so the
+    # error line carries that function's own message after the option.
+    with pytest.raises((ValueError, ConfigError)) as info:
+        owner()
+    if isinstance(info.value, ConfigError):
+        assert info.value.field == option
+        assert str(info.value) == f"{option}: {text}"
+    else:
+        assert str(info.value) == text
+    table, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3")
+    result = runner.invoke(main, [a.format(table=table) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: config: {option}: {text}\n"
 
 
 @pytest.mark.parametrize("option,extra", [

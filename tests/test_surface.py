@@ -1,7 +1,9 @@
 """The package exports what the CLI and the certifiers use; references that
 only tests call live in ``tests/reference.py`` and must not creep back, nor
 may the wrappers around the walk over a table's copies that only tests
-called."""
+called.  The package's line count is pinned, so it cannot grow unnoticed."""
+
+from pathlib import Path
 
 import paraself
 from paraself import bell, certify, qcore, strategies
@@ -52,6 +54,10 @@ TEST_ONLY = [
     "local_deterministic", "build_preset_table", "ADVERSARY_PRESETS",
 ]
 
+# Lines of ``src/paraself/*.py`` as ``wc -l`` counts them: the package should not
+# get bigger, so a change that raises this says why in CHANGES.md.
+MAX_PACKAGE_LINES = 2160
+
 # The certifiers reach the walk through ``bell.conditional_means`` and
 # ``bell._conditioned_terms`` only, which alone conditions every copy.
 WALK_WRAPPERS = ["copy_marginal", "conditional_kernel", "conditional_mean", "averaged_j_percopy",
@@ -73,3 +79,9 @@ def test_test_only_references_stay_out_of_the_package():
 def test_certify_does_not_reach_into_the_walk():
     assert [name for name in ("_copy_joints", "_copy_kernels", "_conditioned")
             if hasattr(certify, name)] == []
+
+
+def test_the_package_does_not_grow():
+    sources = sorted(Path(paraself.__file__).parent.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in sources)
+    assert lines <= MAX_PACKAGE_LINES, f"{lines} lines in {len(sources)} modules"
