@@ -102,7 +102,7 @@ class BellExpression:
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
         if self.m < 1 or self.o < 1:
-            raise ShapeMismatch("m and o must be positive")
+            raise ArityError("m" if self.m < 1 else "o", "arities must be positive")
         if arr.shape != (self.m, self.m, self.o, self.o):
             raise ShapeMismatch(
                 f"coefficient shape {arr.shape} != {(self.m, self.m, self.o, self.o)}"
@@ -505,11 +505,6 @@ class BoundResult:
     witness: dict
 
 
-def _assignment_value(coeffs: np.ndarray, alice: Sequence[int], bob: Sequence[int]) -> float:
-    m = coeffs.shape[0]
-    return math.fsum(coeffs[x, y, alice[x], bob[y]] for x in range(m) for y in range(m))
-
-
 def classical_bound(expr: BellExpression) -> BoundResult:
     """Exact maximum over all local deterministic strategies a(x), b(y).
 
@@ -518,33 +513,18 @@ def classical_bound(expr: BellExpression) -> BoundResult:
     is the fsum over the selected coefficients, which agrees exactly with the
     fsum of the coefficients times the witness's deterministic table.
     """
-    m, o = expr.m, expr.o
+    m, o, c = expr.m, expr.o, expr.coeffs
     if o ** (2 * m) > ENUMERATION_CAP:
-        raise EnumerationTooLarge(
-            f"o^(2m) = {o}^{2 * m} exceeds cap {ENUMERATION_CAP}"
-        )
-    c = expr.coeffs
-    best_value = -math.inf
-    best_alice = None
-    best_bob = None
+        raise EnumerationTooLarge(f"o^(2m) = {o}^{2 * m} exceeds cap {ENUMERATION_CAP}")
+    best_value, best_alice, best_bob = -math.inf, None, None
     for alice in itertools.product(range(o), repeat=m):
-        bob = tuple(
-            max(range(o), key=lambda b: math.fsum(c[x, y, alice[x], b] for x in range(m)))
-            for y in range(m)
-        )
-        value = _assignment_value(c, alice, bob)
+        bob = tuple(max(range(o), key=lambda b: math.fsum(c[x, y, alice[x], b] for x in range(m)))
+                    for y in range(m))
+        value = math.fsum(c[x, y, alice[x], bob[y]] for x in range(m) for y in range(m))
         if value > best_value:
-            best_value = value
-            best_alice = alice
-            best_bob = bob
-    return BoundResult(
-        value=best_value,
-        witness={
-            "kind": "deterministic-assignment",
-            "alice": list(best_alice),
-            "bob": list(best_bob),
-        },
-    )
+            best_value, best_alice, best_bob = value, alice, bob
+    return BoundResult(best_value, {"kind": "deterministic-assignment",
+                                    "alice": list(best_alice), "bob": list(best_bob)})
 
 
 def bell_operator(expr: BellExpression, alice, bob) -> np.ndarray:
@@ -566,21 +546,13 @@ def quantum_value_fixed_measurements(expr: BellExpression,
     states: the largest eigenvalue of the associated operator.  The witness
     is the optimizing state vector."""
     if expr.m != s.m or expr.o != s.o:
-        raise ShapeMismatch(
-            f"expression arities ({expr.m}, {expr.o}) do not match strategy "
-            f"({s.m}, {s.o})"
-        )
+        raise ShapeMismatch(f"expression arities ({expr.m}, {expr.o}) do not match strategy "
+                            f"({s.m}, {s.o})")
     op = bell_operator(expr, stack_effects(s.alice), stack_effects(s.bob))
     eigenvalues, eigenvectors = np.linalg.eigh(op)
-    top = eigenvectors[:, -1]
-    return BoundResult(
-        value=float(eigenvalues[-1]),
-        witness={
-            "kind": "eigenvector",
-            "amplitudes": [[float(v.real), float(v.imag)] for v in top],
-        },
-    )
-
+    return BoundResult(float(eigenvalues[-1]), {
+        "kind": "eigenvector",
+        "amplitudes": [[float(v.real), float(v.imag)] for v in eigenvectors[:, -1]]})
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +583,8 @@ def expression_from_json_dict(data: dict) -> BellExpression:
         raise TableFormatError("/coeffs", "coefficients must be a nested numeric array") from None
     try:
         return BellExpression(m, o, coeffs, label=str(data.get("label", "")))
+    except ArityError as exc:
+        raise TableFormatError(f"/{exc.field}", str(exc)) from None
     except (ShapeMismatch, ValueError) as exc:
         raise TableFormatError("/coeffs", str(exc)) from None
 
@@ -641,30 +615,49 @@ def table_to_json_dict(table: CorrelationTable, provenance: dict | None = None) 
 
 def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
     """The nested ``probs`` list as ``json.dumps(..., indent=2)`` lays it out
-    under a top-level key, one input row ``x`` per chunk and at a time, so the
-    temporaries are a row's.  Each distinct value of a row is formatted once: a
-    composed table holds few distinct floats among up to millions of entries."""
-    for x in range(probs.shape[0]):
-        # Distinct bit patterns, so that -0.0 keeps its sign.
-        distinct, inverse = np.unique(probs[x].view(np.uint64).ravel(), return_inverse=True)
+    under a top-level key, as a stream of pieces, one input row ``x`` at a time.
+    A composed table repeats rows: within a row ``x``, the ``(y, a)`` rows of
+    ``b`` entries are told apart by their bytes (so ``-0.0`` keeps its sign),
+    each distinct one is formatted once from its distinct values, and each
+    distinct ``y`` block is joined once and yielded again wherever it repeats.
+    When no row repeats, the whole row's values are formatted at once and no
+    block is kept."""
+    n_y, n_a, n_b = probs.shape[1:]
+    b_item, a_item, y_item = ("\n" + " " * k for k in (10, 8, 6))
+    b_sep, a_sep, y_sep = "," + b_item, "," + a_item, "," + y_item
+    for x, rows in enumerate(probs.view(np.uint64).reshape(-1, n_y * n_a, n_b)):
+        first = {}  # each distinct row's bytes to its index, in order of first sight
+        ids = [first.setdefault(key, len(first))
+               for key in rows.view(f"V{rows.itemsize * n_b}").ravel().tolist()]
+        repeats = len(first) < len(ids)
+        if repeats:
+            rows = np.frombuffer(b"".join(first), dtype=np.uint64).reshape(-1, n_b)
+        distinct, inverse = np.unique(rows, return_inverse=True)
         reprs = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()],
                          dtype=object)
-        text = reprs[inverse.reshape(probs.shape[1:])]
-        for axis in range(probs.ndim - 1, 0, -1):
-            item = "\n" + " " * (2 * axis + 4)
-            close = "\n" + " " * (2 * axis + 2) + "]"
-            rows = text.reshape(-1, text.shape[-1]).tolist()
-            text = np.array(["[" + item + ("," + item).join(row) + close for row in rows],
-                            dtype=object).reshape(text.shape[:-1])
-        yield ("[" if x == 0 else ",") + "\n    " + text.item()
+        texts = ["[" + b_item + b_sep.join(r) + a_item + "]"
+                 for r in reprs[inverse.reshape(rows.shape)].tolist()]
+        yield ("[" if x == 0 else ",") + "\n    ["
+        shared = {}
+        for y in range(n_y):
+            key = (y == 0, *ids[y * n_a:(y + 1) * n_a])
+            text = shared.get(key)
+            if text is None:
+                text = ((y_item if y == 0 else y_sep) + "[" + a_item
+                        + a_sep.join([texts[i] for i in key[1:]]) + y_item + "]")
+                if repeats:
+                    shared[key] = text
+            yield text
+        yield "\n    ]"
     yield "\n  ]"
 
 
 def table_to_json_chunks(table: CorrelationTable,
                          provenance: dict | None = None) -> Iterator[str]:
     """``json.dumps(table_to_json_dict(table, provenance), indent=2) + "\\n"``,
-    byte for byte, as a stream of chunks holding one input row ``x`` of
-    ``probs`` each, without building the nested list of floats."""
+    byte for byte, as a stream of pieces that repeat the text of repeated rows
+    (see :func:`_probs_json_chunks`), without building the nested list of
+    floats or any input row's whole text."""
     text = json.dumps(_table_fields(table, 0, provenance), indent=2)
     # Only fixed keys and integers precede "probs", so its placeholder is the
     # first match even when the provenance holds the same text.

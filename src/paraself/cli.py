@@ -99,16 +99,12 @@ def _parse(option: str, fn, *args, **kwargs):
 
 
 def _emit(chunks, out: str | None):
-    """Write ``chunks``, one string or an iterable of strings, to ``out`` or
-    to stdout, chunk by chunk."""
-    if isinstance(chunks, str):
-        chunks = (chunks,)
-    if out is None or out == "-":
-        for chunk in chunks:
-            click.echo(chunk, nl=False)
-    else:
-        with open(out, "w") as f:
-            f.writelines(chunks)
+    """Write ``chunks``, one string or an iterable of strings, to ``out`` or to stdout with one
+    ``writelines``; not a ``click.echo`` a chunk, which scans each for ANSI codes and flushes."""
+    stdout = out is None or out == "-"
+    with contextlib.nullcontext(click.get_text_stream("stdout")) if stdout else open(out, "w") as f:
+        f.writelines((chunks,) if isinstance(chunks, str) else chunks)
+        f.flush()
 
 
 def _json_text(data: dict) -> str:

@@ -83,8 +83,9 @@ class TableEntryError(ParaselfError, ValueError):
 
 class ArityError(ShapeMismatch):
     """A table's arity lists are empty, of unequal length, non-positive or (broadcast)
-    not shared, or (per-copy) hold too many copies.  ``field`` names the offending list,
-    ``input_arities`` or ``output_arities``, or ``n_copies`` for the copy count."""
+    not shared, or (per-copy) hold too many copies; or an expression's ``m`` or ``o`` is
+    not positive.  ``field`` names the offending list, ``input_arities`` or
+    ``output_arities``, ``n_copies`` for the copy count, or ``m`` or ``o``."""
 
     def __init__(self, field: str, message: str):
         self.field = field

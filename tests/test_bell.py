@@ -566,6 +566,16 @@ def test_expression_json_accepts_only_integer_arities(key, value):
     assert info.value.pointer == f"/{key}"
 
 
+@pytest.mark.parametrize("m,o,field", [(0, 2, "m"), (2, -1, "o"), (-3, 0, "m"), (1, 0, "o")])
+def test_expression_json_names_a_non_positive_arity_at_its_key(m, o, field):
+    with pytest.raises(ArityError) as owner:
+        BellExpression(m, o, [])
+    assert owner.value.field == field
+    with pytest.raises(TableFormatError) as info:
+        expression_from_json_dict({"m": m, "o": o, "coeffs": []})
+    assert str(info.value) == f"/{field}: arities must be positive"
+
+
 def test_expression_json_names_the_coefficient_shape_as_the_expression_does():
     data = expression_to_json_dict(chsh_expression())
     data["coeffs"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -768,13 +778,14 @@ def test_tables_hold_no_second_copy():
 
 
 def test_table_writer_holds_a_row_not_the_table():
-    # Each input row's distinct values are found and formatted on their own,
-    # so writing peaks near one row's temporaries (5.1x the table when the
-    # whole table went through one np.unique).
+    # Each input row's distinct rows and y blocks are formatted once and
+    # yielded as shared strings, so writing peaks below one row's text: under
+    # half the table (5.1x the table when the whole table went through one
+    # np.unique, 1.2x when each row's text was joined).
     table = compose([chsh_reference()] * 4, Scheme.PER_COPY)
 
     def write():
         for _ in table_to_json_chunks(table):
             pass
 
-    assert _traced_peak(write) < 1.5 * table.probs.nbytes
+    assert _traced_peak(write) < 0.5 * table.probs.nbytes

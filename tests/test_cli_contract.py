@@ -206,6 +206,24 @@ def test_root_errors_name_no_pointer(files, args, line):
     assert result.stderr.splitlines() == [line.format(**files)]
 
 
+# An expression file's non-positive m or o is named at its own key.
+@pytest.mark.parametrize("doc,line", [
+    pytest.param({"m": 0, "o": 2, "coeffs": []}, "error: input: /m: arities must be positive",
+                 id="m-zero"),
+    pytest.param({"m": 2, "o": -1, "coeffs": []}, "error: input: /o: arities must be positive",
+                 id="o-negative"),
+    pytest.param({"m": -1, "o": 0, "coeffs": []}, "error: input: /m: arities must be positive",
+                 id="both"),
+])
+def test_expression_arity_errors_name_their_key(tmp_path, doc, line):
+    path = tmp_path / "expression.json"
+    path.write_text(json.dumps(doc))
+    result = _run(["bounds", "--bell", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
+
+
 # A table's entries are checked for NaN or Inf, then for the range [0, 1],
 # then for row sums, and the first offender in row-major order is named.
 @pytest.mark.parametrize("table,line", [

@@ -13,6 +13,7 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from paraself import bell
 from paraself.bell import (
@@ -32,6 +33,7 @@ from paraself.strategies import (
     adversary_shared_randomness,
     chsh_reference,
     compose,
+    fullstats_reference,
     single_copy_table,
 )
 from paraself.qcore import Povm, stack_effects
@@ -566,9 +568,61 @@ def _writer_cases():
     prov = {"note": 'ψ – "probs": 0, [1]', "nested": [[1, [2.5, None]], {"probs": [0]}]}
     yield pytest.param(compose([chsh_reference()] * 2, Scheme.BROADCAST), prov,
                        id="provenance-text")
+    # Rows and y blocks that differ only in the sign of a zero, among rows that
+    # repeat, so the writer shares texts: in every x, rows a = 0 and a = 1 of
+    # y = 0 differ so, y = 1 differs so from y = 2, and y = 3 repeats y = 2.
+    probs = np.zeros((4, 4, 2, 2))
+    probs[:, :, :, 1] = 0.5
+    probs[:, 0, 1, 0] = probs[:, 1, 0, 0] = -0.0
+    signed = CorrelationTable(Scheme.BROADCAST, (4,), (2,), probs)
+    assert signed.probs[0, 0, 0].tobytes() != signed.probs[0, 0, 1].tobytes()
+    assert signed.probs[0, 1].tobytes() != signed.probs[0, 2].tobytes()
+    yield pytest.param(signed, prov, id="signed-zero-rows-and-blocks")
+    yield pytest.param(CorrelationTable(Scheme.PER_COPY, (2, 3), (1, 1), np.ones((6, 6, 1, 1))),
+                       prov, id="output-arity-1")
+    yield pytest.param(_random_table(rng, Scheme.PER_COPY, (1, 1), (2, 3)), prov,
+                       id="input-arity-1")
+    yield pytest.param(compose([chsh_reference()] * 3, Scheme.PER_COPY), prov,
+                       id="percopy-chsh3-repeating-rows")
+    fullstats = compose([fullstats_reference(0.1, 0.2)] * 3, Scheme.PER_COPY)
+    rows = fullstats.probs.reshape(-1, fullstats.probs.shape[-1])
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    yield pytest.param(fullstats, prov, id="percopy-fullstats3-distinct-rows")
 
 
 @pytest.mark.parametrize("table,prov", list(_writer_cases()))
 def test_table_writer_matches_stdlib_encoder(table, prov):
+    assert table_to_json_text(table, prov) == \
+        json.dumps(table_to_json_dict(table, prov), indent=2) + "\n"
+
+
+@st.composite
+def pooled_tables(draw):
+    """A valid table of 1 to 3 copies with 1 to 3 inputs and outputs, its
+    entries from the pool 0.0, -0.0, 0.25, 0.5 and 1.0: each (x, y) block is
+    one of at most three, each putting mass 1 evenly on 1, 2 or 4 entries and
+    a zero of either sign on the rest, so rows and blocks repeat and may differ
+    only in the sign of a zero."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    m, o, n = (draw(st.integers(1, 3)) for _ in range(3))
+    n_in = m if scheme is Scheme.BROADCAST else m ** n
+    size = o ** (2 * n)
+    # The stdlib encoder takes seconds on the 531,441 entries of three per-copy
+    # copies with 3 inputs and 3 outputs each; every smaller table is drawn.
+    assume(n_in * n_in * size < 6 ** 6)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = []
+    for mass in draw(st.lists(st.sampled_from([k for k in (1, 2, 4) if k <= size]),
+                              min_size=1, max_size=3)):
+        block = np.where(rng.integers(2, size=size) == 1, -0.0, 0.0)
+        block[rng.permutation(size)[:mass]] = 1.0 / mass
+        pool.append(block.reshape(o ** n, o ** n))
+    probs = np.stack(pool)[rng.integers(len(pool), size=(n_in, n_in))]
+    return CorrelationTable(scheme, (m,) * n, (o,) * n, probs)
+
+
+@given(pooled_tables())
+def test_table_writer_matches_stdlib_encoder_on_pooled_tables(table):
+    prov = {"strategies": [], "noise": None}
     assert table_to_json_text(table, prov) == \
         json.dumps(table_to_json_dict(table, prov), indent=2) + "\n"
