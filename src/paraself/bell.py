@@ -550,9 +550,9 @@ def quantum_value_fixed_measurements(expr: BellExpression,
                             f"({s.m}, {s.o})")
     op = bell_operator(expr, stack_effects(s.alice), stack_effects(s.bob))
     eigenvalues, eigenvectors = np.linalg.eigh(op)
-    return BoundResult(float(eigenvalues[-1]), {
-        "kind": "eigenvector",
-        "amplitudes": [[float(v.real), float(v.imag)] for v in eigenvectors[:, -1]]})
+    witness = {"kind": "eigenvector",
+               "amplitudes": [[float(v.real), float(v.imag)] for v in eigenvectors[:, -1]]}
+    return BoundResult(float(eigenvalues[-1]), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +640,7 @@ def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
         yield ("[" if x == 0 else ",") + "\n    ["
         shared = {}
         for y in range(n_y):
-            key = (y == 0, *ids[y * n_a:(y + 1) * n_a])
+            key = (y == 0, *ids[y * n_a:(y + 1) * n_a])  # a row's first block has no comma
             text = shared.get(key)
             if text is None:
                 text = ((y_item if y == 0 else y_sep) + "[" + a_item

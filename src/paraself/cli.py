@@ -100,7 +100,7 @@ def _parse(option: str, fn, *args, **kwargs):
 
 def _emit(chunks, out: str | None):
     """Write ``chunks``, one string or an iterable of strings, to ``out`` or to stdout with one
-    ``writelines``; not a ``click.echo`` a chunk, which scans each for ANSI codes and flushes."""
+    ``writelines``, not a ``click.echo`` per chunk, which scans each for ANSI codes and flushes."""
     stdout = out is None or out == "-"
     with contextlib.nullcontext(click.get_text_stream("stdout")) if stdout else open(out, "w") as f:
         f.writelines((chunks,) if isinstance(chunks, str) else chunks)
