@@ -667,9 +667,10 @@ def table_to_json_chunks(table: CorrelationTable,
     yield tail + "\n"
 
 
-def table_from_json_dict(data: dict) -> CorrelationTable:
+def table_from_json_dict(data: dict, *, adopt: bool = False) -> CorrelationTable:
     """Parse and validate a serialized table; failures carry a JSON pointer to
-    the offending element."""
+    the offending element.  With ``adopt``, a float array ``probs`` that
+    nothing else holds, as the CLI's reader builds it, is not copied."""
     if not isinstance(data, dict):
         raise TableFormatError("", "table must be a JSON object")
     for key in ("n_copies", "scheme", "input_arities", "output_arities", "probs"):
@@ -691,8 +692,8 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
             raise TableFormatError(f"/{key}", "arities must be integer lists")
     if not _is_json_int(data["n_copies"]):
         raise TableFormatError("/n_copies", "must be an integer")
-    try:
-        probs = np.array(data["probs"], dtype=float)  # a fresh array, which the table adopts
+    try:  # a fresh array, or with ``adopt`` the float array passed, which the table adopts
+        probs = (np.asarray if adopt else np.array)(data["probs"], dtype=float)
     except (TypeError, ValueError, OverflowError):  # an integer beyond float range
         raise TableFormatError("/probs", "probabilities must be a nested numeric array") from None
     try:

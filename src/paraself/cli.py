@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import bell, certify, strategies
 from .bell import Scheme
@@ -128,6 +129,74 @@ class _FloatCache(dict):
         return value
 
 
+# Bytes of a table file read at a time; a file whose first block repeats no row is parsed plainly.
+_READ_BLOCK = 1 << 18
+_JSON_SPACE = b" \t\n\r"
+
+
+def _read_rows(path: Path) -> dict | None:
+    """The table file at ``path`` as ``json.loads`` gives it, with ``probs`` already the float array
+    ``np.array`` makes of it, or ``None`` where the plain parse must read it.  A composed table
+    repeats rows, so the top-level ``probs`` is split at ``]`` into pieces that each end at most
+    one innermost row, and only distinct ones are parsed: their rows in one ``json.loads`` and a
+    skeleton of row ids that carries the nesting in another, so the array is ``values[ids]``.
+    The rest is parsed with ``NaN`` for ``probs``.  The file is read ``_READ_BLOCK`` bytes at a
+    time and declined if it is not ASCII, holds a backslash, repeats no row in its first block or
+    fails to parse or convert, so that the plain parse words every error."""
+    seen, ids, head, carry, tail = {}, [], None, b"", []
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_READ_BLOCK), b""):
+            if not block.isascii() or b"\\" in block:
+                return None
+            if tail:
+                tail.append(block)
+                continue
+            if head is None:
+                start = block.find(b'"probs"')
+                start = block.find(b"[", start) if start >= 0 else -1
+                if start < 0:
+                    return None
+                head, block = block[:start], block[start:]
+            quote = block.find(b'"')
+            if quote >= 0:  # no string holds a quote, so the first one past probs ends it
+                block, tail = block[:quote], [block[quote:]]
+            pieces = block.split(b"]")
+            pieces[0] = carry + pieces[0]
+            carry = pieces.pop()
+            if not ids:
+                opening = [piece for piece in pieces if b"[" in piece]
+                if len(set(opening)) == len(opening):
+                    return None
+            ids += [seen.setdefault(piece, len(seen)) for piece in pieces]
+    if head is None:
+        return None
+    rows, skeleton = {}, []  # each distinct row's text to its id
+    for piece in seen:  # ``prefix [row`` becomes ``prefix id``, eating the row's ``]``
+        prefix, bracket, row = piece.rpartition(b"[")
+        if not bracket:  # a piece that closes an outer list holds only whitespace
+            if piece.translate(None, _JSON_SPACE):
+                return None
+            skeleton.append(b"]")
+        elif prefix.translate(None, b"[," + _JSON_SPACE):
+            return None
+        else:
+            skeleton.append(prefix.translate(None, _JSON_SPACE)
+                            + b"%d" % rows.setdefault(row, len(rows)))
+    placeholder = []  # what the parse of ``NaN`` in place of probs returns, the one time it is met
+    try:
+        fields = json.loads(head + b"NaN" + carry + b"".join(tail),
+                            parse_constant=lambda name: placeholder.append(name) or placeholder)
+        if not (isinstance(fields, dict) and fields.get("probs") is placeholder
+                and placeholder == ["NaN"]):
+            return None
+        index = np.array(json.loads(b"".join([skeleton[i] for i in ids])), dtype=np.intp)
+        values = np.array(json.loads(b"[[" + b"],[".join(rows) + b"]]"), dtype=float)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None
+    fields["probs"] = values[index]
+    return fields
+
+
 def _read_json(path: Path):
     text = path.read_text()  # its UnicodeDecodeError, also a ValueError, is an io error
     try:
@@ -155,7 +224,8 @@ def _load_expression(spec: str) -> bell.BellExpression:
 def _load_table(path: str, option: str) -> bell.CorrelationTable:
     if not Path(path).exists():
         raise ConfigError(option, f"file not found: {path}")
-    return bell.table_from_json_dict(_read_json(Path(path)))
+    return bell.table_from_json_dict(_read_rows(Path(path)) or _read_json(Path(path)),
+                                     adopt=True)
 
 
 def _each_copy(option: str, values: list, n: int, noun: str) -> list:

@@ -777,6 +777,25 @@ def test_tables_hold_no_second_copy():
     assert adopted[0].probs is fresh and not fresh.flags.writeable
 
 
+def test_reading_a_dict_adopts_only_an_array_handed_over():
+    # A library caller may still hold, and write to, the array in its dict,
+    # so the table copies it; with ``adopt`` the reader's own array is the
+    # table's, with no second table-sized array.
+    table = compose([chsh_reference()] * 4, Scheme.PER_COPY)
+    data = table_to_json_dict(table)
+    data["probs"] = table.probs.copy()
+    kept = table_from_json_dict(data)
+    assert not np.shares_memory(kept.probs, data["probs"]) and data["probs"].flags.writeable
+    data["probs"] = table.probs.copy()
+    adopted = []
+    peak = _traced_peak(lambda: adopted.append(table_from_json_dict(data, adopt=True)))
+    assert adopted[0].probs is data["probs"] and not data["probs"].flags.writeable
+    assert peak < table.probs.nbytes / 8
+    # A nested list is converted into a fresh array either way.
+    data["probs"] = table.probs.tolist()
+    assert np.array_equal(table_from_json_dict(data, adopt=True).probs, table.probs)
+
+
 def test_table_writer_holds_a_row_not_the_table():
     # Each input row's distinct rows and y blocks are formatted once and
     # yielded as shared strings, so writing peaks below one row's text: under

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import io
 import json
 import math
 import re
@@ -635,31 +636,55 @@ def _probs_bits(data: dict) -> np.ndarray:
     return np.array(data["probs"], dtype=float).view(np.uint64)
 
 
-def test_reading_a_composed_table_shares_each_distinct_float(runner, tmp_path):
-    # Each distinct literal is converted once; every entry repeating it is
-    # that one float, and the array is bit for bit that of a plain parse.
-    out, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "3",
-                       "--scheme", "percopy", "--noise", "0.9")
-    data = cli._read_json(out)
-    plain = json.loads(out.read_text())
-    assert np.array_equal(_probs_bits(data), _probs_bits(plain))
-    entries = np.array(data["probs"], dtype=object).ravel()
+def _loads_spy(monkeypatch) -> list:
+    """The keyword names and text length of each ``json.loads`` call the CLI makes."""
+    calls, loads = [], json.loads
+    monkeypatch.setattr(cli.json, "loads",
+                        lambda text, **kw: calls.append((sorted(kw), len(text))) or loads(text, **kw))
+    return calls
+
+
+def test_reading_a_composed_table_parses_each_distinct_row_once(runner, tmp_path, monkeypatch):
+    # The row path hands json.loads each distinct row's text once, a small
+    # share of the file, and its array is bit for bit that of a plain parse.
+    out, plain = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "4",
+                           "--scheme", "percopy", "--noise", "0.9")
+    calls = _loads_spy(monkeypatch)
+    data = cli._read_rows(out)
+    assert data["probs"].dtype == np.float64 and data["probs"].flags.c_contiguous
+    assert np.array_equal(data["probs"].view(np.uint64), _probs_bits(plain))
+    assert {k: v for k, v in data.items() if k != "probs"} == \
+        {k: v for k, v in plain.items() if k != "probs"}
+    assert len(calls) == 3
+    assert sum(length for _, length in calls) < out.stat().st_size // 10
+    # The table adopts that array instead of copying it.
+    handed, read_rows = [], cli._read_rows
+    monkeypatch.setattr(cli, "_read_rows", lambda path: handed.append(read_rows(path)) or handed[0])
+    assert cli._load_table(str(out), "--table").probs is handed[0]["probs"]
+    # The fallback still shares each distinct float among the entries repeating it.
+    entries = np.array(cli._read_json(out)["probs"], dtype=object).ravel()
     distinct = np.unique(np.array(plain["probs"]).view(np.uint64))
     assert len({id(v) for v in entries}) == len(distinct) < len(entries) // 100
 
 
 def test_reading_edge_literals_matches_a_plain_parse(runner, tmp_path):
     # Signed zeros stay apart, subnormals and the largest double survive,
-    # 1e400 reads as inf, and integer entries stay ints.
+    # 1e400 reads as inf, and integer entries stay ints in the plain parse
+    # and become the doubles np.array makes of them on the row path.
     literals = ["-0.0", "0.0", "5e-324", "1.7976931348623157e308", "1e400", "0", "1", "-0.00",
                 "0.5", "5E-1"]
-    text = '{"probs": [[' + ", ".join(f"[[{v}, {v}], [{v}, 0.25]]" for v in literals) + "]]}"
+    block = "[[{v}, {v}], [{v}, 0.25]]"
+    text = ('{"probs": [' + ", ".join(f"[{block}, {block}]".format(v=v) for v in literals)
+            + "]}")
     path = tmp_path / "edges.json"
     path.write_text(text)
-    data, plain = cli._read_json(path), json.loads(text)
+    plain = json.loads(text)
+    data, rows = cli._read_json(path), cli._read_rows(path)
     assert np.array_equal(_probs_bits(data), _probs_bits(plain))
     assert ([type(v) for v in np.array(data["probs"], dtype=object).ravel()]
             == [type(v) for v in np.array(plain["probs"], dtype=object).ravel()])
+    assert rows["probs"].dtype == np.float64
+    assert np.array_equal(rows["probs"].view(np.uint64), _probs_bits(plain))
     # Validation rejects the inf exactly as it does after a plain parse.
     table = {"n_copies": 1, "scheme": "broadcast", "input_arities": [1],
              "output_arities": [2], "probs": [[[[0.5, 0.0], [0.5, 1e400]]]]}
@@ -684,14 +709,30 @@ def _many_distinct_table(tmp_path) -> Path:
 
 def test_a_table_with_more_distinct_floats_than_the_cache_is_parsed_plainly(
         tmp_path, monkeypatch):
+    # Its rows never repeat, so the row path reads one block, parses nothing
+    # and declines; the cached parse then gives up and the plain one reads it.
     path = _many_distinct_table(tmp_path)
-    calls = []
-    loads = json.loads
-    monkeypatch.setattr(cli.json, "loads",
-                        lambda text, **kw: calls.append(sorted(kw)) or loads(text, **kw))
-    data = cli._read_json(path)
-    assert calls == [["parse_float"], []]
-    assert np.array_equal(_probs_bits(data), _probs_bits(loads(path.read_text())))
+    assert path.stat().st_size > 4 * cli._READ_BLOCK
+    sizes, real_open = [], open
+
+    class CountedReads(io.BytesIO):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if mode != "rb":
+            return real_open(file, mode, *args, **kwargs)
+        with real_open(file, mode) as f:
+            return CountedReads(f.read())
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    calls = _loads_spy(monkeypatch)
+    table = cli._load_table(str(path), "--table")
+    assert sizes == [cli._READ_BLOCK]
+    assert [kw for kw, _ in calls] == [["parse_float"], []]
+    assert np.array_equal(table.probs.view(np.uint64),
+                          _probs_bits(json.loads(path.read_text())))
 
 
 def _bad_number_before_the_cap(text: str) -> str:
