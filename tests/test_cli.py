@@ -639,8 +639,12 @@ def _probs_bits(data: dict) -> np.ndarray:
 def _loads_spy(monkeypatch) -> list:
     """The keyword names and text length of each ``json.loads`` call the CLI makes."""
     calls, loads = [], json.loads
-    monkeypatch.setattr(cli.json, "loads",
-                        lambda text, **kw: calls.append((sorted(kw), len(text))) or loads(text, **kw))
+
+    def spy(text, **kw):
+        calls.append((sorted(kw), len(text)))
+        return loads(text, **kw)
+
+    monkeypatch.setattr(cli.json, "loads", spy)
     return calls
 
 

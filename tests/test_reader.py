@@ -80,7 +80,6 @@ def test_certify_reads_every_simulate_output_as_a_plain_parse(tmp_path, monkeypa
     assert took == (name != "fullstats")  # composed rows repeat, fullstats rows never do
 
 
-# Mutations of a per-copy noisy chsh^3 file (exit 1, fail) whose rows repeat.
 def _region(text: str) -> tuple:
     """Start and end of the text from the top-level probs value up to the next quote."""
     start = text.index('"probs": ') + len('"probs": ')
@@ -120,8 +119,9 @@ def _provenance(entry: str):
     return lambda text: text.replace('"provenance": {', '"provenance": {' + entry + ", ", 1)
 
 
+# Edits of a per-copy noisy chsh^3 file (exit 1, fail) whose rows repeat, each
+# with whether the row path takes the result.
 MUTATIONS = {
-    # name: (edit of the text, whether the row path takes the result)
     "huge-int": (_each_literal("1" + "0" * 400), False),
     "nan": (_each_literal("NaN"), True),
     "true": (_each_literal("true"), True),
