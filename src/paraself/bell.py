@@ -667,9 +667,14 @@ def table_to_json_chunks(table: CorrelationTable,
     yield tail + "\n"
 
 
-def table_from_json_dict(data: dict, *, adopt: bool = False) -> CorrelationTable:
+def table_from_json_dict(data: dict) -> CorrelationTable:
     """Parse and validate a serialized table; failures carry a JSON pointer to
-    the offending element.  With ``adopt``, a float array ``probs`` that
+    the offending element."""
+    return _table_from_json_dict(data, adopt=False)
+
+
+def _table_from_json_dict(data: dict, adopt: bool) -> CorrelationTable:
+    """``table_from_json_dict``; with ``adopt``, a float array ``probs`` that
     nothing else holds, as the CLI's reader builds it, is not copied."""
     if not isinstance(data, dict):
         raise TableFormatError("", "table must be a JSON object")

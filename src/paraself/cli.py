@@ -141,20 +141,21 @@ def _read_rows(path: Path) -> dict | None:
     one innermost row, and only distinct ones are parsed: their rows in one ``json.loads`` and a
     skeleton of row ids that carries the nesting in another, so the array is ``values[ids]``.
     The rest is parsed with ``NaN`` for ``probs``.  The file is read ``_READ_BLOCK`` bytes at a
-    time and declined if it is not ASCII, holds a backslash, repeats no row in its first block or
-    fails to parse or convert, so that the plain parse words every error."""
+    time and declined if it is not ASCII, holds a backslash or NUL, has no ``"probs":`` key in its
+    first block, repeats no row there or fails to parse or convert, so that the plain parse words
+    every error."""
     seen, ids, head, carry, tail = {}, [], None, b"", []
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(_READ_BLOCK), b""):
-            if not block.isascii() or b"\\" in block:
+            if not block.isascii() or b"\\" in block or b"\0" in block:  # NUL: json.detect_encoding
                 return None
             if tail:
                 tail.append(block)
                 continue
-            if head is None:
-                start = block.find(b'"probs"')
-                start = block.find(b"[", start) if start >= 0 else -1
-                if start < 0:
+            if head is None:  # with no backslash, a "probs" that a colon follows is a key
+                key = block.find(b'"probs"')
+                start = block.find(b"[", key) if key >= 0 else -1
+                if start < 0 or block[key + 7:start].translate(None, _JSON_SPACE) != b":":
                     return None
                 head, block = block[:start], block[start:]
             quote = block.find(b'"')
@@ -177,11 +178,11 @@ def _read_rows(path: Path) -> dict | None:
             if piece.translate(None, _JSON_SPACE):
                 return None
             skeleton.append(b"]")
-        elif prefix.translate(None, b"[," + _JSON_SPACE):
-            return None
-        else:
-            skeleton.append(prefix.translate(None, _JSON_SPACE)
-                            + b"%d" % rows.setdefault(row, len(rows)))
+        else:  # a row follows ``[`` or ``,``; with neither, its id would run into the last one
+            prefix = prefix.translate(None, _JSON_SPACE)
+            if not prefix or prefix.translate(None, b"[,"):
+                return None
+            skeleton.append(prefix + b"%d" % rows.setdefault(row, len(rows)))
     placeholder = []  # what the parse of ``NaN`` in place of probs returns, the one time it is met
     try:
         fields = json.loads(head + b"NaN" + carry + b"".join(tail),
@@ -191,9 +192,9 @@ def _read_rows(path: Path) -> dict | None:
             return None
         index = np.array(json.loads(b"".join([skeleton[i] for i in ids])), dtype=np.intp)
         values = np.array(json.loads(b"[[" + b"],[".join(rows) + b"]]"), dtype=float)
-    except (ValueError, TypeError, OverflowError, RecursionError):
+        fields["probs"] = values[index]
+    except (ValueError, TypeError, OverflowError, RecursionError, IndexError):
         return None
-    fields["probs"] = values[index]
     return fields
 
 
@@ -224,8 +225,8 @@ def _load_expression(spec: str) -> bell.BellExpression:
 def _load_table(path: str, option: str) -> bell.CorrelationTable:
     if not Path(path).exists():
         raise ConfigError(option, f"file not found: {path}")
-    return bell.table_from_json_dict(_read_rows(Path(path)) or _read_json(Path(path)),
-                                     adopt=True)
+    return bell._table_from_json_dict(_read_rows(Path(path)) or _read_json(Path(path)),
+                                      adopt=True)
 
 
 def _each_copy(option: str, values: list, n: int, noun: str) -> list:

@@ -17,6 +17,7 @@ from paraself.bell import (
     _PERCOPY_MAX_COPIES,
     _check_probs,
     _conditioned_terms,
+    _table_from_json_dict,
     bell_operator,
     builtin_expression,
     builtin_quantum_maximum,
@@ -779,8 +780,8 @@ def test_tables_hold_no_second_copy():
 
 def test_reading_a_dict_adopts_only_an_array_handed_over():
     # A library caller may still hold, and write to, the array in its dict,
-    # so the table copies it; with ``adopt`` the reader's own array is the
-    # table's, with no second table-sized array.
+    # so the table copies it; with ``adopt``, as the CLI reads a file, the
+    # reader's own array is the table's, with no second table-sized array.
     table = compose([chsh_reference()] * 4, Scheme.PER_COPY)
     data = table_to_json_dict(table)
     data["probs"] = table.probs.copy()
@@ -788,12 +789,12 @@ def test_reading_a_dict_adopts_only_an_array_handed_over():
     assert not np.shares_memory(kept.probs, data["probs"]) and data["probs"].flags.writeable
     data["probs"] = table.probs.copy()
     adopted = []
-    peak = _traced_peak(lambda: adopted.append(table_from_json_dict(data, adopt=True)))
+    peak = _traced_peak(lambda: adopted.append(_table_from_json_dict(data, adopt=True)))
     assert adopted[0].probs is data["probs"] and not data["probs"].flags.writeable
     assert peak < table.probs.nbytes / 8
     # A nested list is converted into a fresh array either way.
     data["probs"] = table.probs.tolist()
-    assert np.array_equal(table_from_json_dict(data, adopt=True).probs, table.probs)
+    assert np.array_equal(_table_from_json_dict(data, adopt=True).probs, table.probs)
 
 
 def test_table_writer_holds_a_row_not_the_table():

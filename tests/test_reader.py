@@ -119,6 +119,24 @@ def _provenance(entry: str):
     return lambda text: text.replace('"provenance": {', '"provenance": {' + entry + ", ", 1)
 
 
+def _missing_comma(probs: str) -> str:
+    """Drop the comma after a row unlike the first, and end its list with one
+    more row, so that the nesting stays regular."""
+    first = _first_row(probs)
+    row = next(m for m in re.finditer(r"(\[[^][]*\]),(?=\s*\[)", probs) if m[1] != first)
+    end = re.compile(r"\]\s*\]").search(probs, row.end()).start() + 1
+    return probs[:row.end() - 1] + probs[row.end():end] + ", " + first + probs[end:]
+
+
+def _utf16_keys(text: str) -> str:
+    """The keys before probs, with ``"probs": NaN``, spelled in UTF-16-LE, whose
+    NUL second byte makes ``json.loads`` of bytes guess that codec; after them,
+    inside a UTF-16 string, the probs value in ASCII."""
+    start, end = _region(text)
+    keys = (text[:start] + 'NaN, "provenance": "').encode("utf-16-le").decode("ascii")
+    return keys + '"probs": ' + text[start:end].rstrip().rstrip(",") + '"\0}\0'
+
+
 # Edits of a per-copy noisy chsh^3 file (exit 1, fail) whose rows repeat, each
 # with whether the row path takes the result.
 MUTATIONS = {
@@ -128,6 +146,7 @@ MUTATIONS = {
     "null": (_each_literal("null"), True),
     "object": (_each_literal("{}"), False),
     "ragged-row": (_each_first_row(lambda row: row[:row.rindex(",")] + "]"), False),
+    "missing-comma": (lambda text: _in_probs(text, _missing_comma), False),
     "empty-row": (_each_first_row(lambda row: "[]"), False),
     "number-before-rows": (_each_row(lambda row: "0, " + row), False),
     "number-after-rows": (_each_row(lambda row: row + ", 0"), False),
@@ -140,6 +159,7 @@ MUTATIONS = {
     "escaped-provenance": (_provenance('"note": "\\u00e9"'), False),
     "bracket-in-string": (_provenance('"note": "]]["'), True),
     "nan-in-provenance": (_provenance('"note": NaN'), False),
+    "utf16-keys": (_utf16_keys, False),
 }
 
 
@@ -170,13 +190,18 @@ def _second_probs(value: str):
     return lambda text: text[:text.rindex("}")] + ', "probs": ' + value + "}\n"
 
 
-@pytest.mark.parametrize("placement", ["second-top-level", "nested-before", "second-nan"])
+@pytest.mark.parametrize("placement", ["second-top-level", "nested-before", "second-nan",
+                                       "string-before"])
 def test_only_the_last_top_level_probs_counts(tmp_path, monkeypatch, noisy, honest_probs,
                                               placement):
-    # json.loads keeps the last of duplicate keys, and a nested "probs" is no
-    # table: the row path declines both, and the verdict is the plain parse's.
+    # json.loads keeps the last of duplicate keys, and a nested "probs" or one
+    # in a string is no table: the row path declines each, and the verdict is
+    # the plain parse's.
     if placement == "nested-before":
         text = '{\n  "provenance": {"probs": ' + honest_probs + "}," + noisy[1:]
+    elif placement == "string-before":  # a table in a string after "probs", the value, and NaN
+        text = ('{\n  "provenance": {"by": "probs", "note": "' + re.sub(r"\s", "", honest_probs)
+                + '"},' + _in_probs(noisy, lambda probs: "NaN, ")[1:])
     else:
         text = _second_probs(honest_probs if placement == "second-top-level" else "NaN")(noisy)
     path = tmp_path / "table.json"
