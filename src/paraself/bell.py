@@ -619,9 +619,7 @@ def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
     A composed table repeats rows: within a row ``x``, the ``(y, a)`` rows of
     ``b`` entries are told apart by their bytes (so ``-0.0`` keeps its sign),
     each distinct one is formatted once from its distinct values, and each
-    distinct ``y`` block is joined once and yielded again wherever it repeats.
-    When no row repeats, the whole row's values are formatted at once and no
-    block is kept."""
+    distinct ``y`` block is joined once and yielded again wherever it repeats."""
     n_y, n_a, n_b = probs.shape[1:]
     b_item, a_item, y_item = ("\n" + " " * k for k in (10, 8, 6))
     b_sep, a_sep, y_sep = "," + b_item, "," + a_item, "," + y_item
@@ -629,9 +627,7 @@ def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
         first = {}  # each distinct row's bytes to its index, in order of first sight
         ids = [first.setdefault(key, len(first))
                for key in rows.view(f"V{rows.itemsize * n_b}").ravel().tolist()]
-        repeats = len(first) < len(ids)
-        if repeats:
-            rows = np.frombuffer(b"".join(first), dtype=np.uint64).reshape(-1, n_b)
+        rows = np.frombuffer(b"".join(first), dtype=np.uint64).reshape(-1, n_b)
         distinct, inverse = np.unique(rows, return_inverse=True)
         reprs = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()],
                          dtype=object)
@@ -645,8 +641,7 @@ def _probs_json_chunks(probs: np.ndarray) -> Iterator[str]:
             if text is None:
                 text = ((y_item if y == 0 else y_sep) + "[" + a_item
                         + a_sep.join([texts[i] for i in key[1:]]) + y_item + "]")
-                if repeats:
-                    shared[key] = text
+                shared[key] = text
             yield text
         yield "\n    ]"
     yield "\n  ]"

@@ -112,19 +112,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
-def _check_targets(table: CorrelationTable, exprs: Sequence[BellExpression],
-                   betas: Sequence[float], tol: float) -> tuple:
-    """``(exprs, betas)`` as tuples, after checking ``tol`` and that there is
-    one expression and one finite target per copy."""
+def _check_targets(table: CorrelationTable, betas: Sequence[float], tol: float) -> tuple:
+    """``betas`` as a tuple of floats, after checking ``tol`` and that there is one finite
+    target per copy; :func:`~paraself.bell.conditional_means` counts the expressions."""
     _check_tol(tol)
-    n = table.n_copies
-    exprs = tuple(exprs)
     betas = tuple(float(b) for b in betas)
-    if len(exprs) != n or len(betas) != n:
-        raise ShapeMismatch(f"need {n} expressions and targets, got {len(exprs)}/{len(betas)}")
+    if len(betas) != table.n_copies:
+        raise ShapeMismatch(f"need {table.n_copies} targets, got {len(betas)}")
     if not all(math.isfinite(b) for b in betas):
         raise ValueError(f"targets must be finite, got {list(betas)!r}")
-    return exprs, betas
+    return betas
 
 
 def certify_theorem1(table: CorrelationTable, expr: BellExpression, beta: float,
@@ -148,11 +145,11 @@ def certify_theorem3(table: CorrelationTable, exprs: Sequence[BellExpression],
 def _certify_means(table: CorrelationTable, exprs: Sequence[BellExpression],
                    betas: Sequence[float], tol: float) -> CertificationReport:
     """Theorem 3's or 4's report: each copy's conditional or averaged value against its target."""
-    exprs, betas = _check_targets(table, exprs, betas, tol)
+    betas = _check_targets(table, betas, tol)
     kind = "value" if table.scheme is Scheme.BROADCAST else "averaged value"
     checks: list[CopyCheck] = []
     diagnostics: list[str] = []
-    means = conditional_means([table], exprs)[0]
+    means = conditional_means([table], tuple(exprs))[0]
     for i, ((value, first), target) in enumerate(zip(means, betas), 1):
         ok = first is None
         if not ok:

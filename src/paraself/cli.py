@@ -112,23 +112,6 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-# Distinct float literals one read converts and keeps; a file with more is parsed again plainly.
-_FLOAT_CACHE_SIZE = 1 << 12
-
-
-class _FloatCache(dict):
-    """Float of each literal; as ``parse_float``, ``__getitem__`` converts each distinct literal
-    once, and the entries that repeat it share that float: a composed table holds few distinct
-    values among up to millions of entries.  ``float(literal)`` is the scanner's own double.
-    A new literal past ``_FLOAT_CACHE_SIZE`` raises ``KeyError``, as a plain dict's would."""
-
-    def __missing__(self, literal: str) -> float:
-        if len(self) == _FLOAT_CACHE_SIZE:
-            raise KeyError(literal)
-        value = self[literal] = float(literal)
-        return value
-
-
 # Bytes of a table file read at a time; a file whose first block repeats no row is parsed plainly.
 _READ_BLOCK = 1 << 18
 _JSON_SPACE = b" \t\n\r"
@@ -201,10 +184,7 @@ def _read_rows(path: Path) -> dict | None:
 def _read_json(path: Path):
     text = path.read_text()  # its UnicodeDecodeError, also a ValueError, is an io error
     try:
-        try:
-            return json.loads(text, parse_float=_FloatCache().__getitem__)
-        except KeyError:  # the scanner raises none of its own
-            return json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep a nesting, too long an int
         raise TableFormatError("", f"invalid JSON in {path}: {exc}") from None
 
@@ -329,8 +309,6 @@ def _resolve_targets(beta_specs, bell_specs, n: int):
             targets = [float(b) for b in beta_specs]
         except ValueError:
             raise ConfigError("--beta", "values must be numbers or the token 'oracle'") from None
-        if not all(math.isfinite(t) for t in targets):
-            raise ConfigError("--beta", "values must be finite")
     return _each_copy("--beta", targets, n, "targets")
 
 
@@ -372,6 +350,7 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
         # Theorem 1 is theorem 3 once its one expression and target stand for every copy.
         exprs = _resolve_expressions(bell_specs, table.n_copies)
         targets = _resolve_targets(beta_specs, bell_specs, table.n_copies)
+        _parse("--beta", certify._check_targets, table, targets, tol)
         theorem = certify.certify_theorem4 if protocol == "theorem4" else certify.certify_theorem3
         report = theorem(table, exprs, targets, tol)
     _emit(_json_text(report.to_json_dict()), out)

@@ -560,11 +560,16 @@ _THEOREM3 = ["certify", "--table", "{table}", "--protocol", "theorem3"]
      "2 expressions for 3 copies"),
     (_THEOREM3 + ["--bell", "chsh", "--beta", BETA, "--beta", BETA],
      "--beta", lambda: cli._each_copy("--beta", [0, 0], 3, "targets"), "2 targets for 3 copies"),
+    (_THEOREM3 + ["--bell", "chsh", "--beta", "inf"],
+     "--beta", lambda: certify._check_targets(compose([chsh_reference()] * 3, Scheme.BROADCAST),
+                                              [math.inf] * 3, certify.DEFAULT_TOL),
+     "targets must be finite, got [inf, inf, inf]"),
     (["simulate", "--strategy", "chsh", "--strategy", "chsh", "--strategy", "chsh",
       "--copies", "2"],
      "--copies", lambda: cli._each_copy("--copies", [0, 0, 0], 2, "strategies"),
      "3 strategies for 2 copies"),
-], ids=["tol", "noise", "nus-list", "nus-range", "bell-count", "beta-count", "copies-count"])
+], ids=["tol", "noise", "nus-list", "nus-range", "bell-count", "beta-count", "beta-finite",
+        "copies-count"])
 def test_each_option_rule_is_reported_in_its_owners_words(runner, tmp_path, args, option,
                                                           owner, text):
     # The CLI reaches each rule through the one function that owns it, so the
@@ -665,10 +670,6 @@ def test_reading_a_composed_table_parses_each_distinct_row_once(runner, tmp_path
     handed, read_rows = [], cli._read_rows
     monkeypatch.setattr(cli, "_read_rows", lambda path: handed.append(read_rows(path)) or handed[0])
     assert cli._load_table(str(out), "--table").probs is handed[0]["probs"]
-    # The fallback still shares each distinct float among the entries repeating it.
-    entries = np.array(cli._read_json(out)["probs"], dtype=object).ravel()
-    distinct = np.unique(np.array(plain["probs"]).view(np.uint64))
-    assert len({id(v) for v in entries}) == len(distinct) < len(entries) // 100
 
 
 def test_reading_edge_literals_matches_a_plain_parse(runner, tmp_path):
@@ -707,14 +708,14 @@ def _many_distinct_table(tmp_path) -> Path:
     table = CorrelationTable(Scheme.PER_COPY, [2] * 4, [2] * 4, probs)
     path = tmp_path / "distinct.json"
     path.write_text("".join(table_to_json_chunks(table)))
-    assert len(np.unique(table.probs)) > cli._FLOAT_CACHE_SIZE
+    assert len(np.unique(table.probs)) > 4096
     return path
 
 
 def test_a_table_with_more_distinct_floats_than_the_cache_is_parsed_plainly(
         tmp_path, monkeypatch):
-    # Its rows never repeat, so the row path reads one block, parses nothing
-    # and declines; the cached parse then gives up and the plain one reads it.
+    # Its 4,096-plus distinct floats never repeat a row, so the row path reads
+    # one block and declines, and the plain parse reads the table.
     path = _many_distinct_table(tmp_path)
     assert path.stat().st_size > 4 * cli._READ_BLOCK
     sizes, real_open = [], open
@@ -731,12 +732,22 @@ def test_a_table_with_more_distinct_floats_than_the_cache_is_parsed_plainly(
             return CountedReads(f.read())
 
     monkeypatch.setattr(cli, "open", spy_open, raising=False)
-    calls = _loads_spy(monkeypatch)
     table = cli._load_table(str(path), "--table")
     assert sizes == [cli._READ_BLOCK]
-    assert [kw for kw, _ in calls] == [["parse_float"], []]
     assert np.array_equal(table.probs.view(np.uint64),
                           _probs_bits(json.loads(path.read_text())))
+
+
+def test_a_declined_table_file_is_parsed_once(runner, tmp_path, monkeypatch):
+    # The row path declines the file before any json.loads call, and the plain
+    # parse then reads its text once, whatever the number of distinct floats.
+    path = _many_distinct_table(tmp_path)
+    calls = _loads_spy(monkeypatch)
+    result = runner.invoke(main, ["certify", "--table", str(path), "--protocol", "theorem4",
+                                  "--bell", "chsh", "--beta", "2"])
+    assert calls == [([], path.stat().st_size)]
+    assert result.exit_code == 1 and result.stderr == ""
+    assert json.loads(result.stdout)["verdict"] == "fail"
 
 
 def _bad_number_before_the_cap(text: str) -> str:
