@@ -24,6 +24,7 @@ Any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -453,5 +454,12 @@ def sweep(strategy_spec, copies, bell_spec, nus, out):
     _emit("\n".join(lines) + "\n", out)
 
 
-if __name__ == "__main__":
+def run():
+    """``paraself`` and ``python -m paraself.cli``: ``main`` with the import-time heap frozen,
+    so no collection, up to and at exit, walks the objects numpy, click and the package built."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

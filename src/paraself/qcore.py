@@ -180,10 +180,5 @@ def povm_from_observable(observable) -> Povm:
 
 
 def maximally_entangled_ket(local_dim: int = 2) -> Ket:
-    """The state sum_k |kk> / sqrt(d) on a d x d bipartite space."""
-    if local_dim < 1:
-        raise DimensionMismatch("local dimension must be >= 1")
-    amp = np.zeros(local_dim * local_dim, dtype=complex)
-    for k in range(local_dim):
-        amp[k * local_dim + k] = 1.0 / np.sqrt(local_dim)
-    return Ket(amp)
+    """The state sum_k |kk> / sqrt(d) on a d x d bipartite space: the identity, flattened."""
+    return Ket(np.eye(local_dim).ravel() / np.sqrt(local_dim))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -155,14 +155,8 @@ def apply_isotropic_noise(s: SingleCopyStrategy, nu: float) -> SingleCopyStrateg
     ``nu`` in [0, 1]; measurements are unchanged.  Only two-qubit
     (dimension-4) states are supported."""
     check_visibilities([nu])
-    return SingleCopyStrategy(
-        state=DensityMatrix(_isotropic_states(s, [nu])[0]),
-        alice=s.alice,
-        bob=s.bob,
-        m=s.m,
-        o=s.o,
-        label=f"{s.label}+noise({nu:g})",
-    )
+    return replace(s, state=DensityMatrix(_isotropic_states(s, [nu])[0]),
+                   label=f"{s.label}+noise({nu:g})")
 
 
 def _isotropic_states(s: SingleCopyStrategy, nus: Sequence[float]) -> np.ndarray:

@@ -581,6 +581,41 @@ def test_theorem4_rejects_local_deterministic():
     assert all(c.value <= 2.0 + 1e-9 for c in report.per_copy)
 
 
+def _one_pair_percopy(n):
+    """Per-copy table of one chsh pair that reads copy 1's inputs only, and whose outcomes
+    every later copy repeats."""
+    p1 = single_copy_table(chsh_reference()).probs
+    x1 = np.arange(2 ** n) % 2  # copy 1's input, least significant in a joint input
+    ones = 2 ** n - 1
+    probs = np.zeros((2 ** n,) * 4)
+    for a, b in itertools.product(range(2), repeat=2):
+        probs[:, :, a * ones, b * ones] = p1[x1[:, None], x1[None, :], a, b]
+    return CorrelationTable(Scheme.PER_COPY, (2,) * n, (2,) * n, probs)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_theorem4_rejects_one_pair_repeated_over_n(n, tmp_path):
+    # Copy 1 is the honest pair; a later copy's outcomes ignore its own inputs, so its
+    # averaged value is 2 * (sum of copy 1's correlators) / 4 = 1/sqrt(2).
+    table = _one_pair_percopy(n)
+    report = certify_theorem4(table, [chsh_expression()] * n, [CHSH_MAX] * n)
+    assert report.verdict == "fail"
+    assert [c.value for c in report.per_copy] == pytest.approx(
+        [CHSH_MAX] + [1 / np.sqrt(2)] * (n - 1), abs=1e-12)
+    if n == 3:
+        from click.testing import CliRunner
+
+        from paraself.cli import main
+
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table_to_json_dict(table)))
+        result = CliRunner().invoke(main, ["certify", "--table", str(path), "--protocol",
+                                           "theorem4", "--bell", "chsh",
+                                           "--beta", "2.8284271247461903"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["verdict"] == "fail"
+
+
 def test_theorem4_requires_percopy_scheme():
     table = compose([chsh_reference()] * 2, Scheme.BROADCAST)
     with pytest.raises(SchemeInputMismatch):
@@ -744,8 +779,9 @@ def _product_state_strategy():
 @pytest.mark.parametrize("budget", ["module", 1])
 @pytest.mark.parametrize("strategy,n,nus", [
     (_product_state_strategy(), 3, [1.0, 0.5, 0.0, 1.0, 0.9]),
-    # Undefined at 0.99 and 1 (copy 6 only), in the same batch.
-    (fullstats_reference(0.1, 0.2), 6, [1.0, 0.3, 0.99, 0.0, 1.0]),
+    # Two undefined visibilities (both 1, exact zeros) share the first of two batches with
+    # the defined 0 and 0.3, which come first.
+    (_product_state_strategy(), 6, [1.0, 0.3, 1.0, 0.0, 1.0]),
 ])
 def test_sweep_noise_raises_the_loops_first_undefined_prefix(monkeypatch, strategy, n, nus,
                                                              budget):

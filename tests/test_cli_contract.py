@@ -11,6 +11,10 @@ convert is a usage error, which keeps the same contract.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +27,11 @@ from paraself.bell import (
     chsh_expression,
     table_to_json_dict,
 )
+from paraself import cli
 from paraself.cli import main
 from paraself.strategies import chsh_reference, compose, fullstats_reference
 
-from reference import expression_to_json_dict
+from reference import expression_to_json_dict, local_deterministic
 
 VERDICT_EXITS = {"pass": 0, "fail": 1, "precondition-violated": 4}
 BETA = "2.8284271247461903"
@@ -80,6 +85,10 @@ def files(tmp_path_factory):
     paths["chsh2"].write_text(json.dumps(_table_doc([chsh_reference()] * 2)))
     paths["chsh1"] = root / "chsh1.json"
     paths["chsh1"].write_text(json.dumps(_table_doc([chsh_reference()])))
+    # Deterministic local copies: copy 2's prefixes with an outcome 1 are unreachable.
+    det = local_deterministic([0, 0], [0, 0], o=2)
+    paths["det2"] = root / "det2.json"
+    paths["det2"].write_text(json.dumps(table_to_json_dict(compose([det] * 2, Scheme.BROADCAST))))
     paths["non_utf8"].write_bytes(b'{"m": 2, "label": "\xe9"}')
     paths["deep"] = root / "deep.json"
     paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
@@ -248,6 +257,48 @@ def test_theorem2_names_the_option_it_refuses(files, option, value):
     assert result.stderr.splitlines() == [
         f"error: config: {option}: theorem2 compares against --reference, "
         f"not expressions/targets"]
+
+
+# One command per exit code, and both error categories of exit 2.
+PROCESS_CASES = [
+    pytest.param(["simulate", "--strategy", "chsh", "--copies", "2", "--out", "{out}"], 0,
+                 id="0-simulate-out"),
+    pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem1", "--bell", "chsh",
+                  "--beta", "2.5"], 1, id="1-verdict-fail"),
+    pytest.param(CERTIFY_CHSH2 + ["--tol", "-1"], 2, id="2-config"),
+    pytest.param(_certify_theorem1("{truncated}"), 2, id="2-input"),
+    pytest.param(["simulate", "--strategy", "chsh", "--copies", "7"], 3, id="3-composition"),
+    pytest.param(["certify", "--table", "{det2}", "--protocol", "theorem1", "--bell", "chsh",
+                  "--beta", "2"], 4, id="4-precondition"),
+]
+
+
+@pytest.mark.parametrize("args,code", PROCESS_CASES)
+def test_a_real_process_matches_the_runner(files, tmp_path, args, code):
+    # ``python -m paraself.cli`` goes through ``run``, which freezes the heap before ``main``;
+    # what the process prints, writes and exits with is what ``main`` gives in process.
+    def outputs(out):
+        return [a.format(**files, out=out) for a in args]
+
+    result = _run(outputs(tmp_path / "runner.out"))
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "paraself.cli",
+                           *outputs(tmp_path / "process.out")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (result.exit_code, result.stdout, result.stderr)
+    assert result.exit_code == code
+    if "{out}" in args:
+        assert (tmp_path / "process.out").read_bytes() == (tmp_path / "runner.out").read_bytes()
+
+
+def test_the_process_entry_freezes_the_heap_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main"))
+    cli.run()
+    assert calls == ["freeze", "main"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """The package exports what the CLI and the certifiers use; references that
 only tests call live in ``tests/reference.py`` and must not creep back, nor
 may the wrappers around the walk over a table's copies that only tests
-called.  The package's line count is pinned, so it cannot grow unnoticed."""
+called.  The package's line count is pinned, so it cannot grow unnoticed, and
+both process entries, the installed command and ``python -m``, go through one
+function."""
 
+import ast
 from pathlib import Path
 
+import pytest
+
 import paraself
-from paraself import bell, certify, qcore, strategies
+from paraself import bell, certify, cli, qcore, strategies
 
 PUBLIC = [
     "BellExpression",
@@ -56,7 +61,7 @@ TEST_ONLY = [
 
 # Lines of ``src/paraself/*.py`` as ``wc -l`` counts them: the package should not
 # get bigger, so a change that raises this says why in CHANGES.md.
-MAX_PACKAGE_LINES = 2198
+MAX_PACKAGE_LINES = 2195
 
 # The certifiers reach the walk through ``bell.conditional_means`` and
 # ``bell._conditioned_terms`` only, which alone conditions every copy.
@@ -85,3 +90,13 @@ def test_the_package_does_not_grow():
     sources = sorted(Path(paraself.__file__).parent.glob("*.py"))
     lines = sum(path.read_bytes().count(b"\n") for path in sources)
     assert lines <= MAX_PACKAGE_LINES, f"{lines} lines in {len(sources)} modules"
+
+
+def test_the_command_and_python_m_enter_through_run():
+    # ``run`` freezes the import-time heap; ``main`` stays the plain group that tests invoke.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = Path(paraself.__file__).parents[2]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"paraself": "paraself.cli:run"}
+    guard = ast.parse(Path(cli.__file__).read_text()).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
