@@ -146,15 +146,18 @@ def tilted_chsh_expression(alpha: float) -> BellExpression:
 
     Local deterministic value at most 2 + alpha; quantum maximum
     sqrt(8 + 2 alpha^2).  Maximal violation singles out a partially
-    entangled two-qubit state for 0 < alpha < 2.  A tilt that is not finite
-    raises ``ValueError``.
+    entangled two-qubit state for 0 < alpha < 2.  A tilt that is not finite,
+    or too large for ``COEFF_SUM_LIMIT``, raises a ``ValueError`` naming it.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"tilt parameter {alpha} is not finite")
     c = chsh_expression().coeffs.copy()
     for y, a, b in itertools.product(range(2), repeat=3):
         c[0, y, a, b] += (alpha / 2.0) * (-1.0) ** a
-    return BellExpression(2, 2, c, label=f"tilted-chsh({alpha:g})")
+    try:
+        return BellExpression(2, 2, c, label=f"tilted-chsh({alpha:g})")
+    except ValueError as exc:  # only the coefficient sum can fail
+        raise ValueError(f"tilt parameter {alpha} too large: {exc}") from None
 
 
 def check_tilt(alpha: float) -> None:
@@ -342,8 +345,8 @@ def reachable(prob: np.ndarray) -> np.ndarray:
 
 
 def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
-    """Sum of the ``2^k`` rows of ``level`` by a tree of TwoSums, adding halves.  The
-    exact errors of its additions go to ``errors`` (of the same shape, last row zero),
+    """Sum of the ``2^k`` rows of ``level`` (``k >= 1``) by a tree of TwoSums, adding halves.
+    The exact errors of its additions go to ``errors`` (of the same shape, last row zero),
     so the sum plus the sum of ``errors`` is the exact sum of ``level``."""
     errors[-1], done = 0.0, 0
     while len(level) > 1:
@@ -353,44 +356,41 @@ def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
         virtual = level - a
         np.add(a - (level - virtual), b - virtual, out=errors[done:done + h])
         done += h
-    return level[0].copy()  # with no additions, level[0] is the caller's row
+    return level[0]
 
 
-def _row_fsums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of the 2-D ``rows``, bit for bit, for all rows at once.
+def _row_fsums(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` over the first axis of ``terms`` for every row (index of the other axes),
+    bit for bit, in blocks of ``_MARGINAL_CHUNK`` entries along the last axis, read where they
+    lie: the ``[term, row]`` buffer of :func:`_conditioned_terms` or a view of it.
 
     A TwoSum tree over the term axis gives the float sum ``s`` and every exact error; a
     second tree sums those to ``e`` and leaves a remainder (Ogita, Rump, Oishi, SIAM J.
     Sci. Comput. 26, 1955 (2005)).  ``s + e`` is kept where the remainder cannot move it
     across a midpoint between doubles; other rows, and rows with a term that is not finite
-    or could overflow a partial sum (of the trees or of ``fsum``), go to ``math.fsum``.  The
-    trees read ``rows.T`` in place for ``2^k`` terms.  A zero sum is ``+0.0``."""
-    count, n = rows.shape
-    width = 1 << max(n - 1, 0).bit_length()  # the trees add halves of 2^k leaves
-    leaves = rows.T if width == n else np.pad(rows.T, ((0, width - n), (0, 0)))
-    errors, last = np.empty(leaves.shape), np.empty((2, count))
-    large = ~(np.abs(leaves, out=errors).max(axis=0) <= 2.0 ** 1020 / len(leaves))
-    with np.errstate(over="ignore", invalid="ignore"):  # only in the rows that are large
-        s = _two_sum_tree(leaves, errors)
-        e = _two_sum_tree(errors, errors)  # in place (their last row is zero): the remainder
-        r, t = _two_sum_tree(np.array([s, e]), last), last[0]  # exact: s + e = r + t
-        rest = 2.0 * np.abs(errors).sum(axis=0)  # bounds the remainder's sum
-        # Below 2^-1020, half the gap to the next double may not be a double.
-        up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
-        keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
-                                & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
-    out = r + 0.0  # -0.0 becomes +0.0
-    redo = np.flatnonzero(large | ~keep)
-    out[redo] = [math.fsum(row) for row in rows[redo].tolist()]
+    or could overflow a partial sum (of the trees or of ``fsum``), go to ``math.fsum``.  A term
+    count other than ``2^k >= 2`` is padded in a copy.  A zero sum is ``+0.0``."""
+    n, out = len(terms), np.empty(terms.shape[1:])
+    width = 1 << max(n - 1, 1).bit_length()  # the trees add halves of 2^k >= 2 leaves
+    step = max(1, _MARGINAL_CHUNK // (width * math.prod(out.shape[:-1])))
+    for start in range(0, out.shape[-1], step):
+        block, sums = terms[..., start:start + step], out[..., start:start + step]
+        leaves = block if width == n else np.pad(block, [(0, width - n)] + [(0, 0)] * sums.ndim)
+        errors = np.empty(leaves.shape)
+        large = ~(np.abs(leaves, out=errors).max(axis=0) <= 2.0 ** 1020 / width)
+        with np.errstate(over="ignore", invalid="ignore"):  # only in the rows that are large
+            s = _two_sum_tree(leaves, errors)
+            e = _two_sum_tree(errors, errors)  # in place (their last row is zero): the remainder
+            rest = 2.0 * np.abs(errors).sum(axis=0)  # bounds the remainder's sum
+            r, t = _two_sum_tree(np.array([s, e]), errors[:2]), errors[0]  # s + e = r + t
+            # Below 2^-1020, half the gap to the next double may not be a double.
+            up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
+            keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
+                                    & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
+        np.add(r, 0.0, out=sums)  # -0.0 becomes +0.0
+        redo = np.nonzero(large | ~keep)
+        sums[redo] = [math.fsum(row) for row in block[(slice(None),) + redo].T.tolist()]
     return out
-
-
-def _blocked_row_fsums(terms: np.ndarray) -> np.ndarray:
-    """:func:`_row_fsums` of every row of the ``[term, row]`` array ``terms`` (the sum over its
-    first axis), ``_MARGINAL_CHUNK`` entries at a time, so the trees' temporaries stay bounded."""
-    step = max(1, _MARGINAL_CHUNK // len(terms))
-    return np.concatenate([_row_fsums(terms[:, s:s + step].T)
-                           for s in range(0, terms.shape[1], step)])
 
 
 def _conditioned_terms(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> tuple:
@@ -480,7 +480,7 @@ def _stack_means(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple,
     for (start, count, _, _), expr in zip(spans, exprs):
         weights = expr.coeffs.transpose(2, 3, 0, 1).reshape(-1, 1)  # as the (a, b, x, y) terms
         terms[:len(weights), start:start + count] *= weights
-    sums, means = _blocked_row_fsums(terms), [[] for _ in range(len(probs))]
+    sums, means = _row_fsums(terms), [[] for _ in range(len(probs))]
     for i, ((start, count, mask, prefix_prob), expr) in enumerate(zip(spans, exprs), 1):
         values = sums[start:start + count].reshape(len(probs), -1)
         if mask is not None:  # bad[k, row_a, row_b, x, y]
@@ -564,15 +564,21 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def expression_from_json_dict(data: dict) -> BellExpression:
+def _check_keys(data, what: str, required: tuple, optional: tuple) -> None:
+    """Raise a :class:`TableFormatError` unless ``data``, a parsed ``what``, is a JSON object
+    with every key of ``required`` (naming the first missing) and no other but ``optional``'s."""
     if not isinstance(data, dict):
-        raise TableFormatError("", "expression must be a JSON object")
-    for key in ("m", "o", "coeffs"):
+        raise TableFormatError("", f"{what} must be a JSON object")
+    for key in required:
         if key not in data:
             raise TableFormatError(f"/{key}", "missing required key")
-    unknown = set(data) - {"m", "o", "coeffs", "label"}
+    unknown = set(data) - set(required + optional)
     if unknown:
         raise TableFormatError(f"/{sorted(unknown)[0]}", "unknown key")
+
+
+def expression_from_json_dict(data: dict) -> BellExpression:
+    _check_keys(data, "expression", ("m", "o", "coeffs"), ("label",))
     for key in ("m", "o"):
         if not _is_json_int(data[key]):
             raise TableFormatError(f"/{key}", "arities must be integers")
@@ -588,9 +594,6 @@ def expression_from_json_dict(data: dict) -> BellExpression:
     except (ShapeMismatch, ValueError) as exc:
         raise TableFormatError("/coeffs", str(exc)) from None
 
-
-_TABLE_KEYS = {"format", "encoding", "n_copies", "scheme", "input_arities",
-               "output_arities", "probs", "provenance"}
 
 TABLE_FORMAT = "paraself-table"
 JOINT_ENCODING = "mixed-radix-copy1-lsd"
@@ -671,14 +674,8 @@ def table_from_json_dict(data: dict) -> CorrelationTable:
 def _table_from_json_dict(data: dict, adopt: bool) -> CorrelationTable:
     """``table_from_json_dict``; with ``adopt``, a float array ``probs`` that
     nothing else holds, as the CLI's reader builds it, is not copied."""
-    if not isinstance(data, dict):
-        raise TableFormatError("", "table must be a JSON object")
-    for key in ("n_copies", "scheme", "input_arities", "output_arities", "probs"):
-        if key not in data:
-            raise TableFormatError(f"/{key}", "missing required key")
-    unknown = set(data) - _TABLE_KEYS
-    if unknown:
-        raise TableFormatError(f"/{sorted(unknown)[0]}", "unknown key")
+    _check_keys(data, "table", ("n_copies", "scheme", "input_arities", "output_arities", "probs"),
+                ("format", "encoding", "provenance"))
     if data.get("format", TABLE_FORMAT) != TABLE_FORMAT:
         raise TableFormatError("/format", f"expected {TABLE_FORMAT!r}")
     if data.get("encoding", JOINT_ENCODING) != JOINT_ENCODING:

@@ -9,7 +9,7 @@ finite, and for a target that is not finite.
 
 Theorem 1 is theorem 3 with one expression and target for every copy.
 Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
-call (one walk, row sums in blocks); its rows are the prefixes of earlier outputs
+call (one walk, one row-sum call); its rows are the prefixes of earlier outputs
 (broadcast) or the other copies' input settings (per-copy).  Theorem 2 compares the
 same conditioned ``[term, row]`` buffer with its reference, and reads deviations and
 correlators from it and one row-sum call.
@@ -44,9 +44,9 @@ from .bell import (
     BellExpression,
     CorrelationTable,
     Scheme,
-    _blocked_row_fsums,
     _check_probs,
     _conditioned_terms,
+    _row_fsums,
     _stack_means,
     conditional_means,
     reachable,
@@ -184,10 +184,11 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     prefix is judged twice) and correlator deviation, and writes its lines.
     A copy with an unreachable prefix scores at least 1.0; its deviation
     counts only the prefixes reachable at every input pair.  Such copies
-    follow all others, so for binary outcomes the reference's and copy 1's
-    correlators and each earlier copy's largest correlator deviation come
-    from one row-sum call (equal to ``math.fsum``) over the reference's
-    column and the rows before the first of them, signed.
+    follow all others, so for binary outcomes copy 1's correlators and each
+    earlier copy's largest correlator deviation come from one row-sum call
+    (equal to ``math.fsum``) over the rows before the first of them where they
+    lie, the ``(0, 1)`` and ``(1, 0)`` rows negated in place for it and back
+    (exact), and the reference's from ``math.fsum``.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -214,14 +215,15 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     # an unreachable prefix follow the others, whose rows [0, end) print correlators.
     end = next((s for s, _, mask, _ in spans if mask is not None), rows.shape[-1]) if o == 2 else 0
     if end:
-        signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None, None]
-        signed = np.empty((2, 2, m, m, 1 + end))  # the reference's column, then the rows
-        np.multiply(ref, signs, out=signed[..., :1])
-        np.multiply(rows[..., :end], signs, out=signed[..., 1:])
-        corr = _blocked_row_fsums(signed.reshape(4, -1)).reshape(m, m, 1 + end)
-        corr_dev = np.abs(corr[:, :, 1:] - corr[:, :, :1])
-        diagnostics += [f"correlator({x},{y}): copy-1 {float(corr[x, y, 1])!r}, "
-                        f"reference {float(corr[x, y, 0])!r}" for x in range(m) for y in range(m)]
+        ref_corr = np.array([[math.fsum((p * [[1, -1], [-1, 1]]).flat) for p in probs]
+                             for probs in reference.probs])  # [x, y]
+        corr_terms = rows[..., :end].reshape(4, m, m, end, copy=False)  # [ab, x, y, row], a view
+        np.negative(corr_terms[1:3], out=corr_terms[1:3])  # the -1 signs of ab = 01, 10: exact
+        corr = _row_fsums(corr_terms)  # [x, y, row]
+        np.negative(corr_terms[1:3], out=corr_terms[1:3])  # undone, as exactly
+        corr_dev = np.abs(corr - ref_corr[:, :, None])
+        diagnostics += [f"correlator({x},{y}): copy-1 {float(corr[x, y, 0])!r}, "
+                        f"reference {float(ref_corr[x, y])!r}" for x in range(m) for y in range(m)]
     rows -= ref  # in place, now that the correlators are read
     row_dev = np.abs(rows, out=rows).max(axis=(0, 1, 2, 3))
     worst = []  # of copies 1..n

@@ -24,7 +24,6 @@ HERMITIAN_TOL = 1e-12    # max |M - M^dagger| for Hermitian-flagged matrices
 NORM_TOL = 1e-12         # ket norm / density trace deviation
 IMAG_TOL = 1e-8          # largest tolerated imaginary residue of a probability
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # Diagonal/antidiagonal measurement directions saturating the CHSH maximum.

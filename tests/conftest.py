@@ -1,9 +1,11 @@
-"""Shared helpers for building randomized valid strategies and tables."""
+"""Shared helpers for building randomized valid strategies and tables, and
+for measuring what a call allocates."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +111,17 @@ def conditional_values(table, expr, i: int) -> np.ndarray:
     low = cond.shape[2]
     return np.array([[math.fsum((expr.coeffs * cond[:, :, pa, pb]).ravel())
                       for pb in range(low)] for pa in range(low)])
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the ``tracemalloc`` peak while ``call()`` runs; a caller that
+    wants imports and caches left out runs ``call`` once before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

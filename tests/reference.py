@@ -5,7 +5,8 @@ computes in bulk: the Born rule of one outcome pair, the largest eigenvalue
 of a Hermitian matrix, mixed-radix joint indices, the value of an expression
 on a single-copy table, a two-outcome correlator, one copy's marginal in one
 numpy sum, the raising form of one copy's ``conditional_means`` entry, the
-expression and text writers, and a local deterministic strategy.
+expression and text writers, and a local deterministic strategy.  The qubit
+identity, which only the qubit tests build effects from, lives here too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from paraself.errors import (
 )
 from paraself.qcore import IMAG_TOL, DensityMatrix, Povm, as_complex_matrix, require_hermitian
 from paraself.strategies import SingleCopyStrategy
+
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def born_probability(state, effect_a, effect_b) -> float:

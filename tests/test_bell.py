@@ -4,7 +4,6 @@ serialization."""
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +60,7 @@ from conftest import (
     deterministic_table_probs,
     random_projective_povm,
     random_state,
+    traced_peak,
 )
 from reference import (
     correlator,
@@ -361,12 +361,7 @@ def test_averaged_j_percopy_holds_no_table_sized_temporary():
             lambda: conditional_means([table], exprs),
             lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5)]
     for k, run in enumerate(runs, 1):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run)
         assert peak < table.probs.nbytes / 4, (k, peak)
 
 
@@ -753,15 +748,6 @@ def test_library_tables_are_read_only_and_their_own():
         assert not any(np.shares_memory(table.probs, other) for other in others), k
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_tables_hold_no_second_copy():
     # Composing keeps the product and its last factor, not a validation copy
     # (2x the table before), and validating a fresh array makes no temporary.
@@ -769,10 +755,10 @@ def test_tables_hold_no_second_copy():
     chsh = chsh_reference()
     table = compose([chsh] * 5, Scheme.PER_COPY)
     nbytes = table.probs.nbytes
-    assert _traced_peak(lambda: compose([chsh] * 5, Scheme.PER_COPY)) < 1.25 * nbytes
+    assert traced_peak(lambda: compose([chsh] * 5, Scheme.PER_COPY)) < 1.25 * nbytes
     fresh = table.probs.copy()
     adopted = []
-    peak = _traced_peak(lambda: adopted.append(CorrelationTable._adopt(
+    peak = traced_peak(lambda: adopted.append(CorrelationTable._adopt(
         Scheme.PER_COPY, (2,) * 5, (2,) * 5, fresh)))
     assert peak < nbytes / 8
     assert adopted[0].probs is fresh and not fresh.flags.writeable
@@ -789,7 +775,7 @@ def test_reading_a_dict_adopts_only_an_array_handed_over():
     assert not np.shares_memory(kept.probs, data["probs"]) and data["probs"].flags.writeable
     data["probs"] = table.probs.copy()
     adopted = []
-    peak = _traced_peak(lambda: adopted.append(_table_from_json_dict(data, adopt=True)))
+    peak = traced_peak(lambda: adopted.append(_table_from_json_dict(data, adopt=True)))
     assert adopted[0].probs is data["probs"] and not data["probs"].flags.writeable
     assert peak < table.probs.nbytes / 8
     # A nested list is converted into a fresh array either way.
@@ -808,4 +794,4 @@ def test_table_writer_holds_a_row_not_the_table():
         for _ in table_to_json_chunks(table):
             pass
 
-    assert _traced_peak(write) < 0.5 * table.probs.nbytes
+    assert traced_peak(write) < 0.5 * table.probs.nbytes

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ from paraself.strategies import (
     tilted_chsh_reference,
 )
 
-from conftest import kernels, random_projective_povm, random_state, random_strategy
+from conftest import kernels, random_projective_povm, random_state, random_strategy, traced_peak
 from reference import correlator, j_value, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
@@ -407,19 +406,51 @@ def test_theorem2_prints_no_correlators_for_a_copy_with_unreachable_prefixes():
 
 def test_theorem2_holds_no_large_temporary():
     # One conditioned [term, row] buffer, a third larger than the table at
-    # o = 2, a signed copy of it for the correlators, and the walk; deviations
-    # are taken in place.
+    # o = 2, and the walk; the correlators' signs are applied in place and
+    # undone, and deviations are taken in place.
     fullstats = fullstats_reference(0.1, 0.2)
     table = compose([fullstats] * 6, Scheme.BROADCAST)
     reference = single_copy_table(fullstats)
     certify_theorem2(table, reference)
-    tracemalloc.start()
-    try:
-        certify_theorem2(table, reference)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * table.probs.nbytes
+    assert traced_peak(lambda: certify_theorem2(table, reference)) < 4 * table.probs.nbytes
+
+
+def _certification(case: str) -> tuple:
+    """``(table, certify)``: an honest broadcast table at the copy cap (n = 5 for one theorem
+    2 case) and a call that certifies it."""
+    ce = chsh_expression()
+    if case == "theorem1-chsh6":
+        table = compose([chsh_reference()] * 6, Scheme.BROADCAST)
+        return table, lambda: certify_theorem1(table, ce, CHSH_MAX)
+    if case == "theorem3-mix6":
+        tilted = tilted_chsh_expression(0.5)
+        strategy = tilted_chsh_reference(0.5, tilted)
+        beta = quantum_value_fixed_measurements(tilted, strategy).value
+        table = compose([chsh_reference(), strategy] * 3, Scheme.BROADCAST)
+        return table, lambda: certify_theorem3(table, [ce, tilted] * 3, [CHSH_MAX, beta] * 3)
+    gamma, delta, n = {"theorem2-fullstats(0.1,0.2)^5": (0.1, 0.2, 5),
+                       "theorem2-fullstats(0.7,0.78)^6": (0.7, 0.78, 6)}[case]
+    fullstats = fullstats_reference(gamma, delta)
+    table, reference = compose([fullstats] * n, Scheme.BROADCAST), single_copy_table(fullstats)
+    return table, lambda: certify_theorem2(table, reference)
+
+
+# Traced peaks as multiples of the table, each bound set just above the peak
+# measured when it was added: 5.87x for theorems 1 and 3 and 6.51x and 6.41x
+# for theorem 2, whose row sums' temporaries over every copy's prefixes (all
+# reachable in fullstats(0.7,0.78)^6) dominate; theorem 2 was at 8.19x and
+# 8.08x while it signed a copy of its rows.
+@pytest.mark.parametrize("case,multiple", [
+    ("theorem1-chsh6", 6.0),
+    ("theorem3-mix6", 6.0),
+    ("theorem2-fullstats(0.1,0.2)^5", 6.6),
+    ("theorem2-fullstats(0.7,0.78)^6", 6.5),
+])
+def test_certifiers_peak_under_a_multiple_of_the_table(case, multiple):
+    table, run = _certification(case)
+    assert run().verdict == "pass"  # imports and caches stay out of the peak
+    peak = traced_peak(run)
+    assert peak < multiple * table.probs.nbytes, peak / table.probs.nbytes
 
 
 def test_theorem3_mixed_copies_pass_with_oracle_targets():
@@ -809,12 +840,9 @@ def test_sweep_noise_memory_does_not_grow_with_visibilities(monkeypatch):
     peaks, largest = [], []
     for count in (21, 2001):
         nus = [k / (count - 1) for k in range(count)]
-        tracemalloc.start()
-        try:
-            rows = sweep_noise(chsh_reference(), 6, chsh_expression(), nus)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        rows = []
+        peaks.append(traced_peak(lambda: rows.extend(
+            sweep_noise(chsh_reference(), 6, chsh_expression(), nus))))
         assert len(rows) == count
         largest.append(max(stacks))
         stacks.clear()

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from paraself.cli import main
 from paraself.errors import ConfigError
 from paraself.strategies import chsh_reference, compose
 
+from conftest import traced_peak
 from reference import expression_to_json_dict, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
@@ -396,7 +396,7 @@ def test_a_non_finite_tilt_is_named(runner, args, option, tilt):
 def test_an_out_of_range_tilt_is_named_on_every_strategy_path(runner, args, tilt):
     # The range is checked before the expression is built, which a huge tilt
     # overflows; under --bell any finite tilt is an expression, so a huge one
-    # is still reported as overflowing coefficients.
+    # is named as too large for its coefficients.
     result = runner.invoke(main, [a.format(tilt) for a in args])
     assert result.exit_code == 2
     assert result.output == (f"error: config: --strategy: tilt parameter {float(tilt)} "
@@ -404,8 +404,8 @@ def test_an_out_of_range_tilt_is_named_on_every_strategy_path(runner, args, tilt
     result = runner.invoke(main, ["bounds", "--bell", f"tilted-chsh({tilt})"])
     if abs(float(tilt)) > 2:
         assert result.exit_code == 2
-        assert result.output == ("error: config: --bell: absolute coefficients sum to more "
-                                 "than 2**960\n")
+        assert result.output == (f"error: config: --bell: tilt parameter {float(tilt)} too "
+                                 "large: absolute coefficients sum to more than 2**960\n")
 
 
 @pytest.mark.parametrize("spec,classical", [("tilted-chsh(2)", "4"),
@@ -781,13 +781,11 @@ def test_simulate_streams_table_file(runner, tmp_path):
     # Rows are formatted and written one input row at a time, so the whole
     # text is never held at once.
     out = tmp_path / "percopy4.json"
-    tracemalloc.start()
-    try:
-        result = runner.invoke(main, ["simulate", "--strategy", "chsh", "--copies", "4",
-                                      "--scheme", "percopy", "--out", str(out)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    results = []
+    peak = traced_peak(lambda: results.append(runner.invoke(
+        main, ["simulate", "--strategy", "chsh", "--copies", "4", "--scheme", "percopy",
+               "--out", str(out)])))
+    result = results[0]
     assert result.exit_code == 0, result.output
     assert peak < 2 * out.stat().st_size
 

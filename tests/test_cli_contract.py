@@ -259,6 +259,28 @@ def test_theorem2_names_the_option_it_refuses(files, option, value):
         f"not expressions/targets"]
 
 
+# Under --bell a finite tilt outside [0, 2) is still an expression, but one so
+# large that its coefficients overflow is named as a tilt, on every path that
+# builds it: bounds, certify with a number, certify with the oracle, sweep.
+@pytest.mark.parametrize("tilt", ["1e308", "-1e308"])
+@pytest.mark.parametrize("args", [
+    pytest.param(["bounds", "--bell", "tilted-chsh({})"], id="bounds"),
+    pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem1",
+                  "--bell", "tilted-chsh({})", "--beta", "2"], id="certify"),
+    pytest.param(["certify", "--table", "{chsh2}", "--protocol", "theorem1",
+                  "--bell", "tilted-chsh({})", "--beta", "oracle"], id="certify-oracle"),
+    pytest.param(["sweep", "--copies", "2", "--bell", "tilted-chsh({})", "--nus", "0,1"],
+                 id="sweep"),
+])
+def test_a_huge_tilt_under_bell_is_named(files, args, tilt):
+    result = _run([a.format(tilt, **files) for a in args])
+    _assert_contract(result, args[0])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: config: --bell: tilt parameter {float(tilt)} too large: absolute coefficients "
+        "sum to more than 2**960"]
+
+
 # One command per exit code, and both error categories of exit 2.
 PROCESS_CASES = [
     pytest.param(["simulate", "--strategy", "chsh", "--copies", "2", "--out", "{out}"], 0,

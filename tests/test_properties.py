@@ -479,10 +479,12 @@ def test_row_sum_blocks_do_not_change_the_means(monkeypatch, chunk):
     monkeypatch.setattr(bell, "_MARGINAL_CHUNK", 1 << 30)
     whole = conditional_means(stack, exprs)
     monkeypatch.setattr(bell, "_MARGINAL_CHUNK", chunk)
-    blocks, row_fsums = [], bell._row_fsums
-    monkeypatch.setattr(bell, "_row_fsums",
-                        lambda rows: blocks.append(len(rows)) or row_fsums(rows))
+    trees, two_sum_tree = [], bell._two_sum_tree  # three per block, the first on its rows
+    monkeypatch.setattr(bell, "_two_sum_tree",
+                        lambda level, errors: trees.append(level.shape[1])
+                        or two_sum_tree(level, errors))
     assert conditional_means(stack, exprs) == whole
+    blocks = trees[::3]
     assert sum(blocks) == 370 and (len(blocks) > 1) == (chunk < 1 << 16), blocks
 
 

@@ -7,7 +7,6 @@ import pytest
 from paraself import qcore
 from paraself.errors import DimensionMismatch, NonrealResult, NotHermitian
 from paraself.qcore import (
-    IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
@@ -20,7 +19,7 @@ from paraself.qcore import (
     povm_from_observable,
 )
 
-from reference import born_probability, max_eigenvalue
+from reference import IDENTITY_2, born_probability, max_eigenvalue
 
 PHI_PLUS = maximally_entangled_ket(2).density()
 

@@ -5,7 +5,6 @@ takes exactly the files it should."""
 
 import json
 import re
-import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +12,8 @@ from click.testing import CliRunner
 from paraself import cli
 from paraself.cli import main
 from paraself.errors import TableFormatError
+
+from conftest import traced_peak
 
 BETA = "2.8284271247461903"
 
@@ -226,11 +227,7 @@ def test_loading_a_table_holds_a_few_blocks_not_the_text(tmp_path):
     path.write_text(_simulate(tmp_path, "source", "--strategy", "chsh", "--copies", "4",
                               "--scheme", "percopy"))
     cli._load_table(str(path), "--table")  # imports and caches stay out of the peak
-    tracemalloc.start()
-    try:
-        table = cli._load_table(str(path), "--table")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.probs.nbytes == 512 * 1024
-    assert peak < 3 * table.probs.nbytes
+    tables = []
+    peak = traced_peak(lambda: tables.append(cli._load_table(str(path), "--table")))
+    assert tables[0].probs.nbytes == 512 * 1024
+    assert peak < 3 * tables[0].probs.nbytes

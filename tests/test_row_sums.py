@@ -1,9 +1,10 @@
 """Exactness of the vectorized sums in ``paraself.bell``.
 
-``_row_fsums`` must equal ``math.fsum`` of every row bit for bit; the
+``_row_fsums`` of a ``[term, row]`` array (rows built here as lists and
+passed transposed) must equal ``math.fsum`` of every row bit for bit; the
 certifiers must make only a few Python ``fsum`` calls, not one per row, and
-one walk over the table per certification or batch, with one row-sum call
-per block of rows.
+one walk over the table and one row-sum call, which walks the rows in
+blocks, per certification or batch.
 """
 
 import math
@@ -66,7 +67,7 @@ def term_rows(draw):
 @settings(max_examples=300)
 @given(term_rows())
 def test_row_fsums_equal_fsum_bit_for_bit(rows):
-    _assert_same_bits(_row_fsums(rows), _fsums(rows))
+    _assert_same_bits(_row_fsums(rows.T), _fsums(rows))
 
 
 @pytest.mark.parametrize("kind", ["normal", "magnitudes", "cancel", "quarters", "subnormal",
@@ -89,7 +90,7 @@ def test_row_fsums_equal_fsum_on_seeded_batches(kind):
         x = rng.choice([1.0, -1.0, 2.0 ** -53, -2.0 ** -53, 3 * 2.0 ** -53, 2.0 ** -106, -0.0],
                        size=x.shape)
     x = rng.permuted(x, axis=1)
-    _assert_same_bits(_row_fsums(x), _fsums(x))
+    _assert_same_bits(_row_fsums(x.T), _fsums(x))
 
 
 def _counting_fsum(monkeypatch):
@@ -112,7 +113,7 @@ def test_row_fsums_fall_back_to_fsum_near_a_midpoint(monkeypatch):
                      [1.0, 2.0 ** -53, 0.0]])
     want = _fsums(rows)
     calls = _counting_fsum(monkeypatch)
-    got = _row_fsums(rows)
+    got = _row_fsums(rows.T)
     _assert_same_bits(got, want)
     assert got[0] == math.nextafter(1.0, 2.0)
     assert len(calls) == 2  # the exact midpoint in row 3 needs no fallback
@@ -140,9 +141,9 @@ def test_row_fsums_hand_non_finite_rows_to_fsum(row, outcome):
         with pytest.raises(outcome):
             math.fsum(row)
         with pytest.raises(outcome):
-            _row_fsums(rows)
+            _row_fsums(rows.T)
         return
-    got = _row_fsums(rows)
+    got = _row_fsums(rows.T)
     assert got[0] == 0.75
     if outcome is None:
         assert math.isnan(got[1]) and math.isnan(math.fsum(row))
@@ -150,11 +151,25 @@ def test_row_fsums_hand_non_finite_rows_to_fsum(row, outcome):
         assert got[1] == outcome == math.fsum(row)
 
 
+def test_row_fsums_sum_the_first_axis_of_a_strided_view(monkeypatch):
+    # Theorem 2 passes a [term, x, y, row] view of its buffer: every index of
+    # the other axes is a row, and blocks along the last axis do not change it.
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(8, 3, 2, 40)) * np.exp(rng.normal(size=(8, 3, 2, 40)) * 40)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    view = x[:4, :, :, 3:37]
+    want = np.array([math.fsum(view[(slice(None),) + index])
+                     for index in np.ndindex(view.shape[1:])])
+    for chunk in (1 << 16, 16):
+        monkeypatch.setattr(bell, "_MARGINAL_CHUNK", chunk)
+        _assert_same_bits(_row_fsums(view).ravel(), want)
+
+
 def test_row_fsums_give_positive_zero():
     rows = np.array([[-0.0, -0.0], [1.0, -1.0], [-0.0, 0.0]])
-    got = _row_fsums(rows)
+    got = _row_fsums(rows.T)
     assert np.array_equal(got.view(np.uint64), np.zeros(3, dtype=np.uint64))
-    assert _row_fsums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert _row_fsums(np.zeros((0, 2))).tolist() == [0.0, 0.0]
 
 
 def test_certifiers_make_few_python_fsum_calls(monkeypatch):
@@ -187,7 +202,8 @@ def test_certifiers_make_one_row_sum_call(monkeypatch):
     # Every copy's rows, broadcast prefixes or per-copy input settings, come
     # from one walk over the table and go to one row-sum call per
     # certification, not one of each per copy.  Theorem 2 takes the
-    # correlators of the reference, copy 1 and every prefix from one call.
+    # correlators of copy 1 and every prefix from one call, and the
+    # reference's four from ``math.fsum``.
     ce = chsh_expression()
     broadcast = compose([chsh_reference()] * 6, Scheme.BROADCAST)
     percopy = compose([chsh_reference()] * 5, Scheme.PER_COPY)
@@ -200,10 +216,11 @@ def test_certifiers_make_one_row_sum_call(monkeypatch):
         "theorem4": (lambda: certify_theorem4(percopy, [ce] * 5, [CHSH_MAX] * 5), 1),
     }
     calls, walks = _counting(monkeypatch, "_row_fsums"), _counting(monkeypatch, "_copy_joints")
-    for name, (certify, row_sums) in certifications.items():
+    monkeypatch.setattr(certify, "_row_fsums", bell._row_fsums)  # theorem 2's call, counted too
+    for name, (run, row_sums) in certifications.items():
         calls.clear()
         walks.clear()
-        assert certify().verdict == "pass", name
+        assert run().verdict == "pass", name
         assert len(calls) == row_sums, (name, calls)
         assert len(walks) == 1, (name, walks)
     # The sweep walks each batch of stacked visibilities once: 16,384-entry

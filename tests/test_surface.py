@@ -56,12 +56,12 @@ PUBLIC = [
 TEST_ONLY = [
     "born_probability", "max_eigenvalue", "validate_povm", "encode_joint", "decode_joint",
     "evaluate", "correlator", "j_value", "expression_to_json_dict", "table_to_json_text",
-    "local_deterministic", "build_preset_table", "ADVERSARY_PRESETS",
+    "local_deterministic", "build_preset_table", "ADVERSARY_PRESETS", "IDENTITY_2",
 ]
 
 # Lines of ``src/paraself/*.py`` as ``wc -l`` counts them: the package should not
 # get bigger, so a change that raises this says why in CHANGES.md.
-MAX_PACKAGE_LINES = 2195
+MAX_PACKAGE_LINES = 2193
 
 # The certifiers reach the walk through ``bell.conditional_means`` and
 # ``bell._conditioned_terms`` only, which alone conditions every copy.
