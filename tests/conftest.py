@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from paraself.bell import _conditioned_terms
+from paraself.bell import (Scheme, _conditioned_terms, chsh_expression,
+                           quantum_value_fixed_measurements, tilted_chsh_expression)
+from paraself.certify import certify_theorem1, certify_theorem2, certify_theorem3
 from paraself.qcore import DensityMatrix, Povm
-from paraself.strategies import SingleCopyStrategy
+from paraself.strategies import (SingleCopyStrategy, chsh_reference, compose, fullstats_reference,
+                                 single_copy_table, tilted_chsh_reference)
 
 # Property tests draw the same examples on every run and write no example
 # database into the working directory.
@@ -111,6 +114,27 @@ def conditional_values(table, expr, i: int) -> np.ndarray:
     low = cond.shape[2]
     return np.array([[math.fsum((expr.coeffs * cond[:, :, pa, pb]).ravel())
                       for pb in range(low)] for pa in range(low)])
+
+
+def certification(case: str) -> tuple:
+    """``(certify, table)``: a call that certifies ``table``, an honest broadcast table at the
+    copy cap (n = 5 for one theorem 2 case), under the theorem ``case`` names."""
+    ce, chsh_max = chsh_expression(), 2.0 * math.sqrt(2.0)
+    if case == "theorem1-chsh6":
+        table = compose([chsh_reference()] * 6, Scheme.BROADCAST)
+        return lambda: certify_theorem1(table, ce, chsh_max), table
+    if case == "theorem3-mix6":
+        tilted = tilted_chsh_expression(0.5)
+        strategy = tilted_chsh_reference(0.5, tilted)
+        beta = quantum_value_fixed_measurements(tilted, strategy).value
+        table = compose([chsh_reference(), strategy] * 3, Scheme.BROADCAST)
+        return lambda: certify_theorem3(table, [ce, tilted] * 3, [chsh_max, beta] * 3), table
+    gamma, delta, n = {"theorem2-fullstats(0.1,0.2)^5": (0.1, 0.2, 5),
+                       "theorem2-fullstats(0.1,0.2)^6": (0.1, 0.2, 6),
+                       "theorem2-fullstats(0.7,0.78)^6": (0.7, 0.78, 6)}[case]
+    fullstats = fullstats_reference(gamma, delta)
+    table, reference = compose([fullstats] * n, Scheme.BROADCAST), single_copy_table(fullstats)
+    return lambda: certify_theorem2(table, reference), table
 
 
 def traced_peak(call) -> int:

@@ -15,7 +15,6 @@ from paraself.bell import (
     Scheme,
     _PERCOPY_MAX_COPIES,
     _check_probs,
-    _conditioned_terms,
     _table_from_json_dict,
     bell_operator,
     builtin_expression,
@@ -27,7 +26,6 @@ from paraself.bell import (
     expression_from_json_dict,
     quantum_value_fixed_measurements,
     table_from_json_dict,
-    table_to_json_chunks,
     table_to_json_dict,
     tilted_chsh_expression,
 )
@@ -60,7 +58,6 @@ from conftest import (
     deterministic_table_probs,
     random_projective_povm,
     random_state,
-    traced_peak,
 )
 from reference import (
     correlator,
@@ -348,21 +345,6 @@ def test_copy_marginal_error_does_not_grow_with_the_copy_count(n):
     marginal = copy_kernel(table, 1)[0][:, :, 0, 0]
     deviation = float(np.max(np.abs(marginal - single.probs)))
     assert deviation <= 4 * (n - 1) * 2.0 ** -53, deviation
-
-
-def test_averaged_j_percopy_holds_no_table_sized_temporary():
-    # The walk sums the table a chunk at a time; one temporary of the whole
-    # table (8.4 MB here) would push the traced peak far past the bound, for
-    # the walk over every copy, their averages or a theorem 4 certification.
-    table = compose([chsh_reference()] * 5, Scheme.PER_COPY)
-    exprs = [chsh_expression()] * 5
-    walk = (table.probs[None], table.scheme, table.input_arities, table.output_arities)
-    runs = [lambda: _conditioned_terms(*walk)[0].size,
-            lambda: conditional_means([table], exprs),
-            lambda: certify_theorem4(table, exprs, [CHSH_MAX] * 5)]
-    for k, run in enumerate(runs, 1):
-        peak = traced_peak(run)
-        assert peak < table.probs.nbytes / 4, (k, peak)
 
 
 BROADCAST2 = compose([chsh_reference()] * 2, Scheme.BROADCAST)
@@ -749,19 +731,11 @@ def test_library_tables_are_read_only_and_their_own():
 
 
 def test_tables_hold_no_second_copy():
-    # Composing keeps the product and its last factor, not a validation copy
-    # (2x the table before), and validating a fresh array makes no temporary.
-    # At n = 5 (8 MiB) numpy's fixed 128 KiB broadcasting buffers do not count.
-    chsh = chsh_reference()
-    table = compose([chsh] * 5, Scheme.PER_COPY)
-    nbytes = table.probs.nbytes
-    assert traced_peak(lambda: compose([chsh] * 5, Scheme.PER_COPY)) < 1.25 * nbytes
-    fresh = table.probs.copy()
-    adopted = []
-    peak = traced_peak(lambda: adopted.append(CorrelationTable._adopt(
-        Scheme.PER_COPY, (2,) * 5, (2,) * 5, fresh)))
-    assert peak < nbytes / 8
-    assert adopted[0].probs is fresh and not fresh.flags.writeable
+    # A fresh array is validated and made read-only in place, not copied; what
+    # composing and adopting allocate are rows of tests/test_memory.py.
+    fresh = compose([chsh_reference()] * 5, Scheme.PER_COPY).probs.copy()
+    adopted = CorrelationTable._adopt(Scheme.PER_COPY, (2,) * 5, (2,) * 5, fresh)
+    assert adopted.probs is fresh and not fresh.flags.writeable
 
 
 def test_reading_a_dict_adopts_only_an_array_handed_over():
@@ -774,24 +748,8 @@ def test_reading_a_dict_adopts_only_an_array_handed_over():
     kept = table_from_json_dict(data)
     assert not np.shares_memory(kept.probs, data["probs"]) and data["probs"].flags.writeable
     data["probs"] = table.probs.copy()
-    adopted = []
-    peak = traced_peak(lambda: adopted.append(_table_from_json_dict(data, adopt=True)))
-    assert adopted[0].probs is data["probs"] and not data["probs"].flags.writeable
-    assert peak < table.probs.nbytes / 8
+    adopted = _table_from_json_dict(data, adopt=True)
+    assert adopted.probs is data["probs"] and not data["probs"].flags.writeable
     # A nested list is converted into a fresh array either way.
     data["probs"] = table.probs.tolist()
     assert np.array_equal(_table_from_json_dict(data, adopt=True).probs, table.probs)
-
-
-def test_table_writer_holds_a_row_not_the_table():
-    # Each input row's distinct rows and y blocks are formatted once and
-    # yielded as shared strings, so writing peaks below one row's text: under
-    # half the table (5.1x the table when the whole table went through one
-    # np.unique, 1.2x when each row's text was joined).
-    table = compose([chsh_reference()] * 4, Scheme.PER_COPY)
-
-    def write():
-        for _ in table_to_json_chunks(table):
-            pass
-
-    assert traced_peak(write) < 0.5 * table.probs.nbytes

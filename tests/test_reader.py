@@ -6,14 +6,14 @@ takes exactly the files it should."""
 import json
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from paraself import cli
+from paraself.bell import table_from_json_dict, table_to_json_chunks
 from paraself.cli import main
 from paraself.errors import TableFormatError
-
-from conftest import traced_peak
 
 BETA = "2.8284271247461903"
 
@@ -219,15 +219,26 @@ def test_rows_split_across_block_boundaries(tmp_path, monkeypatch, noisy, block)
     assert _compare(monkeypatch, path, "theorem4") is True
 
 
-def test_loading_a_table_holds_a_few_blocks_not_the_text(tmp_path):
-    # The row path reads one block at a time and keeps only distinct rows,
-    # so loading per-copy chsh^4 (a 512 KiB table, a 2.2 MB file) peaks
-    # under 3x the table; reading the whole text peaked at 8.4x.
+def _perturbed(text: str, start: int, rng) -> str:
+    """The per-copy table file ``text`` with every entry of the input rows ``x >= start``
+    scaled by its own random factor near 1 and each setting renormalised, so that no row
+    there repeats, as in a measured table."""
+    data = json.loads(text)
+    probs = np.array(data["probs"])
+    scaled = probs[start:] * rng.uniform(0.9, 1.1, probs[start:].shape)
+    probs[start:] = scaled / scaled.sum(axis=(-2, -1), keepdims=True)
+    data["probs"] = probs
+    return "".join(table_to_json_chunks(table_from_json_dict(data), data["provenance"]))
+
+
+@pytest.mark.parametrize("start, block, takes", [(0, cli._READ_BLOCK, False), (1, 4099, True)],
+                         ids=["all-rows-distinct", "first-input-row-repeats"])
+def test_rows_that_never_repeat_read_as_a_plain_parse(tmp_path, monkeypatch, rng, noisy,
+                                                      start, block, takes):
+    # The row path declines a file whose first block repeats no row, and takes
+    # one whose first block, here inside input row x = 0, does, however
+    # distinct the rows after it.
+    monkeypatch.setattr(cli, "_READ_BLOCK", block)
     path = tmp_path / "table.json"
-    path.write_text(_simulate(tmp_path, "source", "--strategy", "chsh", "--copies", "4",
-                              "--scheme", "percopy"))
-    cli._load_table(str(path), "--table")  # imports and caches stay out of the peak
-    tables = []
-    peak = traced_peak(lambda: tables.append(cli._load_table(str(path), "--table")))
-    assert tables[0].probs.nbytes == 512 * 1024
-    assert peak < 3 * tables[0].probs.nbytes
+    path.write_text(_perturbed(noisy, start, rng))
+    assert _compare(monkeypatch, path, "theorem4") is takes
