@@ -75,8 +75,7 @@ COEFF_SUM_LIMIT = 2.0 ** 960
 _NORMALIZATION_TOL = 1e-10
 _ENTRY_TOL = 1e-12
 _MARGINAL_CHUNK = 1 << 16  # table entries summed at a time by a copy marginal
-# The per-copy walk lays a chunk out on 2n + 1 axes; numpy 2 allows 64 (numpy 1, 32).
-_PERCOPY_MAX_COPIES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) // 2 - 1
+_PERCOPY_MAX_COPIES = 31  # the per-copy walk lays a chunk out on 2n + 1 of numpy's 64 axes
 
 
 class Scheme(Enum):
@@ -360,44 +359,46 @@ def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
 
 
 def _row_fsums(terms: np.ndarray) -> np.ndarray:
-    """``math.fsum`` over the first axis of ``terms`` for every row (index of the other axes),
-    bit for bit, in blocks of ``_MARGINAL_CHUNK`` entries along the last axis, read where they
-    lie: the ``[term, row]`` buffer of :func:`_conditioned_terms` or a view of it.
+    """``math.fsum`` over the ``2^k >= 2`` terms on the first axis of ``terms`` for every row (index
+    of the other axes), bit for bit, in blocks of ``_MARGINAL_CHUNK`` entries along the last axis,
+    read where they lie: the ``[term, row]`` buffer of :func:`_conditioned_terms` or a view of it.
 
     A TwoSum tree over the term axis gives the float sum ``s`` and every exact error; a
     second tree sums those to ``e`` and leaves a remainder (Ogita, Rump, Oishi, SIAM J.
     Sci. Comput. 26, 1955 (2005)).  ``s + e`` is kept where the remainder cannot move it
     across a midpoint between doubles; other rows, and rows with a term that is not finite
-    or could overflow a partial sum (of the trees or of ``fsum``), go to ``math.fsum``.  A term
-    count other than ``2^k >= 2`` is padded in a copy.  A zero sum is ``+0.0``."""
-    n, out = len(terms), np.empty(terms.shape[1:])
-    width = 1 << max(n - 1, 1).bit_length()  # the trees add halves of 2^k >= 2 leaves
-    step = max(1, _MARGINAL_CHUNK // (width * math.prod(out.shape[:-1])))
+    or could overflow a partial sum (of the trees or of ``fsum``), go to ``math.fsum``.
+    A zero sum is ``+0.0``."""
+    out = np.empty(terms.shape[1:])
+    step = max(1, _MARGINAL_CHUNK // (len(terms) * math.prod(out.shape[:-1])))
     for start in range(0, out.shape[-1], step):
-        block, sums = terms[..., start:start + step], out[..., start:start + step]
-        leaves = block if width == n else np.pad(block, [(0, width - n)] + [(0, 0)] * sums.ndim)
-        errors = np.empty(leaves.shape)
-        large = ~(np.abs(leaves, out=errors).max(axis=0) <= 2.0 ** 1020 / width)
-        with np.errstate(over="ignore", invalid="ignore"):  # only in the rows that are large
-            s = _two_sum_tree(leaves, errors)
-            e = _two_sum_tree(errors, errors)  # in place (their last row is zero): the remainder
-            rest = 2.0 * np.abs(errors).sum(axis=0)  # bounds the remainder's sum
-            r, t = _two_sum_tree(np.array([s, e]), errors[:2]), errors[0]  # s + e = r + t
-            # Below 2^-1020, half the gap to the next double may not be a double.
-            up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
-            keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
-                                    & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
-        np.add(r, 0.0, out=sums)  # -0.0 becomes +0.0
-        redo = np.nonzero(large | ~keep)
-        sums[redo] = [math.fsum(row) for row in block[(slice(None),) + redo].T.tolist()]
+        _block_fsums(terms[..., start:start + step], out[..., start:start + step])
     return out
+
+
+def _block_fsums(block: np.ndarray, sums: np.ndarray) -> None:
+    """:func:`_row_fsums` of one block into ``sums``; no temporary outlives the call."""
+    errors = np.empty(block.shape)
+    large = ~(np.abs(block, out=errors).max(axis=0) <= 2.0 ** 1020 / len(block))
+    with np.errstate(over="ignore", invalid="ignore"):  # only in the rows that are large
+        s = _two_sum_tree(block, errors)
+        e = _two_sum_tree(errors, errors)  # in place (their last row is zero): the remainder
+        rest = 2.0 * np.abs(errors).sum(axis=0)  # bounds the remainder's sum
+        r, t = _two_sum_tree(np.array([s, e]), errors[:2]), errors[0]  # s + e = r + t
+        # Below 2^-1020, half the gap to the next double may not be a double.
+        up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
+        keep = (rest == 0.0) | ((np.abs(r) >= 2.0 ** -1020)
+                                & (t + rest < 0.5 * up) & (t - rest > -0.5 * down))
+    np.add(r, 0.0, out=sums)  # -0.0 becomes +0.0
+    redo = np.nonzero(large | ~keep)
+    sums[redo] = [math.fsum(row) for row in block[(slice(None),) + redo].T.tolist()]
 
 
 def _conditioned_terms(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) -> tuple:
     """``(terms, spans)``: every copy ``1..n`` of each table ``probs[k]`` of a stack of one scheme
     and input and output arities ``ia`` and ``oa``, conditioned from one walk into the zeroed
     ``[term, row]`` array ``terms``.  Copy ``i``'s terms are ``(a_i, b_i, x_i, y_i)``, zeros pad
-    them to ``2^k``, and its rows ``[k, *rows]`` lie at ``terms[:, start:start + count]``.
+    them to ``2^k >= 2``, and its rows ``[k, *rows]`` lie at ``terms[:, start:start + count]``.
     Broadcast rows are the prefixes ``(row_a, row_b)``: copy ``i``'s block of the joint of copies
     ``1..i`` divided by its sum, ``prefix_prob``, where that is :func:`reachable` (zero
     elsewhere).  Copy 1's one row is its marginal, and per-copy rows, the other copies' inputs
@@ -407,7 +408,7 @@ def _conditioned_terms(probs: np.ndarray, scheme: Scheme, ia: tuple, oa: tuple) 
     case the divide takes no ``where=`` mask."""
     counts = [len(probs) * (probs.shape[1] // m if scheme is Scheme.PER_COPY
                             else math.prod(oa[:i])) ** 2 for i, m in enumerate(ia)]
-    terms = np.zeros((1 << (max((m * o) ** 2 for m, o in zip(ia, oa)) - 1).bit_length(),
+    terms = np.zeros((max(2, 1 << (max((m * o) ** 2 for m, o in zip(ia, oa)) - 1).bit_length()),
                       sum(counts)))
     joints = _copy_joints(probs, oa, own=scheme is Scheme.PER_COPY)
     spans, start = [], 0

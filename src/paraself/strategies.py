@@ -106,17 +106,17 @@ class SingleCopyStrategy:
         object.__setattr__(self, "bob", bob)
 
 
+def _qubit_pair(state: Ket, bob0: np.ndarray, bob1: np.ndarray, label: str) -> SingleCopyStrategy:
+    """Two-qubit strategy on ``state``: Alice measures Z and X, Bob the +/-1 observables
+    ``bob0`` and ``bob1``."""
+    povms = tuple(povm_from_observable(obs) for obs in (SIGMA_Z, SIGMA_X, bob0, bob1))
+    return SingleCopyStrategy(state.density(), povms[:2], povms[2:], m=2, o=2, label=label)
+
+
 def chsh_reference() -> SingleCopyStrategy:
     """Maximally entangled pair measured along Z/X (Alice) and the diagonal
     directions (Bob); attains the CHSH quantum maximum 2*sqrt(2)."""
-    return SingleCopyStrategy(
-        state=maximally_entangled_ket(2).density(),
-        alice=(povm_from_observable(SIGMA_Z), povm_from_observable(SIGMA_X)),
-        bob=(povm_from_observable(SIGMA_PLUS), povm_from_observable(SIGMA_MINUS)),
-        m=2,
-        o=2,
-        label="chsh",
-    )
+    return _qubit_pair(maximally_entangled_ket(2), SIGMA_PLUS, SIGMA_MINUS, "chsh")
 
 
 def fullstats_reference(gamma: float, delta: float) -> SingleCopyStrategy:
@@ -131,16 +131,10 @@ def fullstats_reference(gamma: float, delta: float) -> SingleCopyStrategy:
         raise InvalidAngles(f"angles ({gamma}, {delta}) outside (0, pi/4]")
     if gamma == delta:
         raise InvalidAngles("angles must differ")
-    bob0 = np.cos(gamma) * SIGMA_Z + np.sin(gamma) * SIGMA_X
-    bob1 = np.sin(delta) * SIGMA_X - np.cos(delta) * SIGMA_Z
-    return SingleCopyStrategy(
-        state=maximally_entangled_ket(2).density(),
-        alice=(povm_from_observable(SIGMA_Z), povm_from_observable(SIGMA_X)),
-        bob=(povm_from_observable(bob0), povm_from_observable(bob1)),
-        m=2,
-        o=2,
-        label=f"fullstats({gamma:g},{delta:g})",
-    )
+    return _qubit_pair(maximally_entangled_ket(2),
+                       np.cos(gamma) * SIGMA_Z + np.sin(gamma) * SIGMA_X,
+                       np.sin(delta) * SIGMA_X - np.cos(delta) * SIGMA_Z,
+                       f"fullstats({gamma:g},{delta:g})")
 
 
 def check_visibilities(nus: Sequence[float]) -> None:
@@ -226,6 +220,20 @@ def compose(strategies: Sequence[SingleCopyStrategy], scheme: Scheme) -> Correla
     raise SchemeInputMismatch(f"unknown scheme {scheme!r}")
 
 
+def _copied_pair(n: int, shared: bool) -> CorrelationTable:
+    """Broadcast-shaped table of ``n`` copies of one chsh pair's outcomes ``(a, b)``, written to
+    every output slot as ``(a * 1...1, b * 1...1)`` and both XORed with the same mask: with
+    ``shared``, every one of the ``2^n`` masks at weight ``2^-n``, else the one mask 0."""
+    check_copies(n, 2)
+    size = 2 ** n
+    masks = np.arange(size if shared else 1)
+    p1 = single_copy_table(chsh_reference()).probs / len(masks)  # exact: a power of two
+    probs = np.zeros((2, 2, size, size))
+    for a, b in itertools.product(range(2), repeat=2):  # one (a, b) puts each mask in its own cell
+        probs[:, :, masks ^ (a * (size - 1)), masks ^ (b * (size - 1))] += p1[:, :, a, b, None]
+    return CorrelationTable._adopt(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
+
+
 def adversary_copy(n: int) -> CorrelationTable:
     """Broadcast-shaped table from a single shared pair whose one outcome is
     copied into all n output slots.
@@ -234,14 +242,7 @@ def adversary_copy(n: int) -> CorrelationTable:
     perfectly correlated across copies: conditioning on the first pair makes
     every later pair deterministic.
     """
-    check_copies(n, 2)
-    p1 = single_copy_table(chsh_reference()).probs
-    size = 2 ** n
-    probs = np.zeros((2, 2, size, size))
-    all_ones = size - 1
-    for a, b in itertools.product(range(2), repeat=2):
-        probs[:, :, a * all_ones, b * all_ones] = p1[:, :, a, b]
-    return CorrelationTable._adopt(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
+    return _copied_pair(n, shared=False)
 
 
 def adversary_shared_randomness(n: int) -> CorrelationTable:
@@ -252,19 +253,7 @@ def adversary_shared_randomness(n: int) -> CorrelationTable:
     Closed form: p(a, b | x, y) = P(parity s | x, y) / 2^n whenever all pairs
     share the parity s, and 0 otherwise.
     """
-    check_copies(n, 2)
-    p1 = single_copy_table(chsh_reference()).probs
-    parity_prob = np.zeros((2, 2, 2))
-    for a, b in itertools.product(range(2), repeat=2):
-        parity_prob[:, :, a ^ b] += p1[:, :, a, b]
-    size = 2 ** n
-    probs = np.zeros((2, 2, size, size))
-    all_ones = size - 1
-    for joint_a in range(size):
-        for s in range(2):
-            joint_b = joint_a ^ (s * all_ones)
-            probs[:, :, joint_a, joint_b] = parity_prob[:, :, s] / size
-    return CorrelationTable._adopt(Scheme.BROADCAST, (2,) * n, (2,) * n, probs)
+    return _copied_pair(n, shared=True)
 
 
 def tilted_chsh_reference(alpha: float, coefficients: BellExpression,
@@ -287,16 +276,9 @@ def tilted_chsh_reference(alpha: float, coefficients: BellExpression,
     # atan2 of (sin 2 theta, cos 2 theta) stays well conditioned as alpha -> 0.
     theta = 0.5 * math.atan2(math.sqrt(4.0 - alpha * alpha), alpha * math.sqrt(2.0))
     mu = math.atan(math.sin(2.0 * theta))
-    bob = tuple(povm_from_observable(math.cos(mu) * SIGMA_Z + sign * math.sin(mu) * SIGMA_X)
-                for sign in (1.0, -1.0))
-    return SingleCopyStrategy(
-        state=Ket([math.cos(theta), 0.0, 0.0, math.sin(theta)]).density(),
-        alice=(povm_from_observable(SIGMA_Z), povm_from_observable(SIGMA_X)),
-        bob=bob,
-        m=2,
-        o=2,
-        label=f"tilted-chsh({alpha:g})",
-    )
+    bob0, bob1 = (math.cos(mu) * SIGMA_Z + sign * math.sin(mu) * SIGMA_X for sign in (1.0, -1.0))
+    return _qubit_pair(Ket([math.cos(theta), 0.0, 0.0, math.sin(theta)]), bob0, bob1,
+                       f"tilted-chsh({alpha:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hypothesis import given, strategies as st
 
 from paraself.bell import (
     BellExpression,
+    CorrelationTable,
     Scheme,
     chsh_expression,
     table_to_json_dict,
@@ -85,6 +86,16 @@ def files(tmp_path_factory):
     paths["chsh2"].write_text(json.dumps(_table_doc([chsh_reference()] * 2)))
     paths["chsh1"] = root / "chsh1.json"
     paths["chsh1"].write_text(json.dumps(_table_doc([chsh_reference()])))
+    paths["percopy2"] = root / "percopy2.json"
+    paths["percopy2"].write_text(json.dumps(_table_doc([chsh_reference()] * 2, Scheme.PER_COPY)))
+    # A valid one-copy table of three outcomes, and two-copy chsh tables edited by hand.
+    paths["o3"] = root / "o3.json"
+    paths["o3"].write_text(json.dumps(table_to_json_dict(
+        CorrelationTable(Scheme.BROADCAST, (2,), (3,), np.full((2, 2, 3, 3), 1 / 9)))))
+    for key, edit in (("unequal_inputs", {"input_arities": [2, 3]}),
+                      ("three_copies", {"n_copies": 3})):
+        paths[key] = root / f"{key}.json"
+        paths[key].write_text(json.dumps({**_table_doc([chsh_reference()] * 2), **edit}))
     # Deterministic local copies: copy 2's prefixes with an outcome 1 are unreachable.
     det = local_deterministic([0, 0], [0, 0], o=2)
     paths["det2"] = root / "det2.json"
@@ -99,6 +110,10 @@ def files(tmp_path_factory):
     paths["huge_coeffs"] = root / "huge_coeffs.json"
     paths["huge_coeffs"].write_text(json.dumps(
         {"m": 2, "o": 2, "coeffs": (chsh_expression().coeffs * 1.7e308).tolist()}))
+    nan_coeffs = chsh_expression().coeffs.copy()
+    nan_coeffs[0, 0, 0, 0] = float("nan")
+    paths["nan_coeffs"] = root / "nan_coeffs.json"
+    paths["nan_coeffs"].write_text(json.dumps({"m": 2, "o": 2, "coeffs": nan_coeffs.tolist()}))
     # A JSON integer of 4,301 digits: json.loads refuses to convert it.
     paths["long_int"] = root / "long_int.json"
     paths["long_int"].write_text('{"m": ' + "1" * 4301 + "}")
@@ -194,6 +209,82 @@ def test_escaped_inputs_give_one_error_line(files, args, code, category):
     assert result.exit_code == code
     assert result.stderr.startswith(f"error: {category}: ")
     assert '"' not in result.stderr
+
+
+def _theorem2(table, reference):
+    return ["certify", "--table", table, "--protocol", "theorem2", "--reference", reference]
+
+
+ADVERSARY = ["simulate", "--strategy", "adversary-copy(2)"]
+SWEEP = ["sweep", "--copies", "2", "--nus"]
+
+
+# Error lines one CLI call away from a valid command, pinned whole.
+ERROR_LINES = [
+    pytest.param(_theorem2("{chsh2}", "{dir}/missing.json"), 2,
+                 "error: config: --reference: file not found: {dir}/missing.json",
+                 id="theorem2-reference-not-found"),
+    pytest.param(_theorem2("{chsh2}", "{chsh1}")[:-2], 2,
+                 "error: config: --reference: required for theorem2",
+                 id="theorem2-without-reference"),
+    pytest.param(ADVERSARY + ["--strategy", "chsh"], 2,
+                 "error: config: --strategy: adversary presets cannot be combined",
+                 id="adversary-combined"),
+    pytest.param(ADVERSARY + ["--copies", "3"], 2,
+                 "error: config: --copies: conflicts with the adversary's n parameter",
+                 id="adversary-copies-disagree"),
+    pytest.param(["simulate", "--strategy", "adversary-copy"], 2,
+                 "error: config: --copies: adversary-copy needs a copy count",
+                 id="adversary-without-copy-count"),
+    pytest.param(ADVERSARY + ["--noise", "0.9"], 2,
+                 "error: config: --noise: not applicable to adversary tables",
+                 id="adversary-noise"),
+    pytest.param(ADVERSARY + ["--scheme", "percopy"], 2,
+                 "error: config: --scheme: adversary tables are broadcast-shaped",
+                 id="adversary-percopy"),
+    pytest.param(_certify_theorem1("{chsh2}")[:-1] + ["x"], 2,
+                 "error: config: --beta: values must be numbers or the token 'oracle'",
+                 id="beta-non-numeric"),
+    pytest.param(SWEEP + ["a:1:0.1"], 2,
+                 "error: config: --nus: non-numeric range bound in 'a:1:0.1'",
+                 id="nus-non-numeric-bound"),
+    pytest.param(SWEEP + ["0:1:0"], 2, "error: config: --nus: range step must be positive",
+                 id="nus-zero-step"),
+    pytest.param(SWEEP + ["1:0:0.1"], 2, "error: config: --nus: empty range",
+                 id="nus-empty-range"),
+    pytest.param(["simulate", "--strategy", "fullstats(0.1)"], 2,
+                 "error: config: --strategy: fullstats takes exactly two parameters "
+                 "(gamma, delta)", id="fullstats-one-angle"),
+    pytest.param(["bounds", "--bell", "{nan_coeffs}"], 2,
+                 "error: input: /coeffs: coefficients contain NaN or Inf",
+                 id="expression-nan-coefficient"),
+    pytest.param(_certify_theorem1("{unequal_inputs}"), 2,
+                 "error: input: /input_arities: broadcast tables require a single shared "
+                 "input arity", id="broadcast-unequal-input-arities"),
+    pytest.param(_certify_theorem1("{three_copies}"), 2,
+                 "error: input: /n_copies: does not match 2 output arities",
+                 id="n-copies-disagree"),
+    pytest.param(["certify", "--table", "{percopy2}", "--protocol", "theorem3", "--bell", "chsh",
+                  "--beta", BETA], 3,
+                 "error: composition: conditional certification requires a broadcast table",
+                 id="theorem3-percopy"),
+    pytest.param(_theorem2("{percopy2}", "{chsh1}"), 3,
+                 "error: composition: full-statistics certification requires a broadcast table",
+                 id="theorem2-percopy"),
+    pytest.param(_theorem2("{chsh2}", "{chsh2}"), 3,
+                 "error: composition: reference must be a single-copy table",
+                 id="theorem2-two-copy-reference"),
+    pytest.param(_theorem2("{chsh2}", "{o3}"), 3,
+                 "error: composition: table copies do not match the reference arities",
+                 id="theorem2-reference-arities"),
+]
+
+
+@pytest.mark.parametrize("args,code,line", ERROR_LINES)
+def test_each_error_line_is_pinned(files, args, code, line):
+    result = _run([a.format(**files) for a in args])
+    assert (result.exit_code, result.stdout) == (code, "")
+    assert result.stderr.splitlines() == [line.format(**files)]
 
 
 TRUNCATED = "error: input: invalid JSON in {truncated}: Expecting value: line 1 column 7 (char 6)"

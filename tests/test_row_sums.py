@@ -1,7 +1,8 @@
 """Exactness of the vectorized sums in ``paraself.bell``.
 
-``_row_fsums`` of a ``[term, row]`` array (rows built here as lists and
-passed transposed) must equal ``math.fsum`` of every row bit for bit; the
+``_row_fsums`` of a ``[term, row]`` array (rows built here as lists, padded
+with zero terms to ``2^k >= 2`` as the conditioned buffer is, and passed
+transposed) must equal ``math.fsum`` of every row bit for bit; the
 certifiers must make only a few Python ``fsum`` calls, not one per row, and
 one walk over the table and one row-sum call, which walks the rows in
 blocks, per certification or batch.
@@ -33,6 +34,13 @@ CHSH_MAX = math.sqrt(8.0)
 
 def _fsums(rows):
     return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+def _sums(rows):
+    """``_row_fsums`` of ``rows`` given as ``[row, term]``, padded with zero terms to
+    ``2^k >= 2`` of them."""
+    width = max(2, 1 << (rows.shape[1] - 1).bit_length())
+    return _row_fsums(np.pad(rows, [(0, 0), (0, width - rows.shape[1])]).T)
 
 
 def _assert_same_bits(got, want):
@@ -67,7 +75,7 @@ def term_rows(draw):
 @settings(max_examples=300)
 @given(term_rows())
 def test_row_fsums_equal_fsum_bit_for_bit(rows):
-    _assert_same_bits(_row_fsums(rows.T), _fsums(rows))
+    _assert_same_bits(_sums(rows), _fsums(rows))
 
 
 @pytest.mark.parametrize("kind", ["normal", "magnitudes", "cancel", "quarters", "subnormal",
@@ -90,7 +98,7 @@ def test_row_fsums_equal_fsum_on_seeded_batches(kind):
         x = rng.choice([1.0, -1.0, 2.0 ** -53, -2.0 ** -53, 3 * 2.0 ** -53, 2.0 ** -106, -0.0],
                        size=x.shape)
     x = rng.permuted(x, axis=1)
-    _assert_same_bits(_row_fsums(x.T), _fsums(x))
+    _assert_same_bits(_sums(x), _fsums(x))
 
 
 def _counting_fsum(monkeypatch):
@@ -113,13 +121,13 @@ def test_row_fsums_fall_back_to_fsum_near_a_midpoint(monkeypatch):
                      [1.0, 2.0 ** -53, 0.0]])
     want = _fsums(rows)
     calls = _counting_fsum(monkeypatch)
-    got = _row_fsums(rows.T)
+    got = _sums(rows)
     _assert_same_bits(got, want)
     assert got[0] == math.nextafter(1.0, 2.0)
     assert len(calls) == 2  # the exact midpoint in row 3 needs no fallback
 
 
-# The trees read rows of a power-of-two width where they lie and pad others; a
+# The trees read rows of a power-of-two width, padded here with zero terms; a
 # partial sum of fsum's can overflow where the trees' halves cancel, as in the
 # last row, so large terms go to fsum even when the trees' sum is finite.  No
 # numpy RuntimeWarning may escape.
@@ -141,9 +149,9 @@ def test_row_fsums_hand_non_finite_rows_to_fsum(row, outcome):
         with pytest.raises(outcome):
             math.fsum(row)
         with pytest.raises(outcome):
-            _row_fsums(rows.T)
+            _sums(rows)
         return
-    got = _row_fsums(rows.T)
+    got = _sums(rows)
     assert got[0] == 0.75
     if outcome is None:
         assert math.isnan(got[1]) and math.isnan(math.fsum(row))
@@ -167,9 +175,9 @@ def test_row_fsums_sum_the_first_axis_of_a_strided_view(monkeypatch):
 
 def test_row_fsums_give_positive_zero():
     rows = np.array([[-0.0, -0.0], [1.0, -1.0], [-0.0, 0.0]])
-    got = _row_fsums(rows.T)
+    got = _sums(rows)
     assert np.array_equal(got.view(np.uint64), np.zeros(3, dtype=np.uint64))
-    assert _row_fsums(np.zeros((0, 2))).tolist() == [0.0, 0.0]
+    assert _sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
 
 
 def test_certifiers_make_few_python_fsum_calls(monkeypatch):

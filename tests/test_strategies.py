@@ -283,6 +283,22 @@ def test_adversary_shared_randomness_preserves_pair_parity():
             assert np.all(table.probs[:, :, a, b] == 0.0)
 
 
+@pytest.mark.parametrize("n", range(2, MAX_COPIES + 1))
+def test_adversaries_equal_their_closed_forms_bit_for_bit(n):
+    # Cell by cell: the copied pair's outcomes in every slot, and each pair
+    # parity's probability spread evenly over the 2^n outputs of Alice.
+    p1, size = single_copy_table(chsh_reference()).probs, 2 ** n
+    ones = size - 1
+    copied, shared = np.zeros((2, 2, size, size)), np.zeros((2, 2, size, size))
+    for a, b in itertools.product(range(2), repeat=2):
+        copied[:, :, a * ones, b * ones] = p1[:, :, a, b]
+    parity = [p1[:, :, 0, 0] + p1[:, :, 1, 1], p1[:, :, 0, 1] + p1[:, :, 1, 0]]
+    for joint_a, s in itertools.product(range(size), range(2)):
+        shared[:, :, joint_a, joint_a ^ (s * ones)] = parity[s] / size
+    for table, want in ((adversary_copy(n), copied), (adversary_shared_randomness(n), shared)):
+        assert np.array_equal(table.probs.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("build", [adversary_copy, adversary_shared_randomness])
 def test_adversaries_require_at_least_two_copies(build):
     with pytest.raises(SchemeInputMismatch):
