@@ -60,11 +60,6 @@ from .qcore import effect_products, stack_effects
 if TYPE_CHECKING:  # pragma: no cover
     from .strategies import SingleCopyStrategy
 
-# Prefixes with probability at or below this floor make conditional values
-# undefined; certification demands strict positivity but fixes no numeric
-# floor, so one is pinned here.  Only ``reachable`` compares against it.
-POSITIVITY_THRESHOLD = 1e-12
-
 # Hard cap on deterministic-strategy enumeration (o^(2m) assignments).
 ENUMERATION_CAP = 10**8
 
@@ -339,8 +334,8 @@ def _copy_joints(probs: np.ndarray, oa: tuple, own: bool) -> list:
 
 
 def reachable(prob: np.ndarray) -> np.ndarray:
-    """Where a probability is above the positivity floor, so conditioning on it is defined."""
-    return prob > POSITIVITY_THRESHOLD
+    """Where a probability is strictly positive, so conditioning on it is defined."""
+    return prob > 0
 
 
 def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
@@ -360,8 +355,9 @@ def _two_sum_tree(level: np.ndarray, errors: np.ndarray) -> np.ndarray:
 
 def _row_fsums(terms: np.ndarray) -> np.ndarray:
     """``math.fsum`` over the ``2^k >= 2`` terms on the first axis of ``terms`` for every row (index
-    of the other axes), bit for bit, in blocks of ``_MARGINAL_CHUNK`` entries along the last axis,
-    read where they lie: the ``[term, row]`` buffer of :func:`_conditioned_terms` or a view of it.
+    of the other axes), bit for bit, in blocks along the last axis of at most ``_MARGINAL_CHUNK``
+    entries and ``_MARGINAL_CHUNK // 32`` rows (which bounds a sum of few terms), read where they
+    lie: the ``[term, row]`` buffer of :func:`_conditioned_terms` or a view of it.
 
     A TwoSum tree over the term axis gives the float sum ``s`` and every exact error; a
     second tree sums those to ``e`` and leaves a remainder (Ogita, Rump, Oishi, SIAM J.
@@ -370,7 +366,7 @@ def _row_fsums(terms: np.ndarray) -> np.ndarray:
     or could overflow a partial sum (of the trees or of ``fsum``), go to ``math.fsum``.
     A zero sum is ``+0.0``."""
     out = np.empty(terms.shape[1:])
-    step = max(1, _MARGINAL_CHUNK // (len(terms) * math.prod(out.shape[:-1])))
+    step = max(1, _MARGINAL_CHUNK // (max(len(terms), 32) * math.prod(out.shape[:-1])))
     for start in range(0, out.shape[-1], step):
         _block_fsums(terms[..., start:start + step], out[..., start:start + step])
     return out

@@ -20,7 +20,7 @@ serve the whole batch, and no table object is built.
 Reports never short-circuit: every copy is evaluated so diagnostics are
 complete; the one exception is theorem 2 with a reference that is not strictly
 positive, which returns copy 1 only.  A copy whose conditional values are
-undefined because some prefix has (numerically) zero probability is reported
+undefined because some prefix has no positive probability is reported
 with the average taken over the well-defined prefixes (keeping the full prefix
 count as divisor) plus a diagnostic naming the offending prefixes; the verdict
 is then
@@ -182,13 +182,12 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     over the copies' spans reads each copy's deviation, worst prefix,
     unreachable prefixes (from the mask its conditioning returns, so no
     prefix is judged twice) and correlator deviation, and writes its lines.
-    A copy with an unreachable prefix scores at least 1.0; its deviation
-    counts only the prefixes reachable at every input pair.  Such copies
-    follow all others, so for binary outcomes copy 1's correlators and each
-    earlier copy's largest correlator deviation come from one row-sum call
-    (equal to ``math.fsum``) over the rows before the first of them where they
-    lie, the ``(0, 1)`` and ``(1, 0)`` rows negated in place for it and back
-    (exact), and the reference's from ``math.fsum``.
+    A copy with an unreachable prefix scores at least 1.0; its deviation counts only the
+    prefixes reachable at every input pair, and it prints no correlators.  For binary outcomes,
+    copy 1's correlators and each later copy's largest correlator deviation come from one
+    row-sum call (equal to ``math.fsum``) over the whole buffer where it lies, the ``(0, 1)``
+    and ``(1, 0)`` rows negated in place for it and back (exact), and the reference's from
+    ``math.fsum``.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -211,13 +210,10 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                                       table.output_arities)
     rows = terms[:o * o * m * m].reshape(o, o, m, m, -1)  # [a, b, x, y, row]
     ref = reference.probs.transpose(2, 3, 0, 1)[..., None]
-    # A prefix unreachable at (x, y) has an unreachable extension there, so the copies with
-    # an unreachable prefix follow the others, whose rows [0, end) print correlators.
-    end = next((s for s, _, mask, _ in spans if mask is not None), rows.shape[-1]) if o == 2 else 0
-    if end:
+    if o == 2:
         ref_corr = np.array([[math.fsum((p * [[1, -1], [-1, 1]]).flat) for p in probs]
                              for probs in reference.probs])  # [x, y]
-        corr_terms = rows[..., :end].reshape(4, m, m, end, copy=False)  # [ab, x, y, row], a view
+        corr_terms = rows.reshape(4, m, m, -1, copy=False)  # [ab, x, y, row], a view
         np.negative(corr_terms[1:3], out=corr_terms[1:3])  # the -1 signs of ab = 01, 10: exact
         corr = _row_fsums(corr_terms)  # [x, y, row]
         np.negative(corr_terms[1:3], out=corr_terms[1:3])  # undone, as exactly
@@ -229,12 +225,12 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     worst = []  # of copies 1..n
     for i, (start, count, mask, _) in enumerate(spans, 1):
         dev, low = row_dev[start:start + count], o ** (i - 1)
-        if i > 1 and start < end:
-            copy_dev = corr_dev[:, :, start:start + count].max(axis=2).tolist()
-            diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
-                            f"{copy_dev[x][y]:.3e} over all prefixes"
-                            for x in range(m) for y in range(m)]
         if mask is None:
+            if i > 1 and o == 2:
+                copy_dev = corr_dev[:, :, start:start + count].max(axis=2).tolist()
+                diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
+                                f"{copy_dev[x][y]:.3e} over all prefixes"
+                                for x in range(m) for y in range(m)]
             worst.append(float(dev.max()))
             if i > 1 and worst[-1] > tol:
                 row = int(np.argmax(dev))  # the first worst prefix

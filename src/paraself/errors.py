@@ -24,8 +24,8 @@ class ShapeMismatch(ParaselfError):
 
 
 class ZeroPrefixProbability(ParaselfError):
-    """A conditional distribution was requested on a prefix of (numerically)
-    zero probability, so the conditional value is undefined."""
+    """A conditional distribution was requested on a prefix whose probability
+    is not positive, so the conditional value is undefined."""
 
     def __init__(self, copy_index: int, prefix_a: int, prefix_b: int,
                  x: int, y: int, probability: float):

@@ -93,10 +93,6 @@ class Ket:
             raise ValueError(f"ket norm {norm} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _frozen(arr))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 

@@ -171,8 +171,14 @@ def born_tables(s: SingleCopyStrategy, rhos: np.ndarray) -> np.ndarray:
     residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_TOL:
         raise NonrealResult(f"probability has imaginary part {residue:.3e}")
-    # Clip losses from trace round-off; values are within 1e-15 of [0, 1].
-    return np.clip(values.real, 0.0, 1.0)
+    # Each entry sums d^2 products of the effect product's entries (moduli at most 1) and the
+    # state's (moduli summing to at most d) over 2d - 1 additions: with the rounding of the
+    # inputs it is within (2d + 4) d u (u = 2^-53, 5.3e-15 at d = 4) of the exact value, so an
+    # entry within that bound of zero is round-off of an exact zero and becomes 0.0.
+    d = rhos.shape[-1]
+    probs = np.clip(values.real, 0.0, 1.0)
+    probs[probs <= (2 * d + 4) * d * np.finfo(float).eps / 2] = 0.0
+    return probs
 
 
 def single_copy_table(s: SingleCopyStrategy) -> CorrelationTable:

@@ -109,7 +109,7 @@ def copy_kernel(table, i: int) -> tuple:
 def conditional_values(table, expr, i: int) -> np.ndarray:
     """``values[prefix_a, prefix_b]``: one ``fsum`` of the expression times
     each conditional distribution of copy ``i > 1`` from the kernel (zero on
-    a prefix at or below the positivity threshold)."""
+    a prefix whose probability is not positive)."""
     cond, _ = copy_kernel(table, i)
     low = cond.shape[2]
     return np.array([[math.fsum((expr.coeffs * cond[:, :, pa, pb]).ravel())

@@ -4,14 +4,16 @@ Each is a plain single-entry or per-call form of something the package
 computes in bulk: the Born rule of one outcome pair, the largest eigenvalue
 of a Hermitian matrix, mixed-radix joint indices, the value of an expression
 on a single-copy table, a two-outcome correlator, one copy's marginal in one
-numpy sum, the raising form of one copy's ``conditional_means`` entry, the
-expression and text writers, and a local deterministic strategy.  The qubit
-identity, which only the qubit tests build effects from, lives here too.
+numpy sum, the raising form of one copy's ``conditional_means`` entry, each
+broadcast copy's mean in exact rational arithmetic, the expression and text
+writers, and a local deterministic strategy.  The qubit identity, which only
+the qubit tests build effects from, lives here too.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -142,6 +144,27 @@ def j_value(table: CorrelationTable, exprs: Sequence[BellExpression], i: int) ->
     if error is not None:
         raise error
     return value
+
+
+def exact_broadcast_means(table: CorrelationTable, exprs: Sequence[BellExpression]) -> list:
+    """Each copy's mean with ``exprs[i - 1]`` as a :class:`~fractions.Fraction`, computed
+    exactly from the doubles of a broadcast table whose prefixes all have positive
+    probability: the exact joint of copies ``1..i`` (later copies summed out), its exact
+    prefix sums and the ratios of the two, and the average over the prefixes of the
+    expression's value on each.  Copy 1's value is its exact marginal's, undivided."""
+    m, oa = table.input_arities[0], table.output_arities
+    exact = np.vectorize(Fraction, otypes=[object])
+    joint = exact(table.probs).reshape((m, m) + oa[::-1] * 2)  # [x, y, a_n..a_1, b_n..b_1]
+    means = []
+    for i in range(len(oa), 0, -1):
+        low = math.prod(oa[:i - 1])
+        block = joint.reshape(m, m, oa[i - 1], low, oa[i - 1], low)  # [x, y, a_i, pa, b_i, pb]
+        if i > 1:
+            block = block / block.sum(axis=(2, 4))[:, :, None, :, None, :]
+        coeffs = exact(exprs[i - 1].coeffs)[:, :, :, None, :, None]
+        means.append((coeffs * block).sum() / (low * low))
+        joint = joint.sum(axis=(2, 2 + i))  # copy i summed out
+    return means[::-1]
 
 
 def expression_to_json_dict(expr: BellExpression) -> dict:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from paraself.bell import (
     builtin_expression,
     builtin_quantum_maximum,
     chsh_expression,
+    conditional_means,
     quantum_value_fixed_measurements,
     reachable,
     table_from_json_dict,
@@ -28,8 +30,9 @@ from paraself.certify import (
     certify_theorem4,
     sweep_noise,
 )
-from paraself.errors import SchemeInputMismatch, UnsupportedDimension, ZeroPrefixProbability
-from paraself.qcore import SIGMA_X, SIGMA_Z, Ket, povm_from_observable
+from paraself.errors import (SchemeInputMismatch, ShapeMismatch, UnsupportedDimension,
+                             ZeroPrefixProbability)
+from paraself.qcore import SIGMA_PLUS, SIGMA_X, SIGMA_Z, Ket, povm_from_observable
 from paraself.strategies import (
     MAX_COPIES,
     SingleCopyStrategy,
@@ -47,7 +50,7 @@ from paraself.strategies import (
 
 from conftest import (certification, kernels, random_projective_povm, random_state,
                       random_strategy, traced_peak)
-from reference import correlator, j_value, local_deterministic
+from reference import correlator, exact_broadcast_means, j_value, local_deterministic
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 
@@ -412,6 +415,161 @@ def test_honest_tables_pass_at_the_cap(case):
     # What these certifications allocate are rows of tests/test_memory.py.
     run, _ = certification(case)
     assert run().verdict == "pass"
+
+
+TILTS = [0.5, 1.5, 1.8, 1.99]
+EXIT_CODES = {"pass": 0, "fail": 1, "precondition-violated": 4}
+
+
+def _tilted(alpha):
+    expr = tilted_chsh_expression(alpha)
+    return tilted_chsh_reference(alpha, expr), expr, builtin_quantum_maximum(expr.label)
+
+
+def _mix(alpha, n):
+    """``(strategies, expressions, targets)`` of ``n`` copies alternating tilted-chsh(alpha)
+    and chsh, the tilted copy first."""
+    tilted, chsh = _tilted(alpha), (chsh_reference(), chsh_expression(), CHSH_MAX)
+    return tuple(zip(*([tilted, chsh] * 3)[:n]))
+
+
+def _simulated(tmp_path, *args):
+    """The path of the table that ``simulate`` writes with ``args``."""
+    from click.testing import CliRunner
+
+    from paraself.cli import main
+
+    path = tmp_path / f"table{len(list(tmp_path.iterdir()))}.json"
+    assert CliRunner().invoke(main, ["simulate", "--out", str(path), *args]).exit_code == 0
+    return path
+
+
+def _cli_verdict(path, *args):
+    """The verdict of ``certify`` on the table at ``path``; its exit code must be the
+    verdict's, so exit 1 goes with ``fail`` only."""
+    from click.testing import CliRunner
+
+    from paraself.cli import main
+
+    result = CliRunner().invoke(main, ["certify", "--table", str(path), *args])
+    verdict = json.loads(result.stdout)["verdict"]
+    assert result.exit_code == EXIT_CODES[verdict], (verdict, result.exit_code)
+    return verdict
+
+
+# Honest products pass at every n: no prefix of a product of strictly positive tables has
+# probability 0, however small it gets (down to 9.3e-43 for tilted-chsh(1.99)^6).
+@pytest.mark.parametrize("n", range(1, MAX_COPIES + 1))
+@pytest.mark.parametrize("alpha", TILTS)
+def test_honest_tilted_products_pass_theorems_1_and_3(alpha, n):
+    strategy, expr, beta = _tilted(alpha)
+    table = compose([strategy] * n, Scheme.BROADCAST)
+    assert certify_theorem1(table, expr, beta).verdict == "pass"
+    strategies, exprs, betas = _mix(alpha, n)
+    assert certify_theorem3(compose(strategies, Scheme.BROADCAST), exprs, betas).verdict == "pass"
+
+
+@pytest.mark.parametrize("n", range(1, MAX_COPIES + 1))
+def test_honest_fullstats_products_pass_theorem2(n):
+    fullstats = fullstats_reference(0.1, 0.2)
+    table = compose([fullstats] * n, Scheme.BROADCAST)
+    assert certify_theorem2(table, single_copy_table(fullstats)).verdict == "pass"
+
+
+def test_honest_products_pass_through_the_cli(tmp_path):
+    # One n per family, each with prefixes of probability below 1e-12.
+    tilted = ["--bell", "tilted-chsh(1.99)"]
+    table = _simulated(tmp_path, "--strategy", "tilted-chsh(1.99)", "--copies", "4")
+    assert _cli_verdict(table, "--protocol", "theorem1", *tilted, "--beta", "oracle") == "pass"
+    table = _simulated(tmp_path, *["--strategy", "tilted-chsh(1.99)", "--strategy", "chsh"] * 2,
+                       "--strategy", "tilted-chsh(1.99)")
+    assert _cli_verdict(table, "--protocol", "theorem3", *(tilted + ["--bell", "chsh"]) * 2,
+                        *tilted, "--beta", "oracle") == "pass"
+    reference = _simulated(tmp_path, "--strategy", "fullstats(0.1,0.2)", "--copies", "1")
+    table = _simulated(tmp_path, "--strategy", "fullstats(0.1,0.2)", "--copies", "6")
+    assert _cli_verdict(table, "--protocol", "theorem2", "--reference", str(reference)) == "pass"
+    # The copying adversary at n = 4 fails, with exit 1.
+    table = _simulated(tmp_path, "--strategy", "adversary-copy(4)")
+    assert _cli_verdict(table, "--protocol", "theorem1", "--bell", "chsh",
+                        "--beta", "oracle") == "fail"
+
+
+def _aligned_product_strategy():
+    """Both sides hold cos(pi/8)|0> + sin(pi/8)|1>, the +1 eigenvector of SIGMA_PLUS, and
+    measure SIGMA_PLUS and SIGMA_Z: every outcome -1 of SIGMA_PLUS has probability 0."""
+    side = [np.cos(np.pi / 8), np.sin(np.pi / 8)]
+    povms = (povm_from_observable(SIGMA_PLUS), povm_from_observable(SIGMA_Z))
+    return SingleCopyStrategy(Ket(np.kron(side, side)).density(), povms, povms, m=2, o=2,
+                              label="aligned")
+
+
+def test_born_rule_round_off_of_a_zero_is_an_exact_zero():
+    # The Born rule gives these zeros as 6.2e-18 to 7.6e-17; kept, they would make copy 2's
+    # prefixes reachable and theorem 2 pass on a reference that is not strictly positive.
+    strategy = _aligned_product_strategy()
+    reference = single_copy_table(strategy)
+    assert np.count_nonzero(reference.probs == 0.0) == 7
+    square = compose([strategy] * 2, Scheme.BROADCAST)
+    (_, first1), (value2, first2) = conditional_means([square], [chsh_expression()] * 2)[0]
+    assert first1 is None
+    assert (first2.copy_index, first2.prefix_a, first2.prefix_b, first2.x, first2.y) == (
+        2, 0, 1, 0, 0)
+    assert value2 == pytest.approx(0.4786, abs=1e-4)
+    assert certify_theorem2(square, reference).verdict == "precondition-violated"
+
+
+def _gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u) for u = 2^-53, exactly."""
+    return Fraction(k, 2 ** 53 - k)
+
+
+def _mean_error_bound(o: int, n: int, i: int) -> Fraction:
+    """A bound, in units of the expression's absolute coefficient sum, on the distance of
+    copy ``i``'s computed mean from the exact mean of a broadcast table of ``n`` copies of
+    ``o`` outputs with non-negative entries (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., lemma 3.3 and section 4.2).
+
+    The walk sums copies out from the last, each by o^2 - 1 additions of slabs, so the joint
+    of copies 1..j is exact up to a factor 1 + theta_{(o^2 - 1)(n - j)}.  Copy 1's row is its
+    marginal; a later copy's row is a joint entry over its prefix probability, a quotient
+    (1 + theta_j) / (1 + theta_l) = 1 + theta_{j + 2l} for l > j, then rounded once.  The
+    weight product adds one rounding per term, and the row's sum, the sum over the prefixes
+    and the divide by their count one each: every term of the mean carries 1 + theta_k, and
+    the terms' absolute sum is at most the coefficient sum, since each row is a distribution.
+    The bound grows linearly in n."""
+    s = o * o - 1
+    k = s * (n - 1) if i == 1 else s * (n - i) + 2 * s * (n - i + 1) + 1
+    return _gamma(k + 4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha", [1.99, 1.999])
+def test_theorem1_values_lie_within_the_walks_error_bound(alpha, n):
+    # Prefixes down to 1.5e-23 (alpha = 1.999, n = 3) condition as accurately as any other.
+    strategy, expr, beta = _tilted(alpha)
+    table = compose([strategy] * n, Scheme.BROADCAST)
+    coeff_sum = sum(Fraction(abs(c)) for c in expr.coeffs.ravel())
+    exact = exact_broadcast_means(table, [expr] * n)
+    for i, (check, want) in enumerate(zip(certify_theorem1(table, expr, beta).per_copy, exact), 1):
+        assert abs(Fraction(check.value) - want) <= _mean_error_bound(2, n, i) * coeff_sum, i
+
+
+# Each certifier's raise that no other test reaches: with it removed, the call returns.
+CERTIFY_RAISES = [
+    pytest.param(lambda: certify_theorem3(compose([chsh_reference()] * 2, Scheme.BROADCAST),
+                                          [chsh_expression()] * 2, [CHSH_MAX]),
+                 ShapeMismatch, "need 2 targets, got 1", id="theorem3-target-count"),
+    pytest.param(lambda: certify_theorem4(compose([chsh_reference()] * 2, Scheme.PER_COPY),
+                                          [chsh_expression()] * 2, [CHSH_MAX] * 3),
+                 ShapeMismatch, "need 2 targets, got 3", id="theorem4-target-count"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", CERTIFY_RAISES)
+def test_each_certify_raise_is_pinned(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_theorem3_mixed_copies_pass_with_oracle_targets():

@@ -51,18 +51,18 @@ CONTRACT = {
     "means-percopy-chsh5": (1 / 4, 0),
     "theorem4-percopy-chsh5": (1 / 4, 0),
     # Row sums free each block's temporaries before the next: the means of a
-    # stack of 16 broadcast chsh^6 tables, whose rows take six blocks, hold the
-    # stack and its conditioned buffer.
-    "means-broadcast-chsh6x16": (3.6, 0),
+    # stack of 16 broadcast chsh^6 tables, whose rows take eleven blocks of at
+    # most 2,048 rows, hold the stack and its conditioned buffer.
+    "means-broadcast-chsh6x16": (3.2, 0),
     # One conditioned [term, row] buffer, a third larger than the table at
-    # o = 2, and its row sums' temporaries, which dominate theorem 2 when every
-    # prefix is reachable; theorem 2 on fullstats(0.1,0.2)^6 stops before copy 6,
-    # one of whose prefixes the positivity threshold calls unreachable.
+    # o = 2, and its row sums' temporaries.  Theorem 2 on fullstats^6 certifies
+    # all six copies (every prefix reachable) and sums its 4-term correlators
+    # over 5,460 rows in three blocks of at most 2,048 rows.
     "theorem1-chsh6": (6.0, 0),
     "theorem3-mix6": (6.0, 0),
     "theorem2-fullstats(0.1,0.2)^5": (6.6, 0),
     "theorem2-fullstats(0.1,0.2)^6": (4.0, 0),
-    "theorem2-fullstats(0.7,0.78)^6": (6.5, 0),
+    "theorem2-fullstats(0.7,0.78)^6": (3.85, 0),
     # Composing keeps the product and its last factor; at n = 5 numpy's fixed
     # 128 KiB broadcasting buffers do not count.
     "compose-percopy-chsh5": (1.25, 0),

@@ -17,7 +17,6 @@ from hypothesis import assume, given, strategies as st
 
 from paraself import bell
 from paraself.bell import (
-    POSITIVITY_THRESHOLD,
     BellExpression,
     CorrelationTable,
     Scheme,
@@ -108,7 +107,7 @@ def test_conditional_slices_are_normalized(seed):
     cond, prefix_prob = copy_kernel(table, 2)
     for pa, pb in itertools.product(range(copies[0].o), repeat=2):
         sums = cond[:, :, pa, pb].sum(axis=(2, 3))
-        defined = prefix_prob[:, :, pa, pb] > 1e-12
+        defined = prefix_prob[:, :, pa, pb] > 0
         assert np.max(np.abs(sums[defined] - 1.0)) <= 1e-9
 
 
@@ -237,7 +236,7 @@ def _oracle_slice(table, i, pa, pb):
     m = table.input_arities[0]
     block = joint.reshape(m, m, oi, low, oi, low)[:, :, :, pa, :, pb]
     prefix_prob = _sum_out_copy(joint, table.output_arities[:i], i - 1)[0][:, :, pa, pb]
-    positive = prefix_prob > POSITIVITY_THRESHOLD
+    positive = prefix_prob > 0
     safe = np.where(positive, prefix_prob, 1.0)
     return np.where(positive[:, :, None, None], block / safe[:, :, None, None], 0.0), prefix_prob
 
@@ -252,7 +251,7 @@ def _oracle_j_value(table, expr, i):
     values, first = [], None
     for pa, pb in itertools.product(range(low), repeat=2):
         cond, prefix_prob = _oracle_slice(table, i, pa, pb)
-        bad = np.argwhere(relevant & (prefix_prob <= POSITIVITY_THRESHOLD))
+        bad = np.argwhere(relevant & (prefix_prob <= 0))
         if bad.size:
             first = first or (pa, pb, *(int(v) for v in bad[0]))
             continue
@@ -267,7 +266,7 @@ def _oracle_theorem2_values(table, reference):
         worst, unreachable = 0.0, False
         for pa, pb in itertools.product(range(low), repeat=2):
             cond, prefix_prob = _oracle_slice(table, i, pa, pb)
-            if np.any(prefix_prob <= POSITIVITY_THRESHOLD):
+            if np.any(prefix_prob <= 0):
                 unreachable = True
                 continue
             worst = max(worst, float(np.max(np.abs(cond - reference.probs))))

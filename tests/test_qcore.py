@@ -203,6 +203,27 @@ def test_each_matrix_is_coerced_once(monkeypatch):
     assert len(calls) == 3
 
 
+# Validation raises that no other test reaches, one call each: with its raise removed, each
+# call returns or raises something else.
+VALIDATION_RAISES = [
+    pytest.param(lambda: qcore.as_complex_matrix(np.zeros((2, 3))), DimensionMismatch,
+                 "expected a square matrix, got shape (2, 3)", id="matrix-not-square"),
+    pytest.param(lambda: qcore.as_complex_matrix(np.zeros((0, 0))), DimensionMismatch,
+                 "matrix dimension must be >= 1", id="matrix-empty"),
+    pytest.param(lambda: Ket([]), DimensionMismatch, "ket dimension must be >= 1",
+                 id="ket-empty"),
+    pytest.param(lambda: Ket([np.nan, 1.0]), ValueError, "ket contains NaN or Inf amplitudes",
+                 id="ket-not-finite"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", VALIDATION_RAISES)
+def test_each_validation_raise_is_pinned(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_ket_requires_unit_norm():
     with pytest.raises(ValueError):
         Ket(np.array([1.0, 1.0]))

@@ -16,15 +16,18 @@ from paraself.bell import (
 )
 from paraself.errors import (
     InvalidAngles,
+    NonrealResult,
     SchemeInputMismatch,
     UnsupportedDimension,
 )
+from paraself.qcore import SIGMA_Z, Povm, povm_from_observable
 from paraself.strategies import (
     MAX_COPIES,
     SingleCopyStrategy,
     adversary_copy,
     adversary_shared_randomness,
     apply_isotropic_noise,
+    born_tables,
     chsh_reference,
     compose,
     fullstats_reference,
@@ -45,6 +48,39 @@ def test_strategy_rejects_state_that_is_not_a_density_matrix():
         SingleCopyStrategy(np.eye(4) / 4, s.alice, s.bob, m=2, o=2)
     with pytest.raises(TypeError, match=r"alice\[0\] is not a Povm"):
         SingleCopyStrategy(s.state, (s.alice[0].effects, s.alice[1]), s.bob, m=2, o=2)
+
+
+CHSH = chsh_reference()
+QUBIT_Z = povm_from_observable(SIGMA_Z)
+QUTRIT_Z = povm_from_observable(np.diag([1.0, -1.0, -1.0]))
+THREE_OUTCOMES = Povm(QUBIT_Z.effects + (np.zeros((2, 2)),))
+
+# Raises that no other test reaches, one call each: with its raise removed, each call
+# returns or raises something else.
+STRATEGY_RAISES = [
+    pytest.param(lambda: SingleCopyStrategy(CHSH.state, CHSH.alice[:1], CHSH.bob, m=2, o=2),
+                 SchemeInputMismatch, "expected 2 POVMs per party, got 1/2", id="povm-count"),
+    pytest.param(lambda: SingleCopyStrategy(CHSH.state, CHSH.alice, (CHSH.bob[0], THREE_OUTCOMES),
+                                            m=2, o=2),
+                 SchemeInputMismatch, "bob[1] has 3 effects, expected 2", id="outcome-count"),
+    pytest.param(lambda: SingleCopyStrategy(CHSH.state, (QUBIT_Z, QUTRIT_Z), CHSH.bob, m=2, o=2),
+                 SchemeInputMismatch, "effect dimensions differ between inputs",
+                 id="effect-dimensions"),
+    pytest.param(lambda: SingleCopyStrategy(CHSH.state, (QUTRIT_Z,) * 2, CHSH.bob, m=2, o=2),
+                 SchemeInputMismatch, "state dim 4 != 3 * 2", id="state-dimension"),
+    pytest.param(lambda: born_tables(CHSH, (np.eye(4) / 4 + 0.1j * np.eye(4))[None]),
+                 NonrealResult, "probability has imaginary part 1.000e-01",
+                 id="born-rule-not-hermitian"),
+    pytest.param(lambda: compose([CHSH], "broadcast"), SchemeInputMismatch,
+                 "unknown scheme 'broadcast'", id="compose-scheme"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", STRATEGY_RAISES)
+def test_each_strategy_raise_is_pinned(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_chsh_reference_attains_quantum_maximum():
