@@ -7,7 +7,8 @@ on a single-copy table, a two-outcome correlator, one copy's marginal in one
 numpy sum, the raising form of one copy's ``conditional_means`` entry, each
 broadcast copy's mean in exact rational arithmetic, the expression and text
 writers, and a local deterministic strategy.  The qubit identity, which only
-the qubit tests build effects from, lives here too.
+the qubit tests build effects from, and the exit code README gives each
+verdict live here too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from paraself.qcore import IMAG_TOL, DensityMatrix, Povm, as_complex_matrix, req
 from paraself.strategies import SingleCopyStrategy
 
 IDENTITY_2 = np.eye(2, dtype=complex)
+
+VERDICT_EXITS = {"pass": 0, "fail": 1, "precondition-violated": 4}
 
 
 def born_probability(state, effect_a, effect_b) -> float:

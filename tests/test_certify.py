@@ -50,7 +50,8 @@ from paraself.strategies import (
 
 from conftest import (certification, kernels, random_projective_povm, random_state,
                       random_strategy, traced_peak)
-from reference import correlator, exact_broadcast_means, j_value, local_deterministic
+from reference import (VERDICT_EXITS, correlator, exact_broadcast_means, j_value,
+                       local_deterministic)
 
 CHSH_MAX = 2.0 * np.sqrt(2.0)
 
@@ -418,7 +419,6 @@ def test_honest_tables_pass_at_the_cap(case):
 
 
 TILTS = [0.5, 1.5, 1.8, 1.99]
-EXIT_CODES = {"pass": 0, "fail": 1, "precondition-violated": 4}
 
 
 def _tilted(alpha):
@@ -453,7 +453,7 @@ def _cli_verdict(path, *args):
 
     result = CliRunner().invoke(main, ["certify", "--table", str(path), *args])
     verdict = json.loads(result.stdout)["verdict"]
-    assert result.exit_code == EXIT_CODES[verdict], (verdict, result.exit_code)
+    assert result.exit_code == VERDICT_EXITS[verdict], (verdict, result.exit_code)
     return verdict
 
 

@@ -32,9 +32,8 @@ from paraself import cli
 from paraself.cli import main
 from paraself.strategies import chsh_reference, compose, fullstats_reference
 
-from reference import expression_to_json_dict, local_deterministic
+from reference import VERDICT_EXITS, expression_to_json_dict, local_deterministic
 
-VERDICT_EXITS = {"pass": 0, "fail": 1, "precondition-violated": 4}
 BETA = "2.8284271247461903"
 
 
