@@ -200,13 +200,13 @@ def builtin_quantum_maximum(name: str) -> float:
     return math.sqrt(8.0 + 2.0 * alpha * alpha)
 
 
-def _check_probs(arr: np.ndarray) -> None:
-    """Raise unless every entry of the ``[..., X, Y, A, B]`` stack ``arr`` is finite
-    (``ValueError``) and within ``[0, 1]``, and every ``(A, B)`` block sums to 1; a
+def _check_probs(arr: np.ndarray) -> float:
+    """The smallest entry of the ``[..., X, Y, A, B]`` stack ``arr``; raise unless every entry is
+    finite (``ValueError``) and within ``[0, 1]``, and every ``(A, B)`` block sums to 1; a
     :class:`TableEntryError` names the first offending entry, then block, in row-major order.
     ``min`` and ``max`` carry a NaN through, so the passes over valid tables are reductions,
     with no temporary of the stack's size."""
-    if not (float(arr.min()) >= -_ENTRY_TOL and float(arr.max()) <= 1 + _ENTRY_TOL):
+    if not ((low := float(arr.min())) >= -_ENTRY_TOL and float(arr.max()) <= 1 + _ENTRY_TOL):
         if not np.isfinite(arr).all():
             raise ValueError("probabilities contain NaN or Inf")
         bad = np.argwhere((arr < -_ENTRY_TOL) | (arr > 1 + _ENTRY_TOL))[0]
@@ -215,6 +215,7 @@ def _check_probs(arr: np.ndarray) -> None:
     if float(deviation.max()) > _NORMALIZATION_TOL:
         off = np.argwhere(deviation > _NORMALIZATION_TOL)[0]
         raise TableEntryError(tuple(int(v) for v in off), "entries do not sum to 1")
+    return low
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,8 @@ class CorrelationTable:
     ``probs`` has shape ``(X, Y, A, B)`` with ``A = B = prod(output_arities)``
     and, depending on the scheme, ``X = Y = m`` (broadcast, all copies share
     the input) or ``X = Y = prod(input_arities)`` (per-copy inputs).  Joint
-    indices are mixed-radix with copy 1 least significant.  The constructor
-    validates ``probs`` in one pass and keeps a read-only copy of it.
+    indices are mixed-radix with copy 1 least significant.  The constructor validates
+    ``probs`` in one pass and keeps a read-only copy, with negative round-off set to 0.
     """
 
     scheme: Scheme
@@ -254,9 +255,11 @@ class CorrelationTable:
             raise ShapeMismatch(
                 f"probability tensor shape {arr.shape} != {(n_in, n_in, n_out, n_out)}"
             )
-        _check_probs(arr)
+        low = _check_probs(arr)
         if copy:  # the caller may still hold, and write to, what it passed
             arr = arr.copy()
+        if low < 0.0:  # tolerated as noise, taken as 0: a block sums to 0 only where all are 0
+            np.copyto(arr, 0.0, where=arr < 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "input_arities", ia)
         object.__setattr__(self, "output_arities", oa)

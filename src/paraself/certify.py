@@ -95,11 +95,9 @@ class CertificationReport:
 
 
 def _finish_report(checks: list, diagnostics: list, tol: float) -> CertificationReport:
-    clean_failure = any(c.precondition_ok and c.margin > tol for c in checks)
-    precondition_issue = any(not c.precondition_ok for c in checks)
-    if clean_failure:
+    if any(c.precondition_ok and not c.margin <= tol for c in checks):  # a NaN margin fails
         verdict = VERDICT_FAIL
-    elif precondition_issue:
+    elif any(not c.precondition_ok for c in checks):
         verdict = VERDICT_PRECONDITION
     else:
         verdict = VERDICT_PASS
@@ -107,7 +105,7 @@ def _finish_report(checks: list, diagnostics: list, tol: float) -> Certification
 
 
 def _check_tol(tol: float) -> None:
-    # A NaN tol would pass every table: ``margin > nan`` is always false.
+    # A NaN tol would fail every table: ``margin <= nan`` is always false.
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
@@ -147,8 +145,7 @@ def _certify_means(table: CorrelationTable, exprs: Sequence[BellExpression],
     """Theorem 3's or 4's report: each copy's conditional or averaged value against its target."""
     betas = _check_targets(table, betas, tol)
     kind = "value" if table.scheme is Scheme.BROADCAST else "averaged value"
-    checks: list[CopyCheck] = []
-    diagnostics: list[str] = []
+    checks, diagnostics = [], []
     means = conditional_means([table], tuple(exprs))[0]
     for i, ((value, first), target) in enumerate(zip(means, betas), 1):
         ok = first is None
@@ -160,7 +157,7 @@ def _certify_means(table: CorrelationTable, exprs: Sequence[BellExpression],
                 f"reported value averages the well-defined prefixes"
             )
         margin = abs(value - target)
-        if ok and margin > tol:
+        if ok and not margin <= tol:
             diagnostics.append(
                 f"copy {i}: {kind} {value!r} deviates from target {target!r} "
                 f"by {margin:.3e} (tol {tol:.1e})"
@@ -232,7 +229,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
                                 f"{copy_dev[x][y]:.3e} over all prefixes"
                                 for x in range(m) for y in range(m)]
             worst.append(float(dev.max()))
-            if i > 1 and worst[-1] > tol:
+            if i > 1 and not worst[-1] <= tol:
                 row = int(np.argmax(dev))  # the first worst prefix
                 diagnostics.append(f"copy {i}: max conditional deviation {worst[-1]:.6e} at "
                                    f"prefix (a={row // low}, b={row % low})")
@@ -245,7 +242,7 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
         bad = np.flatnonzero(~defined)
         diagnostics.append(f"copy {i}: {len(bad)} prefixes unreachable (first: (a={bad[0] // low}, "
                            f"b={bad[0] % low})) although the reference is strictly positive")
-    if worst[0] > tol:
+    if not worst[0] <= tol:
         diagnostics.append(f"copy 1: max marginal deviation {worst[0]:.6e}")
     return _finish_report([CopyCheck(i, w, 0.0, w) for i, w in enumerate(worst, 1)],
                           diagnostics, tol)

@@ -164,19 +164,41 @@ def test_theorem1_soundness_over_n(n):
         assert max(c.margin for c in report.per_copy) == pytest.approx(margins[n], rel=5e-3)
 
 
+def _simulated(tmp_path, *args):
+    """The path of the table that ``simulate`` writes with ``args``."""
+    from click.testing import CliRunner
+
+    from paraself.cli import main
+
+    path = tmp_path / f"table{len(list(tmp_path.iterdir()))}.json"
+    assert CliRunner().invoke(main, ["simulate", "--out", str(path), *args]).exit_code == 0
+    return path
+
+
 def test_certify_cli_exits_1_only_on_fail(tmp_path):
     from click.testing import CliRunner
 
     from paraself.cli import main
 
+    chsh = ["--protocol", "theorem1", "--bell", "chsh", "--beta", "2.8284271247461903"]
+    cases = []
     for name, table in _soundness_tables(3).items():
-        path = tmp_path / "table.json"
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(table_to_json_dict(table)))
-        result = CliRunner().invoke(main, ["certify", "--table", str(path), "--protocol",
-                                           "theorem1", "--bell", "chsh",
-                                           "--beta", "2.8284271247461903"])
+        cases.append((path, chsh, "pass" if name == "honest" else "fail"))
+    # Honest products with prefixes of probability below 1e-12: tilted-chsh(1.99)^4 under
+    # theorem 1 and a tilted/chsh mix of five copies under theorem 3.
+    tilted = ["--bell", "tilted-chsh(1.99)"]
+    cases += [(_simulated(tmp_path, "--strategy", "tilted-chsh(1.99)", "--copies", "4"),
+               ["--protocol", "theorem1", *tilted, "--beta", "oracle"], "pass"),
+              (_simulated(tmp_path, *["--strategy", "tilted-chsh(1.99)", "--strategy", "chsh"] * 2,
+                          "--strategy", "tilted-chsh(1.99)"),
+               ["--protocol", "theorem3", *(tilted + ["--bell", "chsh"]) * 2, *tilted,
+                "--beta", "oracle"], "pass")]
+    for path, args, want in cases:
+        result = CliRunner().invoke(main, ["certify", "--table", str(path), *args])
         verdict = json.loads(result.stdout)["verdict"]
-        assert (verdict, result.exit_code) == (("pass", 0) if name == "honest" else ("fail", 1))
+        assert (verdict, result.exit_code) == (want, VERDICT_EXITS[want]), path.name
 
 
 def test_theorem2_conditional_correlators_reported():
@@ -433,30 +455,6 @@ def _mix(alpha, n):
     return tuple(zip(*([tilted, chsh] * 3)[:n]))
 
 
-def _simulated(tmp_path, *args):
-    """The path of the table that ``simulate`` writes with ``args``."""
-    from click.testing import CliRunner
-
-    from paraself.cli import main
-
-    path = tmp_path / f"table{len(list(tmp_path.iterdir()))}.json"
-    assert CliRunner().invoke(main, ["simulate", "--out", str(path), *args]).exit_code == 0
-    return path
-
-
-def _cli_verdict(path, *args):
-    """The verdict of ``certify`` on the table at ``path``; its exit code must be the
-    verdict's, so exit 1 goes with ``fail`` only."""
-    from click.testing import CliRunner
-
-    from paraself.cli import main
-
-    result = CliRunner().invoke(main, ["certify", "--table", str(path), *args])
-    verdict = json.loads(result.stdout)["verdict"]
-    assert result.exit_code == VERDICT_EXITS[verdict], (verdict, result.exit_code)
-    return verdict
-
-
 # Honest products pass at every n: no prefix of a product of strictly positive tables has
 # probability 0, however small it gets (down to 9.3e-43 for tilted-chsh(1.99)^6).
 @pytest.mark.parametrize("n", range(1, MAX_COPIES + 1))
@@ -474,24 +472,6 @@ def test_honest_fullstats_products_pass_theorem2(n):
     fullstats = fullstats_reference(0.1, 0.2)
     table = compose([fullstats] * n, Scheme.BROADCAST)
     assert certify_theorem2(table, single_copy_table(fullstats)).verdict == "pass"
-
-
-def test_honest_products_pass_through_the_cli(tmp_path):
-    # One n per family, each with prefixes of probability below 1e-12.
-    tilted = ["--bell", "tilted-chsh(1.99)"]
-    table = _simulated(tmp_path, "--strategy", "tilted-chsh(1.99)", "--copies", "4")
-    assert _cli_verdict(table, "--protocol", "theorem1", *tilted, "--beta", "oracle") == "pass"
-    table = _simulated(tmp_path, *["--strategy", "tilted-chsh(1.99)", "--strategy", "chsh"] * 2,
-                       "--strategy", "tilted-chsh(1.99)")
-    assert _cli_verdict(table, "--protocol", "theorem3", *(tilted + ["--bell", "chsh"]) * 2,
-                        *tilted, "--beta", "oracle") == "pass"
-    reference = _simulated(tmp_path, "--strategy", "fullstats(0.1,0.2)", "--copies", "1")
-    table = _simulated(tmp_path, "--strategy", "fullstats(0.1,0.2)", "--copies", "6")
-    assert _cli_verdict(table, "--protocol", "theorem2", "--reference", str(reference)) == "pass"
-    # The copying adversary at n = 4 fails, with exit 1.
-    table = _simulated(tmp_path, "--strategy", "adversary-copy(4)")
-    assert _cli_verdict(table, "--protocol", "theorem1", "--bell", "chsh",
-                        "--beta", "oracle") == "fail"
 
 
 def _aligned_product_strategy():
@@ -570,6 +550,12 @@ def test_each_certify_raise_is_pinned(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_a_nan_margin_is_a_failure():
+    # ``nan > tol`` is false: read that way, a NaN value would pass.
+    check = certify.CopyCheck(1, float("nan"), 0.0, float("nan"))
+    assert certify._finish_report([check], [], 1e-8).verdict == "fail"
 
 
 def test_theorem3_mixed_copies_pass_with_oracle_targets():

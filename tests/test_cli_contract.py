@@ -132,6 +132,14 @@ def files(tmp_path_factory):
                                                                (0, 1, 0, 0): 1.5})})):
         paths[key] = root / f"{key}.json"
         paths[key].write_text(json.dumps({**_table_doc([chsh_reference()]), **edit}))
+    # Copy 2's block at prefix (0, 0) is (2^-40, -2^-40, 2^-1070, 0) at every input pair,
+    # entries the format tolerates as round-off; the rest of the mass is on prefix (1, 1).
+    noise = np.zeros((2, 2, 4, 4))
+    noise[:, :, 0, 0], noise[:, :, 0, 2], noise[:, :, 2, 0] = 2.0 ** -40, -2.0 ** -40, 2.0 ** -1070
+    noise[:, :, 1, 1] = noise[:, :, 1, 3] = 0.5
+    paths["noise_prefix"] = root / "noise_prefix.json"
+    paths["noise_prefix"].write_text(json.dumps({**_table_doc([chsh_reference()] * 2),
+                                                 "probs": noise.tolist()}))
     return paths
 
 
@@ -338,6 +346,20 @@ def test_table_entry_errors_name_the_first_offender(files, table, line):
 
 # Theorem 2 compares against a reference table and takes neither expressions
 # nor targets; the error names the option that was given.
+def test_a_negative_entry_is_no_probability_mass(files):
+    # Summed as they lie, the entries give prefix (0, 0) probability 2^-1070 and condition
+    # to (+inf, -inf, 1, 0); the game's zero coefficients make that NaN.  Taken as 0, the
+    # negative entry leaves (1, 0, 2^-1030, 0), and copy 2 averages 0.75 and 0.5 over four
+    # prefixes, two of them unreachable.
+    result = _run(["certify", "--table", files["noise_prefix"], "--protocol", "theorem1",
+                   "--bell", "chsh-game", "--beta", "oracle"])
+    _assert_contract(result, "certify")
+    report = json.loads(result.stdout)
+    assert report["verdict"] == "fail"
+    assert report["copies"][1]["value"] == 0.3125
+    assert "copy 2: conditional values undefined" in report["diagnostics"][1]
+
+
 @pytest.mark.parametrize("option,value", [("--bell", "chsh"), ("--beta", "1")])
 def test_theorem2_names_the_option_it_refuses(files, option, value):
     result = _run(["certify", "--table", files["chsh2"], "--protocol", "theorem2",
