@@ -155,10 +155,13 @@ def tilted_chsh_expression(alpha: float) -> BellExpression:
 
 
 def check_tilt(alpha: float) -> None:
-    """Raise ``ValueError`` unless 0 <= alpha < 2, the tilts for which ``tilted-chsh(alpha)`` has
-    its closed-form quantum maximum and reference strategy."""
-    if not 0.0 <= alpha < 2.0:
-        raise ValueError(f"tilt parameter {alpha} outside [0, 2)")
+    """Raise ``ValueError`` unless 0 <= alpha <= 1.9998, the tilts for which ``tilted-chsh(alpha)``
+    has its closed-form quantum maximum and a reference strategy with no entry snapped to 0."""
+    # The reference's smallest Born entry shrinks like (2 - alpha)^3: it is 3.1e-14 at 1.9998,
+    # and from 1.99988912 on it falls under the round-off bound at which ``born_tables`` snaps
+    # entries to 0 (5.3e-15), which leaves honest products with unreachable prefixes.
+    if not 0.0 <= alpha <= 1.9998:
+        raise ValueError(f"tilt parameter {alpha} outside [0, 1.9998]")
 
 
 def _builtin_spec(name: str) -> tuple:
@@ -188,9 +191,9 @@ def builtin_expression(name: str) -> BellExpression:
 def builtin_quantum_maximum(name: str) -> float:
     """Quantum maximum of the built-in expression ``name`` in closed form:
     sqrt(8) for ``chsh``, (2 + sqrt(2))/4 for ``chsh-game`` and
-    sqrt(8 + 2 alpha^2) for ``tilted-chsh(alpha)`` with 0 <= alpha < 2
+    sqrt(8 + 2 alpha^2) for ``tilted-chsh(alpha)`` with 0 <= alpha <= 1.9998
     (Acin, Massar, Pironio, PRL 108, 100402 (2012)).  A name that is not a
-    built-in raises ``KeyError``; a tilt outside [0, 2) raises ``ValueError``."""
+    built-in raises ``KeyError``; a tilt that :func:`check_tilt` refuses raises ``ValueError``."""
     family, alpha = _builtin_spec(name)
     if family == "chsh":
         return math.sqrt(8.0)
@@ -360,7 +363,7 @@ def _row_fsums(terms: np.ndarray) -> np.ndarray:
     """``math.fsum`` over the ``2^k >= 2`` terms on the first axis of ``terms`` for every row (index
     of the other axes), bit for bit, in blocks along the last axis of at most ``_MARGINAL_CHUNK``
     entries and ``_MARGINAL_CHUNK // 32`` rows (which bounds a sum of few terms), read where they
-    lie: the ``[term, row]`` buffer of :func:`_conditioned_terms` or a view of it.
+    lie in the ``[term, row]`` buffer of :func:`_conditioned_terms`.
 
     A TwoSum tree over the term axis gives the float sum ``s`` and every exact error; a
     second tree sums those to ``e`` and leaves a remainder (Ogita, Rump, Oishi, SIAM J.

@@ -11,8 +11,7 @@ Theorem 1 is theorem 3 with one expression and target for every copy.
 Theorems 3 and 4 share one report from one :func:`~paraself.bell.conditional_means`
 call (one walk, one row-sum call); its rows are the prefixes of earlier outputs
 (broadcast) or the other copies' input settings (per-copy).  Theorem 2 compares the
-same conditioned ``[term, row]`` buffer with its reference, and reads deviations and
-correlators from it and one row-sum call.
+same conditioned ``[term, row]`` buffer with its reference entry by entry, with no row sum.
 The noise sweep stacks a batch of visibilities: one stack of checked states,
 one Born rule, one product, one validation of the stacked tables and one walk
 serve the whole batch, and no table object is built.
@@ -46,7 +45,6 @@ from .bell import (
     Scheme,
     _check_probs,
     _conditioned_terms,
-    _row_fsums,
     _stack_means,
     conditional_means,
     reachable,
@@ -175,16 +173,12 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     The reference must be single-copy with strictly positive entries.  The
     per-copy check statistic is the largest entrywise deviation (target 0)
     over the ``[a, b, x, y, row]`` head of the one conditioned ``[term, row]``
-    buffer of copy 1's marginal and every later copy's prefixes.  One loop
-    over the copies' spans reads each copy's deviation, worst prefix,
-    unreachable prefixes (from the mask its conditioning returns, so no
-    prefix is judged twice) and correlator deviation, and writes its lines.
+    buffer of copy 1's marginal and every later copy's prefixes, the reference
+    subtracted from it in place.  One loop over the copies' spans reads each
+    copy's deviation, worst prefix and unreachable prefixes (from the mask its
+    conditioning returns, so no prefix is judged twice), and writes its lines.
     A copy with an unreachable prefix scores at least 1.0; its deviation counts only the
-    prefixes reachable at every input pair, and it prints no correlators.  For binary outcomes,
-    copy 1's correlators and each later copy's largest correlator deviation come from one
-    row-sum call (equal to ``math.fsum``) over the whole buffer where it lies, the ``(0, 1)``
-    and ``(1, 0)`` rows negated in place for it and back (exact), and the reference's from
-    ``math.fsum``.
+    prefixes reachable at every input pair.
     """
     _check_tol(tol)
     if table.scheme is not Scheme.BROADCAST:
@@ -206,28 +200,12 @@ def certify_theorem2(table: CorrelationTable, reference: CorrelationTable,
     terms, spans = _conditioned_terms(table.probs[None], table.scheme, table.input_arities,
                                       table.output_arities)
     rows = terms[:o * o * m * m].reshape(o, o, m, m, -1)  # [a, b, x, y, row]
-    ref = reference.probs.transpose(2, 3, 0, 1)[..., None]
-    if o == 2:
-        ref_corr = np.array([[math.fsum((p * [[1, -1], [-1, 1]]).flat) for p in probs]
-                             for probs in reference.probs])  # [x, y]
-        corr_terms = rows.reshape(4, m, m, -1, copy=False)  # [ab, x, y, row], a view
-        np.negative(corr_terms[1:3], out=corr_terms[1:3])  # the -1 signs of ab = 01, 10: exact
-        corr = _row_fsums(corr_terms)  # [x, y, row]
-        np.negative(corr_terms[1:3], out=corr_terms[1:3])  # undone, as exactly
-        corr_dev = np.abs(corr - ref_corr[:, :, None])
-        diagnostics += [f"correlator({x},{y}): copy-1 {float(corr[x, y, 0])!r}, "
-                        f"reference {float(ref_corr[x, y])!r}" for x in range(m) for y in range(m)]
-    rows -= ref  # in place, now that the correlators are read
+    rows -= reference.probs.transpose(2, 3, 0, 1)[..., None]
     row_dev = np.abs(rows, out=rows).max(axis=(0, 1, 2, 3))
     worst = []  # of copies 1..n
     for i, (start, count, mask, _) in enumerate(spans, 1):
         dev, low = row_dev[start:start + count], o ** (i - 1)
         if mask is None:
-            if i > 1 and o == 2:
-                copy_dev = corr_dev[:, :, start:start + count].max(axis=2).tolist()
-                diagnostics += [f"conditional correlator({x},{y}) copy {i}: max deviation "
-                                f"{copy_dev[x][y]:.3e} over all prefixes"
-                                for x in range(m) for y in range(m)]
             worst.append(float(dev.max()))
             if i > 1 and not worst[-1] <= tol:
                 row = int(np.argmax(dev))  # the first worst prefix

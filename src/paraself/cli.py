@@ -364,19 +364,19 @@ def certify_cmd(table_path, protocol, bell_specs, beta_specs, reference_path, to
 @click.option("--strategy", "strategy_spec", default=None,
               help="Strategy preset supplying fixed measurements for the "
                    "quantum value (defaults to the matching reference for "
-                   "built-in expressions; tilted-chsh has one for 0 <= alpha < 2).")
+                   "built-in expressions; tilted-chsh has one for 0 <= alpha <= 1.9998).")
 @click.option("--witness", is_flag=True, help="Serialize the optimizers as JSON.")
 @click.option("--out", default=None, help="Optional JSON output path.")
 def bounds(bell_spec, strategy_spec, witness, out):
     """Print the classical bound and, when measurements are available, the
     fixed-measurement quantum value (both at 10 significant digits); a tilt
-    outside [0, 2) has no reference measurements."""
+    outside [0, 1.9998] has no reference measurements."""
     expr = _load_expression(bell_spec)
     results = {"classical": bell.classical_bound(expr)}
     strategy = None
     if strategy_spec is not None:
         strategy = _single_copy_strategy("--strategy", strategy_spec)
-    else:  # the preset of a built-in; an expression file or a tilt outside [0, 2) has none
+    else:  # the preset of a built-in; an expression file or a tilt outside [0, 1.9998] has none
         with contextlib.suppress(KeyError, ValueError):
             family, alpha = bell._builtin_spec(bell_spec)
             strategy = strategies.build_preset_strategy(

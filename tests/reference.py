@@ -5,10 +5,10 @@ computes in bulk: the Born rule of one outcome pair, the largest eigenvalue
 of a Hermitian matrix, mixed-radix joint indices, the value of an expression
 on a single-copy table, a two-outcome correlator, one copy's marginal in one
 numpy sum, the raising form of one copy's ``conditional_means`` entry, each
-broadcast copy's mean in exact rational arithmetic, the expression and text
-writers, and a local deterministic strategy.  The qubit identity, which only
-the qubit tests build effects from, and the exit code README gives each
-verdict live here too.
+broadcast copy's conditionals, mean and theorem 2 deviation in exact rational
+arithmetic, the expression and text writers, and a local deterministic
+strategy.  The qubit identity, which only the qubit tests build effects from,
+and the exit code README gives each verdict live here too.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def evaluate(expr: BellExpression, table: CorrelationTable) -> float:
 
 def correlator(table: CorrelationTable, x: int, y: int) -> float:
     """Two-outcome correlator sum_ab (-1)^(a+b) p(a,b|x,y) of a single-copy
-    binary table, by ``math.fsum``: the oracle for theorem 2's correlators."""
+    binary table, by ``math.fsum``."""
     if table.n_copies != 1 or table.output_arities[0] != 2:
         raise ShapeMismatch("correlators require a single-copy binary-outcome table")
     m = table.input_arities[0]
@@ -149,25 +149,43 @@ def j_value(table: CorrelationTable, exprs: Sequence[BellExpression], i: int) ->
     return value
 
 
-def exact_broadcast_means(table: CorrelationTable, exprs: Sequence[BellExpression]) -> list:
-    """Each copy's mean with ``exprs[i - 1]`` as a :class:`~fractions.Fraction`, computed
-    exactly from the doubles of a broadcast table whose prefixes all have positive
-    probability: the exact joint of copies ``1..i`` (later copies summed out), its exact
-    prefix sums and the ratios of the two, and the average over the prefixes of the
-    expression's value on each.  Copy 1's value is its exact marginal's, undivided."""
+_exact = np.vectorize(Fraction, otypes=[object])
+
+
+def exact_conditionals(table: CorrelationTable) -> list:
+    """Each copy's distribution on every prefix as :class:`~fractions.Fraction` entries
+    ``[x, y, a_i, prefix_a, b_i, prefix_b]``, computed exactly from the doubles of a broadcast
+    table whose prefixes all have positive probability: the exact joint of copies ``1..i``
+    (later copies summed out) over its exact prefix sums.  Copy 1's is its exact marginal,
+    undivided, with one prefix."""
     m, oa = table.input_arities[0], table.output_arities
-    exact = np.vectorize(Fraction, otypes=[object])
-    joint = exact(table.probs).reshape((m, m) + oa[::-1] * 2)  # [x, y, a_n..a_1, b_n..b_1]
-    means = []
+    joint = _exact(table.probs).reshape((m, m) + oa[::-1] * 2)  # [x, y, a_n..a_1, b_n..b_1]
+    blocks = []
     for i in range(len(oa), 0, -1):
         low = math.prod(oa[:i - 1])
         block = joint.reshape(m, m, oa[i - 1], low, oa[i - 1], low)  # [x, y, a_i, pa, b_i, pb]
         if i > 1:
             block = block / block.sum(axis=(2, 4))[:, :, None, :, None, :]
-        coeffs = exact(exprs[i - 1].coeffs)[:, :, :, None, :, None]
-        means.append((coeffs * block).sum() / (low * low))
+        blocks.append(block)
         joint = joint.sum(axis=(2, 2 + i))  # copy i summed out
-    return means[::-1]
+    return blocks[::-1]
+
+
+def exact_broadcast_means(table: CorrelationTable, exprs: Sequence[BellExpression]) -> list:
+    """Each copy's mean with ``exprs[i - 1]`` as a :class:`~fractions.Fraction`: the average
+    over the prefixes of the expression's value on each of :func:`exact_conditionals`."""
+    means = []
+    for block, expr in zip(exact_conditionals(table), exprs):
+        coeffs = _exact(expr.coeffs)[:, :, :, None, :, None]
+        means.append((coeffs * block).sum() / (block.shape[3] ** 2))
+    return means
+
+
+def exact_theorem2_deviations(table: CorrelationTable, reference: CorrelationTable) -> list:
+    """Each copy's largest ``|p(a, b | x, y, prefix) - reference|`` as a
+    :class:`~fractions.Fraction`, from :func:`exact_conditionals` and the reference's doubles."""
+    ref = _exact(reference.probs)[:, :, :, None, :, None]
+    return [abs(block - ref).max() for block in exact_conditionals(table)]
 
 
 def expression_to_json_dict(expr: BellExpression) -> dict:

@@ -255,7 +255,8 @@ def test_certify_output_does_not_depend_on_provenance(runner, tmp_path):
     assert outputs == [outputs[0]] * len(outputs)
 
 
-@pytest.mark.parametrize("bell", ["expression-file", "tilted-chsh(2)", "tilted-chsh(-0.1)"])
+@pytest.mark.parametrize("bell", ["expression-file", "tilted-chsh(2)", "tilted-chsh(-0.1)",
+                                  "tilted-chsh(1.9999)"])
 def test_certify_oracle_needs_a_closed_form(runner, tmp_path, bell):
     table, _ = _simulate(runner, tmp_path, "--strategy", "chsh", "--copies", "2")
     if bell == "expression-file":
@@ -386,7 +387,7 @@ def test_a_non_finite_tilt_is_named(runner, args, option, tilt):
     assert result.output == f"error: config: {option}: tilt parameter {tilt} is not finite\n"
 
 
-@pytest.mark.parametrize("tilt", ["1e308", "-1e308", "2", "-0.5"])
+@pytest.mark.parametrize("tilt", ["1e308", "-1e308", "2", "-0.5", "1.9999"])
 @pytest.mark.parametrize("args", [
     ["simulate", "--strategy", "tilted-chsh({})"],
     ["sweep", "--copies", "2", "--strategy", "tilted-chsh({})", "--nus", "0,1"],
@@ -399,7 +400,7 @@ def test_an_out_of_range_tilt_is_named_on_every_strategy_path(runner, args, tilt
     result = runner.invoke(main, [a.format(tilt) for a in args])
     assert result.exit_code == 2
     assert result.output == (f"error: config: --strategy: tilt parameter {float(tilt)} "
-                             "outside [0, 2)\n")
+                             "outside [0, 1.9998]\n")
     result = runner.invoke(main, ["bounds", "--bell", f"tilted-chsh({tilt})"])
     if abs(float(tilt)) > 2:
         assert result.exit_code == 2
@@ -411,7 +412,7 @@ def test_an_out_of_range_tilt_is_named_on_every_strategy_path(runner, args, tilt
                                              ("tilted-chsh(-0.5)", "2.5")])
 def test_bounds_tilt_without_reference_prints_classical_only(runner, tmp_path, spec, classical):
     # The classical bound exists for any tilt; the reference strategy only
-    # for 0 <= alpha < 2, so these print and serialize the classical line alone.
+    # for 0 <= alpha <= 1.9998, so these print and serialize the classical line alone.
     result = runner.invoke(main, ["bounds", "--bell", spec])
     assert result.exit_code == 0, result.output
     assert result.stdout == f"classical {classical}\n"

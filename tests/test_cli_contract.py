@@ -371,7 +371,7 @@ def test_theorem2_names_the_option_it_refuses(files, option, value):
         f"not expressions/targets"]
 
 
-# Under --bell a finite tilt outside [0, 2) is still an expression, but one so
+# Under --bell a finite tilt outside [0, 1.9998] is still an expression, but one so
 # large that its coefficients overflow is named as a tilt, on every path that
 # builds it: bounds, certify with a number, certify with the oracle, sweep.
 @pytest.mark.parametrize("tilt", ["1e308", "-1e308"])

@@ -56,13 +56,13 @@ CONTRACT = {
     "means-broadcast-chsh6x16": (3.2, 0),
     # One conditioned [term, row] buffer, a third larger than the table at
     # o = 2, and its row sums' temporaries.  Theorem 2 on fullstats^6 certifies
-    # all six copies (every prefix reachable) and sums its 4-term correlators
-    # over 5,460 rows in three blocks of at most 2,048 rows.
+    # all six copies (every prefix reachable) and sums no rows: it subtracts
+    # its reference from the buffer in place and takes the largest deviation.
     "theorem1-chsh6": (6.0, 0),
     "theorem3-mix6": (6.0, 0),
-    "theorem2-fullstats(0.1,0.2)^5": (6.6, 0),
-    "theorem2-fullstats(0.1,0.2)^6": (4.0, 0),
-    "theorem2-fullstats(0.7,0.78)^6": (3.85, 0),
+    "theorem2-fullstats(0.1,0.2)^5": (3.85, 0),
+    "theorem2-fullstats(0.1,0.2)^6": (2.75, 0),
+    "theorem2-fullstats(0.7,0.78)^6": (2.75, 0),
     # Composing keeps the product and its last factor; at n = 5 numpy's fixed
     # 128 KiB broadcasting buffers do not count.
     "compose-percopy-chsh5": (1.25, 0),

@@ -61,7 +61,7 @@ TEST_ONLY = [
 
 # Lines of ``src/paraself/*.py`` as ``wc -l`` counts them: the package should not
 # get bigger, so a change that raises this says why in CHANGES.md.
-MAX_PACKAGE_LINES = 2170
+MAX_PACKAGE_LINES = 2151
 
 # The certifiers reach the walk through ``bell.conditional_means`` and
 # ``bell._conditioned_terms`` only, which alone conditions every copy.
